@@ -240,7 +240,7 @@ pub fn run_obs_bench(quick: bool) -> ObsBenchRun {
     let events = service.trace_events();
     let dropped_events = service.recorder().dropped_events();
     let chrome_trace = chrome_trace_json(&events, &service.recorder().track_names());
-    let snapshot = service.metrics_snapshot().expect("the Full arm has a metrics plane");
+    let snapshot = service.metrics_snapshot();
 
     let report = ObsBenchReport {
         workload: format!(
@@ -416,7 +416,7 @@ mod tests {
             let (full, service) = run_arm(ObsConfig::Full, &bundles, 48, 1);
             let events = service.trace_events();
             let chrome = chrome_trace_json(&events, &service.recorder().track_names());
-            let snapshot = service.metrics_snapshot().expect("metrics plane on");
+            let snapshot = service.metrics_snapshot();
             ObsBenchRun {
                 report: ObsBenchReport {
                     workload: "test".into(),

@@ -941,8 +941,8 @@ fn wall_clock_arm(
         for lane in 0..lanes {
             let blkid = 1024 + (i % 48) as u32 * 8;
             service
-                .submit_to_lane(
-                    lane,
+                .submit_to(
+                    LaneId { device: Device::Mmc, replica: lane },
                     session,
                     Request::Read { device: Device::Mmc, blkid, blkcnt: 8 },
                 )
@@ -1155,7 +1155,7 @@ fn run_failover_experiment() -> FailoverSample {
         DriverletService::with_driverlets(&devices, config).expect("build failover service");
     let session = service.open_session().expect("open session");
     service
-        .inject_fault_at(
+        .inject_fault(
             LaneId { device: Device::Mmc, replica: 0 },
             FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
         )
@@ -1188,7 +1188,7 @@ fn run_failover_experiment() -> FailoverSample {
     let lost = submitted - completions.len() as u64;
     let stats = service.stats();
     let health = service
-        .lane_health_check_at(LaneId { device: Device::Mmc, replica: 0 })
+        .lane_health_check(LaneId { device: Device::Mmc, replica: 0 })
         .expect("health check");
     FailoverSample {
         replicas: REPLICAS,
@@ -1215,7 +1215,7 @@ fn run_churn_experiment(cycles: u64) -> ChurnSample {
     };
     let mut service = DriverletService::new(&[Device::Mmc], config).expect("build churn service");
     let resident = service.open_session().expect("resident session");
-    let baseline = service.metrics_snapshot().expect("metrics plane is on").sessions.len() as u64;
+    let baseline = service.metrics_snapshot().sessions.len() as u64;
     for i in 0..cycles {
         let s = service.open_session().expect("churn session");
         service
@@ -1232,7 +1232,7 @@ fn run_churn_experiment(cycles: u64) -> ChurnSample {
     }
     service.drain_all();
     service.take_completions(resident);
-    let series = service.metrics_snapshot().expect("metrics plane is on").sessions.len() as u64;
+    let series = service.metrics_snapshot().sessions.len() as u64;
     ChurnSample { cycles, leaked_series: series.saturating_sub(baseline) }
 }
 

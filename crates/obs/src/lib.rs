@@ -23,10 +23,12 @@
 //!   session and SMC kind, with a JSON-exportable
 //!   [`metrics::MetricsSnapshot`] and a Prometheus-style text encoder.
 //!
-//! Everything sits behind [`ObsConfig`]: `Off` installs no handles at all
-//! (instrumentation points are wrapped in [`obs_event!`], which compiles
-//! to a single `Option` check), `MetricsOnly` enables the registry, and
-//! `Full` adds the flight recorder.
+//! The registry's counters and gauges are always on: they are the serve
+//! layer's only counters. [`ObsConfig`] switches the rest: `Off` records
+//! no histograms and installs no trace handles (instrumentation points are
+//! wrapped in [`obs_event!`], which compiles to a single `Option` check),
+//! `MetricsOnly` adds the histograms, and `Full` adds the flight
+//! recorder.
 
 // `deny`, not `forbid`: the lock-free SPSC core in [`spsc`] is the one
 // carefully argued exception and scopes its own `#![allow(unsafe_code)]`.
@@ -47,24 +49,25 @@ pub use trace::{
     TraceHandle,
 };
 
-/// How much observability the service threads through its hot paths.
+/// How much observability the service threads through its hot paths, on
+/// top of the always-on counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsConfig {
-    /// No recorder, no registry: every instrumentation point is a `None`
-    /// check and the metrics plane records nothing.
+    /// Counters and gauges only: no histograms, no recorder — every trace
+    /// point is a `None` check.
     #[default]
     Off,
-    /// The metrics registry records counters/gauges/histograms; the flight
+    /// Counters plus the latency and batch-size histograms; the flight
     /// recorder stays off (no trace handles are installed).
     MetricsOnly,
-    /// Metrics plus the flight recorder: every lane thread traces into its
-    /// own ring.
+    /// Histograms plus the flight recorder: every lane thread traces into
+    /// its own ring.
     Full,
 }
 
 impl ObsConfig {
-    /// Whether the metrics registry records.
-    pub fn metrics_enabled(self) -> bool {
+    /// Whether the registry's histograms record.
+    pub fn histograms_enabled(self) -> bool {
         !matches!(self, ObsConfig::Off)
     }
 
@@ -130,11 +133,12 @@ mod tests {
 
     #[test]
     fn obs_config_gates_and_env_parse() {
-        assert!(!ObsConfig::Off.metrics_enabled() && !ObsConfig::Off.tracing_enabled());
+        assert!(!ObsConfig::Off.histograms_enabled() && !ObsConfig::Off.tracing_enabled());
         assert!(
-            ObsConfig::MetricsOnly.metrics_enabled() && !ObsConfig::MetricsOnly.tracing_enabled()
+            ObsConfig::MetricsOnly.histograms_enabled()
+                && !ObsConfig::MetricsOnly.tracing_enabled()
         );
-        assert!(ObsConfig::Full.metrics_enabled() && ObsConfig::Full.tracing_enabled());
+        assert!(ObsConfig::Full.histograms_enabled() && ObsConfig::Full.tracing_enabled());
         assert_eq!(ObsConfig::from_env_str("full"), Some(ObsConfig::Full));
         assert_eq!(ObsConfig::from_env_str(" Metrics "), Some(ObsConfig::MetricsOnly));
         assert_eq!(ObsConfig::from_env_str("off"), Some(ObsConfig::Off));

@@ -3,6 +3,10 @@
 //! Allocation-free on the hot path: every series is a plain atomic — a
 //! counter, a gauge, or one of 64 fixed log₂ [`Histogram`] buckets — and
 //! recording is a single `fetch_add`/`fetch_max` with relaxed ordering.
+//! The registry is the serve layer's one counter plane: counters and
+//! gauges always record (they back `ServeStats`, `LaneHealth`, the SMC
+//! counts and `QueueFull`'s high-water report), and only the histograms
+//! are switched by the observability level.
 //! Series are keyed structurally (one [`LaneMetrics`] per lane, one
 //! [`SmcMetrics`] array slot per [`SmcKind`], one [`SessionMetrics`] per
 //! open session); the only lock in the plane guards the session map, which
@@ -35,22 +39,24 @@ use crate::trace::SmcKind;
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A fixed-bucket log₂ histogram: 64 atomic counters, no allocation and no
-/// locking to record.
+/// locking to record. A histogram built with `recording = false` ignores
+/// observations — the observability level's one switch on this plane.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    recording: bool,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram::new()
+        Histogram::new(true)
     }
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)) }
+    /// An empty histogram that records observations iff `recording`.
+    pub fn new(recording: bool) -> Histogram {
+        Histogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)), recording }
     }
 
     /// Index of the bucket covering `value`: its bit length, clamped into
@@ -59,9 +65,11 @@ impl Histogram {
         ((u64::BITS - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
     }
 
-    /// Count one observation.
+    /// Count one observation (a no-op unless the histogram records).
     pub fn record(&self, value: u64) {
-        self.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        if self.recording {
+            self.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Freeze the bucket counts.
@@ -118,13 +126,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-lane counters and gauges. The core lifecycle counters are cheap
-/// enough to run unconditionally (they also back [`LaneMetrics`] consumers
-/// like `LaneHealth` and the `QueueFull` high-water report); the latency
-/// histogram is only recorded when the registry is enabled.
+/// Per-lane counters and gauges. Every counter records unconditionally;
+/// the latency histogram records only when the registry was built with
+/// histograms on.
 #[derive(Debug)]
 pub struct LaneMetrics {
     device: String,
+    submitted: AtomicU64,
+    rejected: AtomicU64,
     admitted: AtomicU64,
     completed: AtomicU64,
     diverged: AtomicU64,
@@ -133,6 +142,11 @@ pub struct LaneMetrics {
     occupancy_high_water: AtomicU64,
     replays: AtomicU64,
     coalesced_requests: AtomicU64,
+    invocations: AtomicU64,
+    merged: AtomicU64,
+    blocks_moved: AtomicU64,
+    holds: AtomicU64,
+    early_unplugs: AtomicU64,
     doorbell_batches: AtomicU64,
     last_event_host_ns: AtomicU64,
     /// Supervision state gauge (see [`LANE_STATE_HEALTHY`] and friends).
@@ -149,10 +163,13 @@ pub const LANE_STATE_QUARANTINED: u64 = 1;
 pub const LANE_STATE_PROBATION: u64 = 2;
 
 impl LaneMetrics {
-    /// A zeroed series set for one lane over `device`.
-    pub fn new(device: impl Into<String>) -> LaneMetrics {
+    /// A zeroed series set for one lane over `device`; the latency
+    /// histogram records iff `histograms`.
+    pub fn new(device: impl Into<String>, histograms: bool) -> LaneMetrics {
         LaneMetrics {
             device: device.into(),
+            submitted: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             diverged: AtomicU64::new(0),
@@ -161,16 +178,32 @@ impl LaneMetrics {
             occupancy_high_water: AtomicU64::new(0),
             replays: AtomicU64::new(0),
             coalesced_requests: AtomicU64::new(0),
+            invocations: AtomicU64::new(0),
+            merged: AtomicU64::new(0),
+            blocks_moved: AtomicU64::new(0),
+            holds: AtomicU64::new(0),
+            early_unplugs: AtomicU64::new(0),
             doorbell_batches: AtomicU64::new(0),
             last_event_host_ns: AtomicU64::new(0),
             state: AtomicU64::new(LANE_STATE_HEALTHY),
-            latency_ns: Histogram::new(),
+            latency_ns: Histogram::new(histograms),
         }
     }
 
     /// The device this lane serves.
     pub fn device(&self) -> &str {
         &self.device
+    }
+
+    /// A request was accepted for this lane: staged in its submission ring
+    /// or handed straight to admission (fan-out members count singly).
+    pub fn on_submit(&self) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A request for this lane was refused with `QueueFull` backpressure.
+    pub fn on_reject(&self) {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Admission: the front-end accepted a request at queue `depth`.
@@ -182,14 +215,11 @@ impl LaneMetrics {
     }
 
     /// Terminal classification: success. `latency_ns` is the request's
-    /// virtual submit→complete latency; pass `record_latency = false` when
-    /// the registry is off to skip the histogram.
-    pub fn on_complete(&self, latency_ns: u64, host_ns: u64, record_latency: bool) {
+    /// virtual submit→complete latency.
+    pub fn on_complete(&self, latency_ns: u64, host_ns: u64) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.in_queue.fetch_sub(1, Ordering::Relaxed);
-        if record_latency {
-            self.latency_ns.record(latency_ns);
-        }
+        self.latency_ns.record(latency_ns);
         self.touch(host_ns);
     }
 
@@ -235,6 +265,25 @@ impl LaneMetrics {
     pub fn on_replay(&self, merged: u64) {
         self.replays.fetch_add(1, Ordering::Relaxed);
         self.coalesced_requests.fetch_add(merged, Ordering::Relaxed);
+    }
+
+    /// One replayer invocation (a recorded-granularity block part or a
+    /// capture) moving `blocks` blocks.
+    pub fn on_invocation(&self, blocks: u64) {
+        self.invocations.fetch_add(1, Ordering::Relaxed);
+        self.blocks_moved.fetch_add(blocks, Ordering::Relaxed);
+    }
+
+    /// `members` requests were served by one merged or batched replay.
+    pub fn on_merged(&self, members: u64) {
+        self.merged.fetch_add(members, Ordering::Relaxed);
+    }
+
+    /// A dispatch held its queue open past the ready instant; `early` when
+    /// the plug released before its budget expired.
+    pub fn on_hold(&self, early: bool) {
+        self.holds.fetch_add(1, Ordering::Relaxed);
+        self.early_unplugs.fetch_add(u64::from(early), Ordering::Relaxed);
     }
 
     /// One doorbell batch flushed on this lane.
@@ -284,11 +333,13 @@ impl LaneMetrics {
 
     /// Freeze this lane's series, labelling it `lane`.
     pub fn snapshot(&self, lane: usize) -> LaneSnapshot {
-        let replays = self.replays.load(Ordering::Relaxed);
-        let coalesced = self.coalesced_requests.load(Ordering::Relaxed);
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (replays, coalesced) = (load(&self.replays), load(&self.coalesced_requests));
         LaneSnapshot {
             lane,
             device: self.device.clone(),
+            submitted: load(&self.submitted),
+            rejected: load(&self.rejected),
             admitted: self.admitted(),
             completed: self.completed(),
             diverged: self.diverged(),
@@ -298,7 +349,12 @@ impl LaneMetrics {
             replays,
             coalesced_requests: coalesced,
             coalesce_ratio: if replays == 0 { 0.0 } else { coalesced as f64 / replays as f64 },
-            doorbell_batches: self.doorbell_batches.load(Ordering::Relaxed),
+            invocations: load(&self.invocations),
+            merged: load(&self.merged),
+            blocks_moved: load(&self.blocks_moved),
+            holds: load(&self.holds),
+            early_unplugs: load(&self.early_unplugs),
+            doorbell_batches: load(&self.doorbell_batches),
             last_event_host_ns: self.last_event_host_ns(),
             state: self.state(),
             latency_ns: self.latency_ns.snapshot(),
@@ -313,6 +369,10 @@ pub struct LaneSnapshot {
     pub lane: usize,
     /// Device the lane serves.
     pub device: String,
+    /// Requests accepted for the lane (staged or handed to admission).
+    pub submitted: u64,
+    /// Requests refused with `QueueFull` backpressure.
+    pub rejected: u64,
     /// Requests admitted.
     pub admitted: u64,
     /// Requests completed successfully.
@@ -331,6 +391,17 @@ pub struct LaneSnapshot {
     pub coalesced_requests: u64,
     /// Mean requests merged per replay (`coalesced_requests / replays`).
     pub coalesce_ratio: f64,
+    /// Replayer invocations (block parts at recorded granularities and
+    /// captures).
+    pub invocations: u64,
+    /// Requests served by a merged or batched replay.
+    pub merged: u64,
+    /// Blocks moved by block invocations.
+    pub blocks_moved: u64,
+    /// Dispatches that held the queue open (plug engaged).
+    pub holds: u64,
+    /// Holds released before their budget expired.
+    pub early_unplugs: u64,
     /// Doorbell batches flushed on this lane.
     pub doorbell_batches: u64,
     /// Host stamp of the lane's most recent event.
@@ -354,17 +425,23 @@ impl LaneSnapshot {
     }
 }
 
-/// SMC accounting by [`SmcKind`], plus the doorbell batch-size histogram.
+/// SMC accounting by [`SmcKind`] — the only SMC counts there are, shared
+/// with the TEE kernel that pays the switches — plus the ring protocol's
+/// counters: doorbell entries (and their batch-size histogram) and CQ
+/// overflow posts.
 #[derive(Debug, Default)]
 pub struct SmcMetrics {
     by_kind: [AtomicU64; SmcKind::COUNT],
+    doorbell_entries: AtomicU64,
+    cq_overflows: AtomicU64,
     doorbell_batch: Histogram,
 }
 
 impl SmcMetrics {
-    /// A zeroed series set.
-    pub fn new() -> SmcMetrics {
-        SmcMetrics { by_kind: Default::default(), doorbell_batch: Histogram::new() }
+    /// A zeroed series set; the batch-size histogram records iff
+    /// `histograms`.
+    pub fn new(histograms: bool) -> SmcMetrics {
+        SmcMetrics { doorbell_batch: Histogram::new(histograms), ..SmcMetrics::default() }
     }
 
     /// Count one world switch of `kind`.
@@ -372,9 +449,15 @@ impl SmcMetrics {
         self.by_kind[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one doorbell flushing `batch` staged entries.
+    /// Count one doorbell admitting `batch` staged entries.
     pub fn record_doorbell_batch(&self, batch: u64) {
+        self.doorbell_entries.fetch_add(batch, Ordering::Relaxed);
         self.doorbell_batch.record(batch);
+    }
+
+    /// Count one completion that spilled to a session's CQ overflow list.
+    pub fn on_cq_overflow(&self) {
+        self.cq_overflows.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Calls of `kind` so far.
@@ -530,6 +613,16 @@ impl RouteMetrics {
             self.stripe_parts.fetch_add(parts, Ordering::Relaxed);
         }
     }
+
+    /// Freeze the counters.
+    pub fn snapshot(&self) -> RouteSnapshot {
+        RouteSnapshot {
+            decisions: self.decisions.load(Ordering::Relaxed),
+            spills: self.spills.load(Ordering::Relaxed),
+            stripe_fanouts: self.stripe_fanouts.load(Ordering::Relaxed),
+            stripe_parts: self.stripe_parts.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A frozen [`RouteMetrics`].
@@ -578,6 +671,10 @@ pub struct MetricsSnapshot {
     pub smc_by_kind: Vec<SmcKindCount>,
     /// Doorbell batch-size histogram.
     pub doorbell_batch: HistogramSnapshot,
+    /// Submission-ring entries admitted across all doorbells.
+    pub doorbell_entries: u64,
+    /// Completions that spilled to a session's CQ overflow list.
+    pub cq_overflows: u64,
     /// Per-session series, sorted by session id.
     pub sessions: Vec<SessionSnapshot>,
     /// Fleet-routing counters. Snapshots persisted before the shard
@@ -601,41 +698,35 @@ impl MetricsSnapshot {
 /// them into [`MetricsSnapshot`]s.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    enabled: bool,
+    histograms: bool,
     epoch: Instant,
     lanes: Mutex<Vec<Arc<LaneMetrics>>>,
     smc: Arc<SmcMetrics>,
-    route: Arc<RouteMetrics>,
-    robustness: Arc<RobustnessMetrics>,
+    route: RouteMetrics,
+    robustness: RobustnessMetrics,
     sessions: Mutex<HashMap<u32, Arc<SessionMetrics>>>,
 }
 
 impl MetricsRegistry {
-    /// A registry. When `enabled` is false the structure still exists (the
-    /// lane series double as `LaneHealth`/`QueueFull` inputs) but
-    /// histogram and session recording is skipped by the callers.
-    pub fn new(enabled: bool) -> MetricsRegistry {
-        MetricsRegistry::with_epoch(enabled, Instant::now())
+    /// A registry. Its counters always record; its histograms record iff
+    /// `histograms`.
+    pub fn new(histograms: bool) -> MetricsRegistry {
+        MetricsRegistry::with_epoch(histograms, Instant::now())
     }
 
     /// [`MetricsRegistry::new`] with an explicit host epoch, shared with
     /// the flight recorder so `last_event_host_ns` and trace stamps live
     /// in one domain.
-    pub fn with_epoch(enabled: bool, epoch: Instant) -> MetricsRegistry {
+    pub fn with_epoch(histograms: bool, epoch: Instant) -> MetricsRegistry {
         MetricsRegistry {
-            enabled,
+            histograms,
             epoch,
             lanes: Mutex::new(Vec::new()),
-            smc: Arc::new(SmcMetrics::new()),
-            route: Arc::new(RouteMetrics::default()),
-            robustness: Arc::new(RobustnessMetrics::default()),
+            smc: Arc::new(SmcMetrics::new(histograms)),
+            route: RouteMetrics::default(),
+            robustness: RobustnessMetrics::default(),
             sessions: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Whether full recording (histograms, sessions, SMC kinds) is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Host-monotonic nanoseconds since the registry was built (the stamp
@@ -653,7 +744,7 @@ impl MetricsRegistry {
     /// Add a lane series and return its shared handle. Lane indices are
     /// assigned in registration order.
     pub fn register_lane(&self, device: impl Into<String>) -> Arc<LaneMetrics> {
-        let lane = Arc::new(LaneMetrics::new(device));
+        let lane = Arc::new(LaneMetrics::new(device, self.histograms));
         self.lanes.lock().expect("metrics lane registry poisoned").push(Arc::clone(&lane));
         lane
     }
@@ -663,14 +754,14 @@ impl MetricsRegistry {
         Arc::clone(&self.smc)
     }
 
-    /// The shared fleet-routing series.
-    pub fn route(&self) -> Arc<RouteMetrics> {
-        Arc::clone(&self.route)
+    /// The fleet-routing series.
+    pub fn route(&self) -> &RouteMetrics {
+        &self.route
     }
 
-    /// The shared robustness-plane series.
-    pub fn robustness(&self) -> Arc<RobustnessMetrics> {
-        Arc::clone(&self.robustness)
+    /// The robustness-plane series.
+    pub fn robustness(&self) -> &RobustnessMetrics {
+        &self.robustness
     }
 
     /// The series for `session`, created on first use.
@@ -740,13 +831,10 @@ impl MetricsRegistry {
             lanes,
             smc_by_kind,
             doorbell_batch: self.smc.doorbell_batch.snapshot(),
+            doorbell_entries: self.smc.doorbell_entries.load(Ordering::Relaxed),
+            cq_overflows: self.smc.cq_overflows.load(Ordering::Relaxed),
             sessions,
-            route: RouteSnapshot {
-                decisions: self.route.decisions.load(Ordering::Relaxed),
-                spills: self.route.spills.load(Ordering::Relaxed),
-                stripe_fanouts: self.route.stripe_fanouts.load(Ordering::Relaxed),
-                stripe_parts: self.route.stripe_parts.load(Ordering::Relaxed),
-            },
+            route: self.route.snapshot(),
             robustness: self.robustness.snapshot(),
         }
     }
@@ -760,7 +848,9 @@ type LaneFamily = (&'static str, &'static str, fn(&LaneSnapshot) -> u64);
 /// `# TYPE` header per family, structural keys as labels).
 pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let counter_families: [LaneFamily; 6] = [
+    let counter_families: [LaneFamily; 13] = [
+        ("dlt_lane_submitted_total", "Requests accepted for the lane", |l| l.submitted),
+        ("dlt_lane_rejected_total", "Requests refused with QueueFull", |l| l.rejected),
         ("dlt_lane_admitted_total", "Requests admitted to the lane queue", |l| l.admitted),
         ("dlt_lane_completed_total", "Requests completed successfully", |l| l.completed),
         ("dlt_lane_diverged_total", "Requests ending in replay divergence", |l| l.diverged),
@@ -769,6 +859,11 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
         ("dlt_lane_coalesced_requests_total", "Requests folded into replay batches", |l| {
             l.coalesced_requests
         }),
+        ("dlt_lane_invocations_total", "Replayer invocations", |l| l.invocations),
+        ("dlt_lane_merged_total", "Requests served by a merged replay", |l| l.merged),
+        ("dlt_lane_blocks_moved_total", "Blocks moved by block replays", |l| l.blocks_moved),
+        ("dlt_lane_holds_total", "Dispatches that held the queue open", |l| l.holds),
+        ("dlt_lane_early_unplugs_total", "Holds released early", |l| l.early_unplugs),
     ];
     for (name, help, get) in counter_families {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
@@ -902,12 +997,15 @@ mod tests {
         assert_eq!(Histogram::bucket_index(1024), 11);
         assert_eq!(Histogram::bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
 
-        let h = Histogram::new();
+        let h = Histogram::new(true);
         for v in [0, 3, 3, 900, 900, 900, 70_000] {
             h.record(v);
         }
         let snap = h.snapshot();
         assert_eq!(snap.total(), 7);
+        let off = Histogram::new(false);
+        off.record(900);
+        assert_eq!(off.snapshot().total(), 0, "a non-recording histogram stays empty");
         // Rank 4 of 7 lands in the 900 bucket: upper bound 2^10 - 1.
         assert_eq!(snap.quantile(0.5), Some(1023));
         assert_eq!(snap.quantile(0.99), Some(131_071));
@@ -917,11 +1015,11 @@ mod tests {
 
     #[test]
     fn lane_metrics_reconcile_and_snapshot() {
-        let lane = LaneMetrics::new("mmc");
+        let lane = LaneMetrics::new("mmc", true);
         lane.on_admit(1, 10);
         lane.on_admit(2, 20);
         lane.on_admit(2, 30);
-        lane.on_complete(1_500, 40, true);
+        lane.on_complete(1_500, 40);
         lane.on_diverge(50);
         assert_eq!(lane.admitted(), 3);
         assert_eq!(lane.completed() + lane.diverged() + lane.failed() + lane.in_queue(), 3);
@@ -941,7 +1039,7 @@ mod tests {
         let registry = MetricsRegistry::new(true);
         let lane = registry.register_lane("usb");
         lane.on_admit(1, 5);
-        lane.on_complete(2_000, 9, registry.is_enabled());
+        lane.on_complete(2_000, 9);
         registry.smc().record(SmcKind::Invoke);
         registry.smc().record(SmcKind::Doorbell);
         registry.smc().record_doorbell_batch(16);
@@ -989,7 +1087,7 @@ mod tests {
 
     #[test]
     fn lane_state_and_requeue_keep_the_reconciliation_invariant() {
-        let lane = LaneMetrics::new("mmc");
+        let lane = LaneMetrics::new("mmc", false);
         lane.on_admit(1, 10);
         lane.on_admit(2, 20);
         // Quarantine evicts one queued request back to the router.
@@ -998,7 +1096,7 @@ mod tests {
         assert_eq!(lane.admitted(), 1);
         assert_eq!(lane.completed() + lane.diverged() + lane.failed() + lane.in_queue(), 1);
         lane.set_state(LANE_STATE_PROBATION, 40);
-        lane.on_complete(500, 50, false);
+        lane.on_complete(500, 50);
         lane.set_state(LANE_STATE_HEALTHY, 60);
         let snap = lane.snapshot(0);
         assert_eq!(snap.state, LANE_STATE_HEALTHY);
@@ -1010,7 +1108,7 @@ mod tests {
         let registry = MetricsRegistry::new(true);
         let lane = registry.register_lane("mmc");
         lane.on_admit(1, 1);
-        lane.on_complete(900, 2, true);
+        lane.on_complete(900, 2);
         registry.smc().record(SmcKind::Yield);
         let text = prometheus_text(&registry.snapshot());
         assert!(text.contains("dlt_lane_admitted_total{lane=\"0\",device=\"mmc\"} 1"));

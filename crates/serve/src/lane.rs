@@ -67,53 +67,6 @@ pub(crate) fn block_args(rw: u64, blkcnt: u32, blkid: u32) -> [(&'static str, u6
     [("rw", rw), ("blkcnt", u64::from(blkcnt)), ("blkid", u64::from(blkid)), ("flag", 0)]
 }
 
-/// Cumulative service counters as atomics, shared by the front-end, every
-/// lane worker and every detached [`crate::service::LaneSubmitter`]. All
-/// updates are `Relaxed` — they are metrics, and the quiescence protocol's
-/// acquire/release edges make post-drain snapshots exact.
-#[derive(Debug, Default)]
-pub(crate) struct SharedStats {
-    pub submitted: AtomicU64,
-    pub completed: AtomicU64,
-    pub rejected: AtomicU64,
-    pub replays: AtomicU64,
-    pub coalesced_requests: AtomicU64,
-    pub blocks_moved: AtomicU64,
-    pub holds: AtomicU64,
-    pub early_unplugs: AtomicU64,
-    pub doorbells: AtomicU64,
-    pub doorbell_entries: AtomicU64,
-    pub cq_overflows: AtomicU64,
-    /// Requests that went through the shard router's placement.
-    pub routed: AtomicU64,
-    /// Route parts shed off a saturated home lane to a sibling.
-    pub route_spills: AtomicU64,
-    /// Routed requests split across two or more replicas.
-    pub stripe_fanouts: AtomicU64,
-    /// Total parts those fan-outs produced.
-    pub stripe_parts: AtomicU64,
-    /// Submits rejected at admission by per-tenant QoS.
-    pub throttled: AtomicU64,
-    /// Failover retries dispatched to sibling replicas.
-    pub failovers: AtomicU64,
-    /// Requests whose failover retry budget ran out.
-    pub failover_exhausted: AtomicU64,
-    /// Lane quarantine trips.
-    pub quarantines: AtomicU64,
-    /// Lanes restored to healthy after probation.
-    pub lane_restores: AtomicU64,
-}
-
-impl SharedStats {
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn bump(counter: &AtomicU64) {
-        Self::add(counter, 1);
-    }
-}
-
 /// The epoch/condvar pair `drain_all` sleeps on while lane threads chew:
 /// workers bump it whenever they make progress (a batch executed, spill
 /// flushed, control handled), so the front-end wakes promptly instead of
@@ -173,12 +126,10 @@ pub(crate) struct LaneShared {
     pub thread: OnceLock<std::thread::Thread>,
     /// Service-wide progress signal.
     pub quiesce: Arc<Quiesce>,
-    /// The metrics plane's per-lane series. The lifecycle counters run
-    /// unconditionally (they back [`LaneHealth`] and the `QueueFull`
-    /// high-water report); histogram recording follows `metrics_enabled`.
+    /// The metrics plane's per-lane series: every lane counter the service
+    /// reports ([`LaneHealth`], `ServeStats`, the `QueueFull` high water)
+    /// is read from here.
     pub metrics: Arc<LaneMetrics>,
-    /// Whether full metrics recording (latency histograms) is on.
-    pub metrics_enabled: bool,
     /// The host-monotonic epoch `last_event_host_ns` stamps count from
     /// (shared with the recorder/registry so all host stamps align).
     pub obs_epoch: Instant,
@@ -191,7 +142,6 @@ impl LaneShared {
         clock: Arc<ClockCell>,
         quiesce: Arc<Quiesce>,
         metrics: Arc<LaneMetrics>,
-        metrics_enabled: bool,
         obs_epoch: Instant,
     ) -> Self {
         LaneShared {
@@ -205,7 +155,6 @@ impl LaneShared {
             thread: OnceLock::new(),
             quiesce,
             metrics,
-            metrics_enabled,
             obs_epoch,
         }
     }
@@ -313,7 +262,6 @@ pub(crate) struct LaneWorker {
     pub cq_spill: VecDeque<Completion>,
     pub ctrl_rx: mpsc::Receiver<CtrlMsg>,
     pub shared: Arc<LaneShared>,
-    pub stats: Arc<SharedStats>,
     pub config: LaneConfig,
     /// Flight-recorder channel for this lane thread (`None` unless
     /// [`dlt_obs::ObsConfig::Full`]).
@@ -404,11 +352,8 @@ impl LaneWorker {
         // clock read is the dominant emit cost.
         let host_ns = self.tracer.is_some().then(|| self.shared.host_now_ns());
         if dispatch.held() {
-            SharedStats::bump(&self.stats.holds);
             let expired = dispatch.reason == DispatchReason::HoldExpired;
-            if !expired {
-                SharedStats::bump(&self.stats.early_unplugs);
-            }
+            self.shared.metrics.on_hold(!expired);
             if let Some(host_ns) = host_ns {
                 obs_event_at!(
                     self.tracer,
@@ -475,11 +420,7 @@ impl LaneWorker {
                     completion.id,
                     u64::from(completion.coalesced)
                 );
-                self.shared.metrics.on_complete(
-                    completion.latency_ns(),
-                    host_ns,
-                    self.shared.metrics_enabled,
-                );
+                self.shared.metrics.on_complete(completion.latency_ns(), host_ns);
             }
             Err(ServeError::Replay(ReplayError::Diverged(_))) => {
                 obs_event_at!(
@@ -653,6 +594,9 @@ impl LaneWorker {
                     self.shared.metrics.on_replay(members.len() as u64);
                     match self.execute_read(*blkid, *blkcnt) {
                         Ok(bytes) => {
+                            if coalesced {
+                                self.shared.metrics.on_merged(members.len() as u64);
+                            }
                             for &m in members {
                                 let p = &batch[m];
                                 let Request::Read { blkid: rb, blkcnt: rc, .. } = p.req else {
@@ -661,9 +605,6 @@ impl LaneWorker {
                                 let off = (rb - blkid) as usize * BLOCK;
                                 let payload =
                                     Payload::Read(bytes[off..off + rc as usize * BLOCK].to_vec());
-                                if coalesced {
-                                    SharedStats::bump(&self.stats.coalesced_requests);
-                                }
                                 out.push(self.complete(p, Ok(payload), coalesced));
                             }
                         }
@@ -695,15 +636,15 @@ impl LaneWorker {
                     }
                     match self.execute_write(*blkid, &mut data) {
                         Ok(()) => {
+                            if coalesced {
+                                self.shared.metrics.on_merged(members.len() as u64);
+                            }
                             for &m in members {
                                 let p = &batch[m];
                                 let Request::Write { data: d, .. } = &p.req else {
                                     unreachable!("batched write members are writes");
                                 };
                                 let blocks = (d.len() / BLOCK) as u32;
-                                if coalesced {
-                                    SharedStats::bump(&self.stats.coalesced_requests);
-                                }
                                 out.push(self.complete(
                                     p,
                                     Ok(Payload::Written { blocks }),
@@ -738,7 +679,6 @@ impl LaneWorker {
         result: Result<Payload, ServeError>,
         coalesced: bool,
     ) -> Completion {
-        SharedStats::bump(&self.stats.completed);
         Completion {
             id: p.id,
             session: p.session,
@@ -766,7 +706,7 @@ impl LaneWorker {
             Request::Capture { frames, resolution } => {
                 let mut buf = vec![0u8; 2 << 20];
                 let size = replay_cam(&mut self.replayer, *frames, *resolution, &mut buf)?;
-                SharedStats::bump(&self.stats.replays);
+                self.shared.metrics.on_invocation(0);
                 buf.truncate(size as usize);
                 Ok(Payload::Image { data: buf })
             }
@@ -786,8 +726,7 @@ impl LaneWorker {
                 &block_args(0x1, part, blkid + done),
                 &mut buf[start..end],
             )?;
-            SharedStats::bump(&self.stats.replays);
-            SharedStats::add(&self.stats.blocks_moved, u64::from(part));
+            self.shared.metrics.on_invocation(u64::from(part));
             done += part;
         }
         Ok(buf)
@@ -805,8 +744,7 @@ impl LaneWorker {
                 &block_args(0x10, part, blkid + done),
                 &mut data[start..end],
             )?;
-            SharedStats::bump(&self.stats.replays);
-            SharedStats::add(&self.stats.blocks_moved, u64::from(part));
+            self.shared.metrics.on_invocation(u64::from(part));
             done += part;
         }
         Ok(())

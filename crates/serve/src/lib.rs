@@ -9,19 +9,27 @@
 //! * **Sessions** ([`DriverletService::open_session`]): N concurrent
 //!   clients admitted through the `dlt-tee` trustlet/session framework.
 //!   Each client holds a session id — a *handle* — rather than a replayer.
-//! * **Two submission paths** ([`SubmitMode`]): per-call — every submit
-//!   crosses the world boundary once (one SMC plus the GP invoke
-//!   marshalling), exactly like an OP-TEE command invocation, and every
-//!   completion reap is another SMC — or **shared-memory rings**
-//!   ([`ring`]): submits stage entries in a per-lane submission ring
-//!   without entering the TEE, one [`DriverletService::ring_doorbell`]
-//!   SMC admits the whole staged batch under the same admission checks,
-//!   and completions are reaped from per-session completion rings
-//!   SMC-free. World switches are the dominant fixed cost of TEE I/O
-//!   (Amacher & Schiavoni), so amortising one doorbell over N requests is
-//!   the serve layer's biggest hot-path win; the legacy path stays
-//!   available so the serial-equivalence differential can prove the ring
-//!   path behaviour-identical.
+//! * **One admission path, two charge tables** ([`SubmitMode`]): every
+//!   submit stages its request and the TEE admits staged entries through
+//!   one spine. **Per-call** doorbells each stage at once, priced as a GP
+//!   command invocation (one SMC plus the invoke marshalling), exactly
+//!   like OP-TEE, and every completion reap is another SMC. **Ring mode**
+//!   ([`ring`]) stages entries in a per-lane submission ring without
+//!   entering the TEE, one [`DriverletService::ring_doorbell`] SMC admits
+//!   the whole staged batch, and completions are reaped from per-session
+//!   completion rings SMC-free. World switches are the dominant fixed cost
+//!   of TEE I/O (Amacher & Schiavoni), so amortising one doorbell over N
+//!   requests is the serve layer's biggest hot-path win; since the modes
+//!   differ only in when the switch is paid, the serial-equivalence
+//!   properties check both against the same interpreted reference.
+//! * **Addressing** ([`Target`]): submit and control calls take a
+//!   [`Device`], which the shard router places across the device's replica
+//!   lanes (control calls address replica 0), or a [`LaneId`], which pins
+//!   one replica.
+//! * **One counter plane**: every count the service reports —
+//!   [`DriverletService::stats`], [`LaneHealth`], the SMC counts — is a
+//!   view over the `dlt-obs` metrics registry, whose counters are always
+//!   on; [`ObsConfig`] switches only the histograms and the trace.
 //! * **One TEE core per device lane** ([`service`]): every served device
 //!   owns a full simulated platform — devices, interrupt controller and,
 //!   crucially, its **own virtual clock** — so device time overlaps across
@@ -79,7 +87,7 @@ pub use dlt_obs::spsc;
 pub use dlt_obs::ObsConfig;
 
 pub use adapter::ServedBlockDev;
-pub use route::{LaneId, ReplicaDepth, RouteConfig, RoutePolicy};
+pub use route::{LaneId, ReplicaDepth, RouteConfig, RoutePolicy, Target};
 pub use sched::{Policy, QosConfig, SessionQos};
 pub use service::{
     DriverletService, ExecMode, FailoverConfig, LaneSubmitter, ServeConfig, ServeStats,

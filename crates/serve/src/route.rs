@@ -8,7 +8,9 @@
 //! the fleet:
 //!
 //! * [`LaneId`] — fleet addressing beyond the closed [`Device`] enum: a
-//!   `(device class, replica ordinal)` pair.
+//!   `(device class, replica ordinal)` pair — and [`Target`], the one
+//!   address type the service's submit and control calls take: a device
+//!   routes, a lane id pins.
 //! * [`RoutePolicy`] — pluggable placement over fixed-size block
 //!   *chunks*: hash sharding (the default — deterministic, same block →
 //!   same replica), RAID0-style striping (round-robin chunks, so one hot
@@ -64,6 +66,43 @@ pub struct LaneId {
 impl std::fmt::Display for LaneId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.device, self.replica)
+    }
+}
+
+/// Where a submit or control operation goes
+/// ([`DriverletService::submit_to`], `inject_fault`, `clear_fault`,
+/// `lane_health_check`).
+///
+/// [`DriverletService::submit_to`]: crate::DriverletService::submit_to
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// The device's replica fleet: requests are placed by the router and
+    /// admission QoS; control operations address replica 0.
+    Device(Device),
+    /// One replica lane, pinned: the router and admission QoS are
+    /// bypassed.
+    Lane(LaneId),
+}
+
+impl Target {
+    /// The lane a control operation on this target addresses.
+    pub fn lane_id(self) -> LaneId {
+        match self {
+            Target::Device(device) => LaneId { device, replica: 0 },
+            Target::Lane(id) => id,
+        }
+    }
+}
+
+impl From<Device> for Target {
+    fn from(device: Device) -> Self {
+        Target::Device(device)
+    }
+}
+
+impl From<LaneId> for Target {
+    fn from(id: LaneId) -> Self {
+        Target::Lane(id)
     }
 }
 
@@ -167,12 +206,31 @@ pub(crate) struct LaneLoad {
     pub depth: usize,
     /// The bound the depth is admitted against.
     pub capacity: usize,
-    /// Whether the supervisor considers the lane healthy. An unavailable
-    /// home sheds its *clean reads* to available siblings exactly like a
-    /// saturated one; writes and dirty reads still go home (placement
-    /// determinism outranks avoidance — the lane keeps executing through
-    /// quarantine, and failover catches what still diverges).
+    /// The deepest `depth` has been, reported by `QueueFull`.
+    pub high_water: usize,
+    /// Whether new work may be placed here by choice. An unavailable
+    /// (quarantined) home sheds its *clean reads* to available siblings
+    /// exactly like a saturated one; writes and dirty reads still go home
+    /// (placement determinism outranks avoidance — the lane keeps
+    /// executing through quarantine, and failover catches what still
+    /// diverges).
     pub available: bool,
+}
+
+impl LaneLoad {
+    /// Whether one more entry fits under the bound.
+    pub fn fits(&self) -> bool {
+        self.depth < self.capacity
+    }
+}
+
+/// The least-loaded available replica other than `home` with room for one
+/// more entry — the one sibling rule spill, failover, quarantine eviction
+/// and SQ re-staging share (the first such replica wins a tie).
+pub(crate) fn least_loaded_sibling(loads: &[LaneLoad], home: usize) -> Option<usize> {
+    (0..loads.len())
+        .filter(|&r| r != home && loads[r].available && loads[r].fits())
+        .min_by_key(|&r| loads[r].depth)
 }
 
 /// One contiguous piece of a routed request. A plan with a single part
@@ -195,10 +253,26 @@ pub(crate) struct RoutePart {
 /// legally spilled. Carries the fleet-wide depth snapshot.
 #[derive(Debug, Clone)]
 pub(crate) struct RouteReject {
-    /// The saturated home replica of the unroutable part.
-    pub home: usize,
-    /// Per-replica depth snapshot at rejection time.
+    /// The saturated home replica of the unroutable part, with the depth
+    /// it was rejected at.
+    pub home: ReplicaDepth,
+    /// Per-replica depth snapshot at rejection time (empty for a pinned
+    /// request, which never saw the fleet).
     pub fleet: Vec<ReplicaDepth>,
+}
+
+impl RouteReject {
+    /// Reject a request at replica `home` of `loads`, attaching the fleet
+    /// view iff `routed`.
+    pub fn at(home: usize, loads: &[LaneLoad], routed: bool) -> RouteReject {
+        let depth = |replica: usize| ReplicaDepth {
+            replica,
+            depth: loads[replica].depth,
+            capacity: loads[replica].capacity,
+        };
+        let fleet = if routed { (0..loads.len()).map(depth).collect() } else { Vec::new() };
+        RouteReject { home: depth(home), fleet }
+    }
 }
 
 /// The front-end's routing state: the placement policy plus the dirtied
@@ -226,6 +300,8 @@ impl Router {
         req: &Request,
         loads: &[LaneLoad],
     ) -> Result<Vec<RoutePart>, RouteReject> {
+        // Parts placed by this plan count towards their lane's depth.
+        let mut loads = loads.to_vec();
         let n = loads.len().max(1);
         let device = req.device();
         let (blkid, blkcnt, is_write) = match req {
@@ -237,8 +313,8 @@ impl Router {
                 // lane-local capture history — on one camera). Never
                 // spilled: frame content may depend on that history.
                 let replica = (splitmix64(u64::from(session)) % n as u64) as usize;
-                if loads[replica].depth >= loads[replica].capacity {
-                    return Err(self.reject(replica, loads, &[]));
+                if !loads[replica].fits() {
+                    return Err(RouteReject::at(replica, &loads, true));
                 }
                 return Ok(vec![RoutePart { replica, blkid: 0, blkcnt: 0, spilled: false }]);
             }
@@ -279,38 +355,24 @@ impl Router {
         // to the least-loaded *available* sibling with room (d-choices
         // over the whole fleet — at ≤16 replicas the scan is cheaper
         // than sampling).
-        let mut planned = vec![0usize; n];
         for part in &mut parts {
-            let fits =
-                |r: usize, planned: &[usize]| loads[r].depth + planned[r] < loads[r].capacity;
             let spillable = self.spill && !is_write && n > 1 && self.part_is_clean(device, part);
-            let home_fits = fits(part.replica, &planned);
-            if home_fits && (loads[part.replica].available || !spillable) {
-                planned[part.replica] += 1;
-                continue;
-            }
-            let sibling = if spillable {
-                (0..n)
-                    .filter(|&r| r != part.replica && loads[r].available && fits(r, &planned))
-                    .min_by_key(|&r| loads[r].depth + planned[r])
-            } else {
-                None
-            };
-            match sibling {
-                Some(alt) => {
-                    planned[alt] += 1;
-                    part.spilled = true;
-                    part.replica = alt;
+            let home_fits = loads[part.replica].fits();
+            if !home_fits || (!loads[part.replica].available && spillable) {
+                match least_loaded_sibling(&loads, part.replica).filter(|_| spillable) {
+                    Some(alt) => {
+                        part.spilled = true;
+                        part.replica = alt;
+                    }
+                    // No available sibling has room: fall back to the home
+                    // lane if only its availability (not its depth) was
+                    // the problem — a quarantined lane still executes, and
+                    // the failover path covers what diverges there.
+                    None if home_fits => {}
+                    None => return Err(RouteReject::at(part.replica, &loads, true)),
                 }
-                // No available sibling has room: fall back to the home
-                // lane if only its availability (not its depth) was the
-                // problem — a quarantined lane still executes, and the
-                // failover path covers what diverges there.
-                None if home_fits => {
-                    planned[part.replica] += 1;
-                }
-                None => return Err(self.reject(part.replica, loads, &planned)),
             }
+            loads[part.replica].depth += 1;
         }
 
         if is_write {
@@ -344,19 +406,6 @@ impl Router {
         ((u64::from(part.blkid) / cb)..=(end / cb))
             .all(|chunk| !self.dirty.contains(&(device, chunk)))
     }
-
-    fn reject(&self, home: usize, loads: &[LaneLoad], planned: &[usize]) -> RouteReject {
-        let fleet = loads
-            .iter()
-            .enumerate()
-            .map(|(replica, l)| ReplicaDepth {
-                replica,
-                depth: l.depth + planned.get(replica).copied().unwrap_or(0),
-                capacity: l.capacity,
-            })
-            .collect();
-        RouteReject { home, fleet }
-    }
 }
 
 /// SplitMix64 — the avalanche permutation behind the hash shard. Chosen
@@ -375,7 +424,10 @@ mod tests {
     use super::*;
 
     fn loads(depths: &[usize], capacity: usize) -> Vec<LaneLoad> {
-        depths.iter().map(|&depth| LaneLoad { depth, capacity, available: true }).collect()
+        depths
+            .iter()
+            .map(|&depth| LaneLoad { depth, capacity, high_water: depth, available: true })
+            .collect()
     }
 
     fn rd(blkid: u32, blkcnt: u32) -> Request {
@@ -470,7 +522,7 @@ mod tests {
 
         // A write to the same saturated home never spills: fleet view.
         let err = router.plan(1, &wr(0, 1), &loads(&[4, 2, 1, 3], 4)).unwrap_err();
-        assert_eq!(err.home, 0);
+        assert_eq!(err.home, ReplicaDepth { replica: 0, depth: 4, capacity: 4 });
         assert_eq!(err.fleet.len(), 4);
         assert_eq!(err.fleet[0], ReplicaDepth { replica: 0, depth: 4, capacity: 4 });
         assert_eq!(err.fleet[2].depth, 1);
@@ -488,7 +540,7 @@ mod tests {
         // Now saturate the home: the read of the dirtied chunk must NOT
         // spill (the sibling never saw the write) — fleet-view reject.
         let err = router.plan(1, &rd(8, 2), &loads(&[4, 0], 4)).unwrap_err();
-        assert_eq!(err.home, 0);
+        assert_eq!(err.home.replica, 0);
         // A read of a *different, clean* chunk still spills fine.
         let parts = router.plan(1, &rd(64, 2), &loads(&[4, 0], 4)).unwrap();
         assert!(parts[0].spilled || parts[0].replica == 1);

@@ -6,8 +6,23 @@
 //! device lane is a full simulated platform — its device, interrupt
 //! controller and its *own virtual clock* — with a compiled-program
 //! [`Replayer`] executing against that lane clock. Clients open sessions,
-//! submit requests (one SMC each, like an OP-TEE command invocation), and
-//! collect completions after draining.
+//! submit requests, and collect completions after draining.
+//!
+//! # One admission spine
+//!
+//! Every request reaches its lane the same way.
+//! [`DriverletService::submit_to`] resolves a [`Target`] — a device is
+//! placed by the shard router and admission QoS, a [`LaneId`] is pinned —
+//! and stages the planned parts; the TEE admits staged entries through one
+//! private function that reserves a lane slot, pushes the lane's admission
+//! ring and wakes the lane. [`SubmitMode`] only decides when the world
+//! switch is paid: a ring stage waits for the next
+//! [`DriverletService::ring_doorbell`], a per-call stage is doorbelled at
+//! once and priced as a GP invoke. Failover retries and quarantine
+//! re-placement admit through the same function. Every count the service
+//! reports — [`DriverletService::stats`], [`LaneHealth`], the SMC counts —
+//! is a read-only view over the `dlt-obs` metrics registry, whose counters
+//! are always on.
 //!
 //! # The multi-core time model
 //!
@@ -73,7 +88,9 @@ use dlt_dev_mmc::MmcSubsystem;
 use dlt_dev_usb::UsbSubsystem;
 use dlt_dev_vchiq::VchiqSubsystem;
 use dlt_hw::{ClockCell, Platform};
-use dlt_obs::metrics::{MetricsRegistry, MetricsSnapshot, SessionMetrics};
+use dlt_obs::metrics::{
+    LaneMetrics, LaneSnapshot, MetricsRegistry, MetricsSnapshot, SessionMetrics,
+};
 use dlt_obs::trace::{EventKind, Recorder, TraceEvent, TraceHandle};
 use dlt_obs::{obs_event, obs_event_at, ObsConfig};
 use dlt_recorder::campaign::{
@@ -83,11 +100,11 @@ use dlt_recorder::campaign::{
 use dlt_tee::{secure_core, SecureIo, TeeError, TeeKernel, Trustlet};
 
 use crate::coalesce::Dispatch;
-use crate::lane::{
-    CtrlMsg, CtrlReply, CtrlReq, LaneConfig, LaneShared, LaneWorker, Quiesce, SharedStats,
-};
+use crate::lane::{CtrlMsg, CtrlReply, CtrlReq, LaneConfig, LaneShared, LaneWorker, Quiesce};
 use crate::ring::{CompletionRing, SqEntry, SubmissionRing};
-use crate::route::{LaneId, LaneLoad, RouteConfig, RoutePart, RouteReject, Router};
+use crate::route::{
+    least_loaded_sibling, LaneId, LaneLoad, RouteConfig, RoutePart, RouteReject, Router, Target,
+};
 use crate::sched::{Admission, Lane, Pending, Policy, QosConfig, SessionQos};
 use crate::spsc::{self, SpscConsumer, SpscProducer};
 use crate::{
@@ -95,21 +112,26 @@ use crate::{
     ServeError, SessionId, BLOCK, MAX_REQUEST_BLOCKS,
 };
 
-/// How requests cross from the normal world into the TEE.
+/// How requests cross from the normal world into the TEE. Both modes
+/// stage a submit and admit it through the same spine; the mode picks only
+/// when the world switch is paid (the charge table in DESIGN.md §3) and
+/// the occupancy the router plans against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SubmitMode {
-    /// One SMC per operation: every [`DriverletService::submit`] is a GP
-    /// command invocation (world switch + invoke marshalling), and every
-    /// completion reap is another SMC — the OP-TEE baseline.
+    /// One SMC per operation: every [`DriverletService::submit`] is a
+    /// stage plus an immediate doorbell priced as a GP command invocation
+    /// (world switch + invoke marshalling), planned against each lane's
+    /// admitted in-flight count; every completion reap is another SMC —
+    /// the OP-TEE baseline.
     #[default]
     PerCall,
     /// Shared-memory rings: submits stage entries in a per-lane
-    /// [`SubmissionRing`] without entering the TEE; one
-    /// [`DriverletService::ring_doorbell`] SMC admits the whole staged
-    /// batch, and [`DriverletService::take_completions`] reaps the
-    /// per-session [`CompletionRing`] SMC-free (a world switch is charged
-    /// only on the doorbell, on an empty-CQ blocking wait, and on a CQ
-    /// overflow flush).
+    /// [`SubmissionRing`] without entering the TEE, planned against its
+    /// staged depth; one [`DriverletService::ring_doorbell`] SMC admits
+    /// the whole staged batch, and [`DriverletService::take_completions`]
+    /// reaps the per-session [`CompletionRing`] SMC-free (a world switch
+    /// is charged only on the doorbell, on an empty-CQ blocking wait, and
+    /// on a CQ overflow flush).
     Ring,
 }
 
@@ -243,11 +265,11 @@ pub struct ServeConfig {
     /// Lane supervision: the divergence watchdog, quarantine and
     /// probation cycle (see [`SuperviseConfig`]). Disabled by default.
     pub supervise: SuperviseConfig,
-    /// Observability plane: `Off` (production fast path), `MetricsOnly`
-    /// (atomic counters and histograms), or `Full` (metrics plus the
-    /// per-thread flight recorder). Defaults from the `DLT_OBS`
-    /// environment variable (`off` / `metrics` / `full`) so CI can rerun
-    /// an unmodified suite under full observability.
+    /// Observability on top of the always-on counters: `Off` (counters
+    /// only), `MetricsOnly` (plus the latency and batch-size histograms),
+    /// or `Full` (plus the per-thread flight recorder). Defaults from the
+    /// `DLT_OBS` environment variable (`off` / `metrics` / `full`) so CI
+    /// can rerun an unmodified suite under full observability.
     pub obs: ObsConfig,
 }
 
@@ -287,8 +309,9 @@ impl ServeConfig {
     }
 }
 
-/// Cumulative service statistics.
-#[derive(Debug, Clone, Copy, Default)]
+/// Cumulative service statistics: a view over the metrics registry's
+/// counters (see [`DriverletService::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests accepted into a queue.
     pub submitted: u64,
@@ -315,8 +338,8 @@ pub struct ServeStats {
     /// Completions that spilled to a session's CQ overflow list.
     pub cq_overflows: u64,
     /// Submits that went through the replica router (every
-    /// [`DriverletService::submit`] on a routed fleet; explicit-lane
-    /// submits bypass the router and are not counted).
+    /// device-addressed submit; lane-pinned submits bypass the router and
+    /// are not counted).
     pub routed: u64,
     /// Routed parts shed off a saturated home lane to a sibling replica.
     pub route_spills: u64,
@@ -435,7 +458,7 @@ struct LaneFrontEnd {
 
 /// A snapshot of one lane's timeline and queue state (multi-core
 /// observability: per-device utilisation and backlog).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneStatus {
     /// The lane's device.
     pub device: Device,
@@ -520,7 +543,7 @@ fn validate_request(req: &Request) -> Result<(), ServeError> {
 /// mutex + hash lookup + `Arc` clone each time.
 struct SessionEntry {
     cq: CompletionRing,
-    obs: Option<Arc<SessionMetrics>>,
+    obs: Arc<SessionMetrics>,
 }
 
 /// Reassembly state for one routed submit that fanned out across replica
@@ -640,9 +663,8 @@ pub struct DriverletService {
     config: ServeConfig,
     sessions: HashMap<SessionId, SessionEntry>,
     /// The admission-QoS gate (token buckets + weighted shares),
-    /// consulted by the routed [`DriverletService::submit`] before any
-    /// queue depth is reserved. Explicit-lane submits bypass it, exactly
-    /// as they bypass the router.
+    /// consulted by routed submits before any queue depth is reserved.
+    /// Lane-pinned submits bypass it, exactly as they bypass the router.
     admission: Admission,
     /// Request id → (session, device) for submits the gate charged:
     /// removing the ticket at completion time releases the tenant's
@@ -657,7 +679,6 @@ pub struct DriverletService {
     /// Request-id allocator, shared with detached [`LaneSubmitter`]s
     /// (atomic fetch-add: globally unique, monotone per allocator call).
     next_request: Arc<AtomicU64>,
-    stats: Arc<SharedStats>,
     /// Ids in the order their replays executed (the serial-order witness
     /// for the differential property test). Appended as completions are
     /// reaped from each lane's cq ring — which is per-lane execution
@@ -668,10 +689,9 @@ pub struct DriverletService {
     /// workers, replayers, the TEE kernel and the front-end all emit into
     /// their own lock-free rings registered here.
     recorder: Arc<Recorder>,
-    /// The metrics registry. Always present — the per-lane core counters
-    /// back [`LaneHealth`] and `QueueFull` high-water even when the
-    /// configured plane is `Off`; histograms and session/SMC accounting
-    /// engage only when [`ObsConfig::metrics_enabled`].
+    /// The metrics registry: the one counter plane every count the
+    /// service reports is read from. Its histograms record only when
+    /// [`ObsConfig::histograms_enabled`].
     metrics: Arc<MetricsRegistry>,
     /// The front-end thread's own trace ring (submit/doorbell events).
     tracer: Option<TraceHandle>,
@@ -717,9 +737,8 @@ impl DriverletService {
     /// A device may appear more than once: each occurrence becomes its own
     /// **replica lane** with an independent core and queue. The
     /// device-routed [`DriverletService::submit`] shards block addresses
-    /// across the replicas under [`ServeConfig::route`]; explicit lanes
-    /// are addressed with [`DriverletService::submit_to`] (by [`LaneId`])
-    /// or [`DriverletService::submit_to_lane`] (by raw index). In
+    /// across the replicas under [`ServeConfig::route`]; a [`LaneId`]
+    /// passed to [`DriverletService::submit_to`] pins one replica. In
     /// [`ExecMode::Threaded`] each lane's worker is spawned onto its own
     /// OS thread here and joined on drop.
     pub fn with_driverlets(
@@ -730,14 +749,13 @@ impl DriverletService {
         let control_cell = control.clock.lock().cell();
         let mut tee = TeeKernel::install(&control, &[])?;
         tee.load_trustlet(Box::new(ServeGate));
-        let stats = Arc::new(SharedStats::default());
         let quiesce = Arc::new(Quiesce::default());
         // One host epoch for both observability planes: trace stamps and
         // `last_event_host_ns` live in the same domain, so hot paths that
         // already computed a metrics stamp can hand it to `emit_at`.
         let obs_epoch = std::time::Instant::now();
         let metrics =
-            Arc::new(MetricsRegistry::with_epoch(config.obs.metrics_enabled(), obs_epoch));
+            Arc::new(MetricsRegistry::with_epoch(config.obs.histograms_enabled(), obs_epoch));
         let recorder = Arc::new(if config.obs.tracing_enabled() {
             Recorder::with_epoch(
                 dlt_obs::trace::DEFAULT_RING_CAPACITY,
@@ -752,9 +770,7 @@ impl DriverletService {
         // share track `index + 1` — one Perfetto track per lane thread.
         let tracer = recorder.register("front-end", 0);
         tee.set_tracer(recorder.register("tee", 0));
-        if config.obs.metrics_enabled() {
-            tee.set_smc_metrics(metrics.smc());
-        }
+        tee.set_smc_metrics(metrics.smc());
         let lane_config = LaneConfig {
             policy: config.policy,
             coalesce: config.coalesce,
@@ -801,7 +817,6 @@ impl DriverletService {
                 platform.clock.lock().cell(),
                 Arc::clone(&quiesce),
                 metrics.register_lane(device.to_string()),
-                metrics.is_enabled(),
                 metrics.epoch(),
             ));
             // Channel bounds: in-flight work is capped at the queue
@@ -822,7 +837,6 @@ impl DriverletService {
                 cq_spill: VecDeque::new(),
                 ctrl_rx,
                 shared: Arc::clone(&shared),
-                stats: Arc::clone(&stats),
                 config: lane_config.clone(),
                 tracer: lane_tracer,
             });
@@ -879,7 +893,6 @@ impl DriverletService {
             retryable: HashMap::new(),
             supervision,
             next_request: Arc::new(AtomicU64::new(1)),
-            stats,
             exec_log: Vec::new(),
             quiesce,
             recorder,
@@ -937,31 +950,33 @@ impl DriverletService {
             .collect()
     }
 
-    /// Cumulative statistics (a relaxed snapshot of the shared atomic
-    /// counters; exact once the service is quiescent).
+    /// Cumulative statistics: a view over the metrics registry's lane,
+    /// SMC, routing and robustness counters (relaxed reads; exact once the
+    /// service is quiescent).
     pub fn stats(&self) -> ServeStats {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let snap = self.metrics.snapshot();
+        let sum = |f: fn(&LaneSnapshot) -> u64| -> u64 { snap.lanes.iter().map(f).sum() };
         ServeStats {
-            submitted: ld(&self.stats.submitted),
-            completed: ld(&self.stats.completed),
-            rejected: ld(&self.stats.rejected),
-            replays: ld(&self.stats.replays),
-            coalesced_requests: ld(&self.stats.coalesced_requests),
-            blocks_moved: ld(&self.stats.blocks_moved),
-            holds: ld(&self.stats.holds),
-            early_unplugs: ld(&self.stats.early_unplugs),
-            doorbells: ld(&self.stats.doorbells),
-            doorbell_entries: ld(&self.stats.doorbell_entries),
-            cq_overflows: ld(&self.stats.cq_overflows),
-            routed: ld(&self.stats.routed),
-            route_spills: ld(&self.stats.route_spills),
-            stripe_fanouts: ld(&self.stats.stripe_fanouts),
-            stripe_parts: ld(&self.stats.stripe_parts),
-            throttled: ld(&self.stats.throttled),
-            failovers: ld(&self.stats.failovers),
-            failover_exhausted: ld(&self.stats.failover_exhausted),
-            quarantines: ld(&self.stats.quarantines),
-            lane_restores: ld(&self.stats.lane_restores),
+            submitted: sum(|l| l.submitted),
+            completed: sum(|l| l.completed + l.diverged + l.failed),
+            rejected: sum(|l| l.rejected),
+            replays: sum(|l| l.invocations),
+            coalesced_requests: sum(|l| l.merged),
+            blocks_moved: sum(|l| l.blocks_moved),
+            holds: sum(|l| l.holds),
+            early_unplugs: sum(|l| l.early_unplugs),
+            doorbells: self.smc_doorbells(),
+            doorbell_entries: snap.doorbell_entries,
+            cq_overflows: snap.cq_overflows,
+            routed: snap.route.decisions,
+            route_spills: snap.route.spills,
+            stripe_fanouts: snap.route.stripe_fanouts,
+            stripe_parts: snap.route.stripe_parts,
+            throttled: snap.robustness.throttled,
+            failovers: snap.robustness.failovers,
+            failover_exhausted: snap.robustness.failover_exhausted,
+            quarantines: snap.robustness.quarantines,
+            lane_restores: snap.robustness.lane_restores,
         }
     }
 
@@ -1011,7 +1026,7 @@ impl DriverletService {
             return Err(ServeError::SessionLimit { max: self.config.max_sessions });
         }
         let id = self.tee.open_session("dlt-serve")?;
-        let obs = self.metrics.is_enabled().then(|| self.metrics.session(id));
+        let obs = self.metrics.session(id);
         self.sessions
             .insert(id, SessionEntry { cq: CompletionRing::new(self.config.cq_depth), obs });
         Ok(id)
@@ -1055,17 +1070,6 @@ impl DriverletService {
         Ok(())
     }
 
-    /// The first lane serving `device` — the single-replica fast path and
-    /// the lane the control-plane operations (fault injection, health
-    /// checks) address. O(1): a precomputed table lookup, not a lane scan.
-    fn lane_index(&self, device: Device) -> Result<usize, ServeError> {
-        self.lane_table
-            .get(&device)
-            .and_then(|t| t.first())
-            .copied()
-            .ok_or(ServeError::DeviceNotServed(device))
-    }
-
     /// How many replica lanes serve `device` (0 when it is not served).
     pub fn replica_count(&self, device: Device) -> usize {
         self.lane_table.get(&device).map_or(0, Vec::len)
@@ -1083,52 +1087,60 @@ impl DriverletService {
         self.lane_table.get(&id.device)?.get(id.replica).copied()
     }
 
-    /// Submit into an explicit replica lane by fleet address, bypassing
-    /// the router (the [`LaneId`] flavour of
-    /// [`DriverletService::submit_to_lane`]).
+    /// Submit a request into a session on its device's replica fleet:
+    /// [`DriverletService::submit_to`] with `req.device()` as the target.
+    pub fn submit(&mut self, session: SessionId, req: Request) -> Result<RequestId, ServeError> {
+        self.submit_to(req.device(), session, req)
+    }
+
+    /// Submit a request into a session at `target`, along the configured
+    /// [`SubmitMode`]: an SMC-free stage into the lane's submission ring
+    /// (admitted by the next [`DriverletService::ring_doorbell`]), or a
+    /// stage admitted at once by one per-call SMC.
+    ///
+    /// A [`Device`] target is the **routed** path: admission QoS charges
+    /// the tenant first, then the request's block span is placed across
+    /// the device's replica lanes under [`ServeConfig::route`] —
+    /// deterministically (same block → same replica), splitting a span
+    /// that crosses chunk homes into member parts whose completions
+    /// reassemble, in offset order, into the one completion this call's
+    /// [`RequestId`] names. When a home lane is saturated, a clean read
+    /// spills to the least-loaded sibling instead of failing.
+    /// [`ServeError::QueueFull`] from this path carries the **fleet** depth
+    /// snapshot, so callers can tell one hot shard from a saturated fleet.
+    ///
+    /// A [`LaneId`] target pins the whole request to that replica lane,
+    /// bypassing the router and admission QoS; its `QueueFull` carries no
+    /// fleet view.
     pub fn submit_to(
         &mut self,
-        id: LaneId,
+        target: impl Into<Target>,
         session: SessionId,
         req: Request,
     ) -> Result<RequestId, ServeError> {
-        let lane = self
-            .lane_of(id)
-            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))?;
-        self.submit_to_lane(lane, session, req)
-    }
-
-    /// Submit a request into a session, along the configured
-    /// [`SubmitMode`]: one SMC per call, or an SMC-free stage into the
-    /// lane's submission ring (admitted by the next
-    /// [`DriverletService::ring_doorbell`]).
-    ///
-    /// On a replica fleet this is the **routed** path: the request's
-    /// block span is placed across the device's replica lanes under
-    /// [`ServeConfig::route`] — deterministically (same block → same
-    /// replica), splitting a span that crosses chunk homes into member
-    /// parts whose completions reassemble, in offset order, into the one
-    /// completion this call's [`RequestId`] names. When a home lane is
-    /// saturated, a clean read spills to the least-loaded sibling instead
-    /// of failing. [`ServeError::QueueFull`] from this path carries the
-    /// **fleet** depth snapshot, so callers can tell one hot shard from a
-    /// saturated fleet. Explicit replica addressing (router bypass) is
-    /// [`DriverletService::submit_to`] / [`DriverletService::submit_to_lane`].
-    pub fn submit(&mut self, session: SessionId, req: Request) -> Result<RequestId, ServeError> {
         if !self.sessions.contains_key(&session) {
             return Err(ServeError::InvalidSession(session));
         }
         validate_request(&req)?;
+        let target = target.into();
+        let (lane_id, routed) = (target.lane_id(), matches!(target, Target::Device(_)));
         let device = req.device();
+        if lane_id.device != device {
+            return Err(ServeError::Invalid(format!(
+                "request for {device} submitted to a {} lane",
+                lane_id.device
+            )));
+        }
         let table = match self.lane_table.get(&device) {
-            Some(t) if !t.is_empty() => t.clone(),
-            _ => return Err(ServeError::DeviceNotServed(device)),
+            Some(t) if lane_id.replica < t.len() => t.clone(),
+            _ if routed => return Err(ServeError::DeviceNotServed(device)),
+            _ => return Err(ServeError::Invalid(format!("no replica lane {lane_id} is served"))),
         };
         // Admission QoS first — before any queue depth is reserved, so a
         // throttled flooder never occupies a slot a victim could have
         // used. The charge is provisional: rolled back on any downstream
         // rejection, released by the completion's QoS ticket otherwise.
-        let charged = self.admission.is_enabled();
+        let charged = routed && self.admission.is_enabled();
         if charged {
             let per_lane = match self.config.submit_mode {
                 SubmitMode::PerCall => self.config.queue_capacity,
@@ -1138,74 +1150,53 @@ impl DriverletService {
             if let Err(retry_after_ns) =
                 self.admission.admit(session, device, table.len() * per_lane, now_ns)
             {
-                SharedStats::bump(&self.stats.throttled);
                 self.metrics.robustness().on_throttle();
-                if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
-                    obs.on_throttle();
-                }
+                self.sessions[&session].obs.on_throttle();
                 obs_event!(self.tracer, EventKind::Throttled, now_ns, session, 0, retry_after_ns);
                 return Err(ServeError::Throttled { session, device, retry_after_ns });
             }
         }
-        // Occupancy as the planner admits against: admitted in-flight
-        // per-call, staged SQ entries in ring mode. The front-end is the
-        // sole incrementer of both, so check-then-reserve cannot race.
-        // A quarantined lane is unavailable: clean reads shed off it.
-        let loads: Vec<LaneLoad> = table
-            .iter()
-            .map(|&idx| {
-                let l = &self.lanes[idx];
-                let available =
-                    LaneState::from_gauge(l.shared.metrics.state()) != LaneState::Quarantined;
-                match self.config.submit_mode {
-                    SubmitMode::PerCall => LaneLoad {
-                        depth: l.shared.inflight.load(Ordering::Acquire) as usize,
-                        capacity: l.shared.capacity,
-                        available,
-                    },
-                    SubmitMode::Ring => {
-                        LaneLoad { depth: l.sq.len(), capacity: l.sq.depth(), available }
-                    }
-                }
-            })
-            .collect();
-        let parts = match self.router.plan(session, &req, &loads) {
+        let loads = self.loads(&table, self.config.submit_mode == SubmitMode::Ring);
+        let plan = if routed {
+            self.router.plan(session, &req, &loads)
+        } else if loads[lane_id.replica].fits() {
+            Ok(vec![RoutePart { replica: lane_id.replica, blkid: 0, blkcnt: 0, spilled: false }])
+        } else {
+            Err(RouteReject::at(lane_id.replica, &loads, false))
+        };
+        let parts = match plan {
             Ok(parts) => parts,
             Err(reject) => {
                 if charged {
                     self.admission.rollback(session, device);
                 }
-                SharedStats::bump(&self.stats.rejected);
-                return Err(self.routed_reject(device, &table, reject));
+                let home = reject.home;
+                self.lanes[table[home.replica]].shared.metrics.on_reject();
+                return Err(ServeError::QueueFull {
+                    device,
+                    depth: home.depth,
+                    capacity: home.capacity,
+                    high_water: loads[home.replica].high_water,
+                    fleet: reject.fleet,
+                });
             }
         };
         // Failover eligibility is decided at plan time: an unsplit clean
         // read on a multi-replica fleet may retry on a sibling, because
         // its bytes are replica-independent by the cleanliness invariant.
-        let retry_span = (self.config.failover.enabled && table.len() > 1 && parts.len() == 1)
-            .then(|| match &req {
-                Request::Read { blkid, blkcnt, .. }
-                    if self.router.span_is_clean(device, *blkid, *blkcnt) =>
-                {
-                    Some((*blkid, *blkcnt))
-                }
-                _ => None,
-            })
-            .flatten();
+        let retry_span =
+            (routed && self.config.failover.enabled && table.len() > 1 && parts.len() == 1)
+                .then(|| match &req {
+                    Request::Read { blkid, blkcnt, .. }
+                        if self.router.span_is_clean(device, *blkid, *blkcnt) =>
+                    {
+                        Some((*blkid, *blkcnt))
+                    }
+                    _ => None,
+                })
+                .flatten();
         let spilled = parts.iter().filter(|p| p.spilled).count() as u64;
-        let submit_result = if parts.len() == 1 {
-            // Unsplit (possibly spilled): the planned lane takes the
-            // request whole down the ordinary single-lane path. The plan
-            // checked its occupancy, so this cannot reject.
-            let idx = table[parts[0].replica];
-            match self.config.submit_mode {
-                SubmitMode::PerCall => self.submit_per_call_at(idx, session, req),
-                SubmitMode::Ring => self.ring_enqueue_at(idx, session, req),
-            }
-        } else {
-            self.submit_fanout(session, req, &table, &parts)
-        };
-        let id = match submit_result {
+        let id = match self.stage(session, req, &table, &parts) {
             Ok(id) => id,
             Err(e) => {
                 if charged {
@@ -1221,90 +1212,130 @@ impl DriverletService {
             self.retryable
                 .insert(id, RetryCtx { session, device, blkid, blkcnt, attempts: Vec::new() });
         }
-        SharedStats::bump(&self.stats.routed);
-        SharedStats::add(&self.stats.route_spills, spilled);
-        if parts.len() > 1 {
-            SharedStats::bump(&self.stats.stripe_fanouts);
-            SharedStats::add(&self.stats.stripe_parts, parts.len() as u64);
+        if routed {
+            self.metrics.route().on_plan(parts.len() as u64, spilled);
         }
-        self.metrics.route().on_plan(parts.len() as u64, spilled);
         Ok(id)
     }
 
-    /// Map a router rejection into the typed fleet-view backpressure
-    /// error: the saturated home lane's depth/capacity plus the
-    /// per-replica snapshot the plan was rejected against.
-    fn routed_reject(&self, device: Device, table: &[usize], reject: RouteReject) -> ServeError {
-        let home = &reject.fleet[reject.home];
-        let lane = &self.lanes[table[reject.home]];
-        let high_water = match self.config.submit_mode {
-            SubmitMode::PerCall => lane.shared.metrics.occupancy_high_water() as usize,
-            SubmitMode::Ring => lane.sq.high_water(),
-        };
-        ServeError::QueueFull {
-            device,
-            depth: home.depth,
-            capacity: home.capacity,
-            high_water,
-            fleet: reject.fleet,
-        }
+    /// Each lane's occupancy for placement: admitted in-flight requests
+    /// against the lane queue bound, or — `staged`, ring mode — staged
+    /// entries against the submission ring (a lane whose ring producer is
+    /// detached takes no re-placed work there). A quarantined lane is
+    /// unavailable.
+    fn loads(&self, table: &[usize], staged: bool) -> Vec<LaneLoad> {
+        table
+            .iter()
+            .map(|&idx| {
+                let l = &self.lanes[idx];
+                let available = self.lane_state(idx) != LaneState::Quarantined;
+                if staged {
+                    LaneLoad {
+                        depth: l.sq.len(),
+                        capacity: l.sq.depth(),
+                        high_water: l.sq.high_water(),
+                        available: available && l.sq.producer_attached(),
+                    }
+                } else {
+                    LaneLoad {
+                        depth: l.shared.inflight.load(Ordering::Acquire) as usize,
+                        capacity: l.shared.capacity,
+                        high_water: l.shared.metrics.occupancy_high_water() as usize,
+                        available,
+                    }
+                }
+            })
+            .collect()
     }
 
-    /// Fan one routed request out as member parts across replica lanes.
-    /// The returned id is the **parent**: members execute like ordinary
-    /// requests, and [`DriverletService::absorb_member`] reassembles
-    /// their completions into the one the session observes. Per-call mode
-    /// charges **one** `GATE_SUBMIT` SMC for the whole fan-out (one
-    /// client call = one world switch); ring mode stages every member
-    /// SMC-free as usual.
-    fn submit_fanout(
+    /// Stage `req`'s planned parts under one client-visible id — the
+    /// request's own, or the parent of a fan-out whose member parts
+    /// reassemble into it. Ring mode leaves the entries in the lanes'
+    /// submission rings for the next doorbell; per-call mode doorbells
+    /// them at once through one gate SMC (a GP invoke however many parts
+    /// there are: the client made one call).
+    fn stage(
         &mut self,
         session: SessionId,
         req: Request,
         table: &[usize],
         parts: &[RoutePart],
     ) -> Result<RequestId, ServeError> {
-        let device = req.device();
-        let (blkid, buf, data) = match &req {
-            Request::Read { blkid, blkcnt, .. } => {
-                (*blkid, Some(vec![0u8; *blkcnt as usize * BLOCK]), None)
+        let ring = self.config.submit_mode == SubmitMode::Ring;
+        if ring {
+            let mut lanes = parts.iter().map(|p| table[p.replica]);
+            if let Some(idx) = lanes.find(|&i| !self.lanes[i].sq.producer_attached()) {
+                return Err(ServeError::Invalid(format!(
+                    "lane {idx} ({}) submission ring is detached to a LaneSubmitter; \
+                     stage through the submitter",
+                    req.device()
+                )));
             }
-            Request::Write { blkid, data, .. } => (*blkid, None, Some(data.clone())),
+        }
+        // Submission stamp: the instant the client initiated the call, so
+        // client-observed latency includes what the submit path costs (the
+        // per-call SMC, or the wait for a doorbell). The control clock
+        // advances on SMCs, client think time and completion observations
+        // ([`DriverletService::take_completions`]) — never on unobserved
+        // lane progress — so independent sessions keep overlapping with a
+        // slow lane they are not waiting on.
+        let submitted_ns = self.control.now_ns();
+        if !ring {
+            self.tee
+                .invoke(session, GATE_SUBMIT, &[0; 4], &mut [])
+                .map_err(|_| ServeError::InvalidSession(session))?;
+        }
+        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
+        obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, id, 0);
+        // Session accounting is parent-granular: the client sees one
+        // submit and will see one completion.
+        self.sessions[&session].obs.on_submit();
+        let entries = match parts {
+            [part] => {
+                let entry = SqEntry { id, session, req, enqueued_ns: submitted_ns };
+                vec![(table[part.replica], entry)]
+            }
+            _ => self.fan_out(id, session, req, table, parts, submitted_ns),
+        };
+        for (idx, _) in &entries {
+            self.lanes[*idx].shared.metrics.on_submit();
+        }
+        if ring {
+            for (idx, e) in entries {
+                self.lanes[idx].sq.try_push(e).expect("the plan checked the ring's staged depth");
+            }
+        } else {
+            // Admission stamp: the SMC's return. The target lanes serve
+            // the entries no earlier than this.
+            let arrived_ns = self.control.now_ns();
+            let host_ns = self.trace_stamp();
+            self.admit_staged(entries, arrived_ns, host_ns);
+        }
+        Ok(id)
+    }
+
+    /// Register a routed fan-out's parent and cut `req` into its member
+    /// entries, one per planned part. Members execute like any other
+    /// request; [`DriverletService::absorb_member`] reassembles their
+    /// completions into the parent the session observes.
+    fn fan_out(
+        &mut self,
+        parent: RequestId,
+        session: SessionId,
+        req: Request,
+        table: &[usize],
+        parts: &[RoutePart],
+        submitted_ns: u64,
+    ) -> Vec<(usize, SqEntry)> {
+        let device = req.device();
+        let (blkid, buf, data) = match req {
+            Request::Read { blkid, blkcnt, .. } => {
+                (blkid, Some(vec![0u8; blkcnt as usize * BLOCK]), None)
+            }
+            Request::Write { blkid, data, .. } => (blkid, None, Some(data)),
             // The planner never splits a capture.
             Request::Capture { .. } => unreachable!("captures route as a single part"),
         };
-        let blocks: u32 = parts.iter().map(|p| p.blkcnt).sum();
-        if self.config.submit_mode == SubmitMode::Ring {
-            for part in parts {
-                if !self.lanes[table[part.replica]].sq.producer_attached() {
-                    return Err(ServeError::Invalid(format!(
-                        "lane {} ({device}) submission ring is detached to a LaneSubmitter; \
-                         stage through the submitter",
-                        table[part.replica]
-                    )));
-                }
-            }
-        }
-        let submitted_ns = self.control.now_ns();
-        let arrived_ns = match self.config.submit_mode {
-            SubmitMode::PerCall => {
-                // One command invocation admits the whole fan-out: the
-                // client made one call, so it pays one world switch.
-                self.tee
-                    .invoke(session, GATE_SUBMIT, &[0; 4], &mut [])
-                    .map_err(|_| ServeError::InvalidSession(session))?;
-                self.control.now_ns()
-            }
-            // Ring members become servable at the next doorbell.
-            SubmitMode::Ring => submitted_ns,
-        };
-        let parent = self.next_request.fetch_add(1, Ordering::Relaxed);
-        obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, parent, 0);
-        if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
-            // Session accounting is parent-granular: the client sees one
-            // submit and will see one completion.
-            obs.on_submit();
-        }
         self.stripe_parents.insert(
             parent,
             StripeParent {
@@ -1312,105 +1343,32 @@ impl DriverletService {
                 device,
                 outstanding: parts.len(),
                 buf,
-                blocks,
+                blocks: parts.iter().map(|p| p.blkcnt).sum(),
                 submitted_ns,
                 completed_ns: 0,
                 coalesced: false,
                 error: None,
             },
         );
-        for part in parts {
-            let idx = table[part.replica];
-            let offset = (part.blkid - blkid) as usize * BLOCK;
-            let member_req = match &data {
-                Some(bytes) => Request::Write {
-                    device,
-                    blkid: part.blkid,
-                    data: bytes[offset..offset + part.blkcnt as usize * BLOCK].to_vec(),
-                },
-                None => Request::Read { device, blkid: part.blkid, blkcnt: part.blkcnt },
-            };
-            let member = self.next_request.fetch_add(1, Ordering::Relaxed);
-            self.stripe_members.insert(member, (parent, offset));
-            match self.config.submit_mode {
-                SubmitMode::PerCall => {
-                    let lane = &mut self.lanes[idx];
-                    // Cannot fail: the plan admitted this part against a
-                    // depth only the (single-threaded) front-end grows.
-                    if let Err(e) = lane.shared.reserve() {
-                        debug_assert!(false, "the plan checked every part's occupancy");
-                        let c = self.member_completion(member, session, device, Err(e), arrived_ns);
-                        self.finish_member(c);
-                        continue;
-                    }
-                    obs_event!(
-                        self.tracer,
-                        EventKind::Admitted,
-                        arrived_ns,
-                        session,
-                        member,
-                        lane.shared.inflight.load(Ordering::Acquire)
-                    );
-                    let pending =
-                        Pending { id: member, session, req: member_req, submitted_ns, arrived_ns };
-                    if lane.admit_tx.try_push(pending).is_err() {
-                        // Unreachable by the reservation invariant; keep
-                        // the member accounted, never lost.
-                        debug_assert!(false, "reservation bounds the admit ring");
-                        lane.shared.inflight.fetch_sub(1, Ordering::Release);
-                        let err = ServeError::QueueFull {
-                            device,
-                            depth: lane.shared.capacity,
-                            capacity: lane.shared.capacity,
-                            high_water: lane.shared.metrics.occupancy_high_water() as usize,
-                            fleet: Vec::new(),
-                        };
-                        SharedStats::bump(&self.stats.rejected);
-                        let c =
-                            self.member_completion(member, session, device, Err(err), arrived_ns);
-                        self.finish_member(c);
-                        continue;
-                    }
-                    SharedStats::bump(&self.stats.submitted);
-                    lane.shared.unpark();
-                }
-                SubmitMode::Ring => {
-                    let lane = &mut self.lanes[idx];
-                    lane.sq
-                        .try_push(SqEntry {
-                            id: member,
-                            session,
-                            req: member_req,
-                            enqueued_ns: submitted_ns,
-                        })
-                        .expect("the plan checked the ring's staged depth");
-                    SharedStats::bump(&self.stats.submitted);
-                }
-            }
-            obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, member, 0);
-        }
-        Ok(parent)
-    }
-
-    /// A synthesized member completion for the unreachable
-    /// cannot-actually-admit paths of [`DriverletService::submit_fanout`].
-    fn member_completion(
-        &self,
-        id: RequestId,
-        session: SessionId,
-        device: Device,
-        result: Result<Payload, ServeError>,
-        at_ns: u64,
-    ) -> Completion {
-        Completion {
-            id,
-            session,
-            device,
-            result,
-            submitted_ns: at_ns,
-            completed_ns: at_ns,
-            coalesced: false,
-        }
+        parts
+            .iter()
+            .map(|part| {
+                let offset = (part.blkid - blkid) as usize * BLOCK;
+                let req = match &data {
+                    Some(bytes) => Request::Write {
+                        device,
+                        blkid: part.blkid,
+                        data: bytes[offset..offset + part.blkcnt as usize * BLOCK].to_vec(),
+                    },
+                    None => Request::Read { device, blkid: part.blkid, blkcnt: part.blkcnt },
+                };
+                let member = self.next_request.fetch_add(1, Ordering::Relaxed);
+                self.stripe_members.insert(member, (parent, offset));
+                obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, member, 0);
+                let entry = SqEntry { id: member, session, req, enqueued_ns: submitted_ns };
+                (table[part.replica], entry)
+            })
+            .collect()
     }
 
     /// Feed one member completion through reassembly and post the parent
@@ -1475,176 +1433,73 @@ impl DriverletService {
         })
     }
 
-    /// Submit into an explicit lane (replica-lane addressing). The
-    /// request's device must match the lane's device.
-    pub fn submit_to_lane(
-        &mut self,
-        lane: usize,
-        session: SessionId,
-        req: Request,
-    ) -> Result<RequestId, ServeError> {
-        if lane >= self.lanes.len() {
-            return Err(ServeError::Invalid(format!(
-                "lane {lane} out of range ({} lanes)",
-                self.lanes.len()
-            )));
-        }
-        match self.config.submit_mode {
-            SubmitMode::PerCall => self.submit_per_call_at(lane, session, req),
-            SubmitMode::Ring => self.ring_enqueue_at(lane, session, req),
-        }
-    }
-
-    /// The legacy one-SMC-per-operation submit. Public even in ring mode:
-    /// a client may always fall back to a plain command invocation (the
-    /// syscall beside io_uring), e.g. for a request that must be visible
-    /// to the TEE immediately without waiting for a doorbell.
-    pub fn submit_per_call(
-        &mut self,
-        session: SessionId,
-        req: Request,
-    ) -> Result<RequestId, ServeError> {
-        let idx = self.lane_index(req.device())?;
-        self.submit_per_call_at(idx, session, req)
-    }
-
-    fn submit_per_call_at(
-        &mut self,
-        idx: usize,
-        session: SessionId,
-        req: Request,
-    ) -> Result<RequestId, ServeError> {
-        if !self.sessions.contains_key(&session) {
-            return Err(ServeError::InvalidSession(session));
-        }
-        validate_request(&req)?;
-        let device = self.lanes[idx].device;
-        if req.device() != device {
-            return Err(ServeError::Invalid(format!(
-                "request for {} submitted to a {device} lane",
-                req.device()
-            )));
-        }
-        // Submission stamp: the instant the client *initiated* the call,
-        // so client-observed latency includes the world switch it is about
-        // to pay. The control clock advances on SMCs, client think time
-        // and completion *observations*
-        // ([`DriverletService::take_completions`]) — never on unobserved
-        // lane progress — so independent sessions keep overlapping with a
-        // slow lane they are not waiting on.
-        let submitted_ns = self.control.now_ns();
-        // The command invocation crossing into the TEE: validated and
-        // charged by the session framework (on the control-plane clock) —
-        // one world switch plus the GP invoke marshalling the gate bills.
-        self.tee
-            .invoke(session, GATE_SUBMIT, &[0; 4], &mut [])
-            .map_err(|_| ServeError::InvalidSession(session))?;
-        // Admission stamp: the SMC's return. The target lane serves this
-        // request no earlier than this.
-        let arrived_ns = self.control.now_ns();
-        // Capacity reservation (single atomic snapshot): the lane bound is
-        // enforced here, front-end side, so the admit push below can never
-        // fail and a rejection reports one coherent depth even while the
-        // lane thread drains concurrently.
-        if let Err(e) = self.lanes[idx].shared.reserve() {
-            SharedStats::bump(&self.stats.rejected);
-            return Err(e);
-        }
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
+    /// Put one TEE-admitted request on lane `idx` — the admission spine
+    /// every path shares (per-call submits, doorbells, failover retries,
+    /// quarantine re-placement): reserve a lane slot, push the admission
+    /// ring, trace the admission (stamped `host_ns`) and wake the lane. A
+    /// full lane rejects with a single-snapshot `QueueFull`.
+    fn admit(&mut self, idx: usize, p: Pending, host_ns: u64) -> Result<(), ServeError> {
         let lane = &mut self.lanes[idx];
-        obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, id, 0);
-        obs_event!(
+        // The reservation enforces the lane bound front-end side, so the
+        // push below cannot fail and a rejection reports one coherent
+        // depth even while the lane thread drains concurrently.
+        lane.shared.reserve()?;
+        let depth = lane.shared.inflight.load(Ordering::Acquire);
+        obs_event_at!(
             self.tracer,
+            host_ns,
             EventKind::Admitted,
-            arrived_ns,
-            session,
-            id,
-            lane.shared.inflight.load(Ordering::Acquire)
+            p.arrived_ns,
+            p.session,
+            p.id,
+            depth
         );
-        if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
-            obs.on_submit();
-        }
-        let pending = Pending { id, session, req, submitted_ns, arrived_ns };
-        if lane.admit_tx.try_push(pending).is_err() {
-            // Unreachable by the reservation invariant (admit ring
-            // capacity == lane capacity >= in-flight); never lose the
-            // reservation silently if it ever fires.
+        if lane.admit_tx.try_push(p).is_err() {
+            // Unreachable: the admit ring holds `capacity` entries and the
+            // reservation bounds in-flight work at `capacity`. Settle the
+            // reservation and report typed backpressure, never a loss.
             debug_assert!(false, "reservation bounds the admit ring");
             lane.shared.inflight.fetch_sub(1, Ordering::Release);
             lane.shared.metrics.on_fail(self.metrics.host_now_ns());
-            SharedStats::bump(&self.stats.rejected);
             return Err(ServeError::QueueFull {
-                device,
+                device: lane.device,
                 depth: lane.shared.capacity,
                 capacity: lane.shared.capacity,
                 high_water: lane.shared.metrics.occupancy_high_water() as usize,
                 fleet: Vec::new(),
             });
         }
-        SharedStats::bump(&self.stats.submitted);
         lane.shared.unpark();
-        Ok(id)
+        Ok(())
     }
 
-    /// Stage a request in the target lane's submission ring **without
-    /// entering the TEE**: no SMC, no control-clock charge — the whole
-    /// point of the ring path. Shape checks run here in the normal world
-    /// (the client library mirrors the gate's admission rules; the gate
-    /// re-validates every entry at doorbell time and bills that per-entry
-    /// cost inside the one world switch). A full ring is typed
-    /// backpressure — [`ServeError::QueueFull`] carrying the device, the
-    /// ring depth and its capacity — never a silent drop.
-    fn ring_enqueue_at(
-        &mut self,
-        idx: usize,
-        session: SessionId,
-        req: Request,
-    ) -> Result<RequestId, ServeError> {
-        if !self.sessions.contains_key(&session) {
-            return Err(ServeError::InvalidSession(session));
+    /// Admit staged entries at `arrived_ns` (`host_ns` stamps their trace
+    /// events). An entry whose lane queue is full is not dropped: it
+    /// completes with its typed `QueueFull` in its session's completion
+    /// ring — through stripe reassembly when it is a fan-out member.
+    fn admit_staged(&mut self, entries: Vec<(usize, SqEntry)>, arrived_ns: u64, host_ns: u64) {
+        for (idx, e) in entries {
+            let (id, session, submitted_ns) = (e.id, e.session, e.enqueued_ns);
+            let p = Pending { id, session, req: e.req, submitted_ns, arrived_ns };
+            if let Err(err) = self.admit(idx, p, host_ns) {
+                self.lanes[idx].shared.metrics.on_reject();
+                self.finish_member(Completion {
+                    id,
+                    session,
+                    device: self.lanes[idx].device,
+                    result: Err(err),
+                    submitted_ns,
+                    completed_ns: arrived_ns,
+                    coalesced: false,
+                });
+            }
         }
-        validate_request(&req)?;
-        let device = self.lanes[idx].device;
-        if req.device() != device {
-            return Err(ServeError::Invalid(format!(
-                "request for {} staged on a {device} lane",
-                req.device()
-            )));
-        }
-        let enqueued_ns = self.control.now_ns();
-        let lane = &mut self.lanes[idx];
-        if !lane.sq.producer_attached() {
-            return Err(ServeError::Invalid(format!(
-                "lane {idx} ({device}) submission ring is detached to a LaneSubmitter; \
-                 stage through the submitter"
-            )));
-        }
-        if lane.sq.is_full() {
-            SharedStats::bump(&self.stats.rejected);
-            return Err(ServeError::QueueFull {
-                device,
-                depth: lane.sq.len(),
-                capacity: lane.sq.depth(),
-                high_water: lane.sq.high_water(),
-                fleet: Vec::new(),
-            });
-        }
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        lane.sq
-            .try_push(SqEntry { id, session, req, enqueued_ns })
-            .expect("ring checked non-full and this thread is the only attached producer");
-        obs_event!(self.tracer, EventKind::Submitted, enqueued_ns, session, id, 0);
-        if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
-            obs.on_submit();
-        }
-        SharedStats::bump(&self.stats.submitted);
-        Ok(id)
     }
 
     /// Ring the doorbell: **one** SMC (a batch invoke of the gate
     /// trustlet) admits every entry currently staged in every lane's
     /// submission ring. The gate validates each entry under the same
-    /// admission checks as the per-call path — that per-entry cost plus
+    /// admission checks as a per-call stage — that per-entry cost plus
     /// the doorbell switch are the only control-clock charges, however
     /// large the batch. Admitted entries join their lane queues with
     /// `arrived_ns` = the doorbell's return; an entry whose lane queue is
@@ -1668,132 +1523,65 @@ impl DriverletService {
         let arrived_ns = self.control.now_ns();
         // One host stamp covers the doorbell and every `Admitted` it
         // unlocks: the emits are back-to-back and the clock read dominates
-        // the emit cost (0 when tracing is off — the macro no-ops).
-        let host_ns = self.tracer.as_ref().map(|t| t.host_now_ns()).unwrap_or(0);
+        // the emit cost.
+        let host_ns = self.trace_stamp();
         obs_event_at!(self.tracer, host_ns, EventKind::Doorbell, arrived_ns, 0, 0, staged as u64);
-        if self.metrics.is_enabled() {
-            self.metrics.smc().record_doorbell_batch(staged as u64);
-        }
-        SharedStats::bump(&self.stats.doorbells);
-        SharedStats::add(&self.stats.doorbell_entries, staged as u64);
-        let mut rejected = Vec::new();
-        for (idx, n) in staged_by_lane.iter().enumerate() {
-            if *n == 0 {
-                continue;
-            }
+        self.metrics.smc().record_doorbell_batch(staged as u64);
+        let mut entries = Vec::with_capacity(staged);
+        for (idx, n) in staged_by_lane.into_iter().enumerate().filter(|&(_, n)| n > 0) {
             let lane = &mut self.lanes[idx];
-            let device = lane.device;
             lane.shared.metrics.on_doorbell();
-            for e in lane.sq.take_staged(*n) {
-                match lane.shared.reserve() {
-                    Ok(()) => {
-                        obs_event_at!(
-                            self.tracer,
-                            host_ns,
-                            EventKind::Admitted,
-                            arrived_ns,
-                            e.session,
-                            e.id,
-                            lane.shared.inflight.load(Ordering::Acquire)
-                        );
-                        let pending = Pending {
-                            id: e.id,
-                            session: e.session,
-                            req: e.req,
-                            submitted_ns: e.enqueued_ns,
-                            arrived_ns,
-                        };
-                        if let Err((p, _)) = lane.admit_tx.try_push(pending) {
-                            // Unreachable by the reservation invariant;
-                            // surface as typed backpressure, never a loss.
-                            debug_assert!(false, "reservation bounds the admit ring");
-                            lane.shared.inflight.fetch_sub(1, Ordering::Release);
-                            lane.shared.metrics.on_fail(self.metrics.host_now_ns());
-                            SharedStats::bump(&self.stats.rejected);
-                            rejected.push(Completion {
-                                id: p.id,
-                                session: p.session,
-                                device,
-                                result: Err(ServeError::QueueFull {
-                                    device,
-                                    depth: lane.shared.capacity,
-                                    capacity: lane.shared.capacity,
-                                    high_water: lane.shared.metrics.occupancy_high_water() as usize,
-                                    fleet: Vec::new(),
-                                }),
-                                submitted_ns: p.submitted_ns,
-                                completed_ns: arrived_ns,
-                                coalesced: false,
-                            });
-                        }
-                    }
-                    Err(err) => {
-                        SharedStats::bump(&self.stats.rejected);
-                        rejected.push(Completion {
-                            id: e.id,
-                            session: e.session,
-                            device,
-                            result: Err(err),
-                            submitted_ns: e.enqueued_ns,
-                            completed_ns: arrived_ns,
-                            coalesced: false,
-                        });
+            // A detached submitter cannot reach the session table, so its
+            // submits count here, front-end side, for sessions still open.
+            let detached = !lane.sq.producer_attached();
+            for e in lane.sq.take_staged(n) {
+                if detached {
+                    if let Some(entry) = self.sessions.get(&e.session) {
+                        entry.obs.on_submit();
                     }
                 }
+                entries.push((idx, e));
             }
-            lane.shared.unpark();
         }
-        for c in rejected {
-            // A rejected entry may be a routed stripe member: its typed
-            // failure must flow through reassembly so the parent still
-            // completes (with the member's error) once its siblings do.
-            self.finish_member(c);
-        }
+        self.admit_staged(entries, arrived_ns, host_ns);
         Ok(staged)
     }
 
-    /// Flush staged ring entries before the event loop looks for work
-    /// (ring mode only; a no-op when nothing is staged).
+    /// Admit whatever is staged before the event loop looks for work (a
+    /// no-op when nothing is staged).
     fn flush_doorbell(&mut self) {
-        if self.config.submit_mode == SubmitMode::Ring {
-            // The only failure mode is a missing gate trustlet, which
-            // `with_driverlets` installed; treat it as unreachable.
-            self.ring_doorbell().expect("the serve gate is always installed");
-        }
+        // The only failure mode is a missing gate trustlet, which
+        // `with_driverlets` installed; treat it as unreachable.
+        self.ring_doorbell().expect("the serve gate is always installed");
     }
 
     /// Post one completion into its session's completion ring (dropped
-    /// when the session is gone, exactly like the per-call path). Every
-    /// terminal completion passes through here exactly once, so this is
-    /// also where the per-session metrics classify outcomes.
+    /// when the session is gone). Every terminal completion passes through
+    /// here exactly once, so this is also where the per-session metrics
+    /// classify outcomes.
     fn post_completion(&mut self, c: Completion) {
-        fn classify(obs: &SessionMetrics, result: &Result<Payload, ServeError>) {
-            match result {
-                Err(ServeError::Replay(ReplayError::Diverged(_))) => obs.on_diverge(),
-                // Success and typed failures are both terminal
-                // completions from the session's point of view.
-                _ => obs.on_complete(),
-            }
-        }
         // Terminal for this request id: release the tenant's QoS
         // in-flight slot and drop any failover state.
         if let Some((session, device)) = self.qos_tickets.remove(&c.id) {
             self.admission.on_done(session, device);
         }
         self.retryable.remove(&c.id);
-        if let Some(entry) = self.sessions.get_mut(&c.session) {
-            if let Some(obs) = &entry.obs {
-                classify(obs, &c.result);
-            }
-            if entry.cq.post(c) {
-                SharedStats::bump(&self.stats.cq_overflows);
-            }
-        } else if self.metrics.is_enabled() {
+        let Some(entry) = self.sessions.get_mut(&c.session) else {
             // The session is gone (closed with this request in flight):
             // count the outcome into the bounded aggregate instead of
             // re-creating a per-session series the registry would keep
             // forever — session churn must not grow the registry.
             self.metrics.robustness().on_orphan_outcome();
+            return;
+        };
+        match &c.result {
+            Err(ServeError::Replay(ReplayError::Diverged(_))) => entry.obs.on_diverge(),
+            // Success and typed failures are both terminal completions
+            // from the session's point of view.
+            _ => entry.obs.on_complete(),
+        }
+        if entry.cq.post(c) {
+            self.metrics.smc().on_cq_overflow();
         }
     }
 
@@ -1846,30 +1634,19 @@ impl DriverletService {
             return Some(c);
         }
         let origin = self.lane_id(idx).expect("reaped lanes exist").replica;
-        let (attempt, device, session) = {
+        let (attempt, device, session, blkid, blkcnt) = {
             let ctx = self.retryable.get_mut(&c.id).expect("checked present above");
             ctx.attempts.push(FailoverAttempt { replica: origin, at_ns: c.completed_ns });
-            (ctx.attempts.len() as u32, ctx.device, ctx.session)
+            (ctx.attempts.len() as u32, ctx.device, ctx.session, ctx.blkid, ctx.blkcnt)
         };
         let table = self.lane_table[&device].clone();
-        // Least-loaded available sibling with depth room. The front-end
-        // is the sole inflight incrementer, so room checked here cannot
-        // vanish before the reserve below.
+        // The front-end is the sole in-flight incrementer, so room found
+        // here cannot vanish before the admission below.
         let target = (attempt <= self.config.failover.retry_budget)
-            .then(|| {
-                (0..table.len())
-                    .filter(|&r| r != origin)
-                    .filter(|&r| {
-                        let s = &self.lanes[table[r]].shared;
-                        LaneState::from_gauge(s.metrics.state()) != LaneState::Quarantined
-                            && (s.inflight.load(Ordering::Acquire) as usize) < s.capacity
-                    })
-                    .min_by_key(|&r| self.lanes[table[r]].shared.inflight.load(Ordering::Acquire))
-            })
+            .then(|| least_loaded_sibling(&self.loads(&table, false), origin))
             .flatten();
         let Some(replica) = target else {
             let ctx = self.retryable.remove(&c.id).expect("checked present above");
-            SharedStats::bump(&self.stats.failover_exhausted);
             self.metrics.robustness().on_exhausted();
             return Some(Completion {
                 result: Err(ServeError::Exhausted { device, attempts: ctx.attempts }),
@@ -1881,29 +1658,14 @@ impl DriverletService {
         // completion stamp plus base << (attempt - 1).
         let backoff = self.config.failover.backoff_base_ns << (attempt - 1).min(20);
         let arrived_ns = c.completed_ns.saturating_add(backoff);
-        let (blkid, blkcnt) = {
-            let ctx = &self.retryable[&c.id];
-            (ctx.blkid, ctx.blkcnt)
-        };
-        let lane = &mut self.lanes[table[replica]];
-        lane.shared.reserve().expect("the target was selected with depth room");
-        let pending = Pending {
-            id: c.id,
-            session,
-            req: Request::Read { device, blkid, blkcnt },
-            submitted_ns: c.submitted_ns,
-            arrived_ns,
-        };
-        if lane.admit_tx.try_push(pending).is_err() {
-            // Unreachable by the reservation invariant; deliver the
+        let req = Request::Read { device, blkid, blkcnt };
+        let retry = Pending { id: c.id, session, req, submitted_ns: c.submitted_ns, arrived_ns };
+        if self.admit(table[replica], retry, self.trace_stamp()).is_err() {
+            // Unreachable (the sibling was picked with room); deliver the
             // original divergence rather than lose the request.
-            debug_assert!(false, "reservation bounds the admit ring");
-            lane.shared.inflight.fetch_sub(1, Ordering::Release);
             self.retryable.remove(&c.id);
             return Some(c);
         }
-        lane.shared.unpark();
-        SharedStats::bump(&self.stats.failovers);
         self.metrics.robustness().on_failover();
         obs_event!(self.tracer, EventKind::Failover, arrived_ns, session, c.id, u64::from(attempt));
         None
@@ -1962,131 +1724,87 @@ impl DriverletService {
     }
 
     /// Trip lane `idx` into quarantine: publish the state (the router
-    /// stops sending it clean reads at once), drain its queued work back
-    /// through the router, soft-reset the replayer (clear any installed
-    /// response mutator), and probe — a passing probe moves the lane
-    /// straight to probation, a failing one leaves it quarantined.
+    /// stops sending it clean reads at once), move its staged and queued
+    /// work back through the router, soft-reset the replayer (clear any
+    /// installed response mutator), and probe — a passing probe moves the
+    /// lane straight to probation, a failing one leaves it quarantined.
     fn quarantine_lane(&mut self, idx: usize) {
         self.set_lane_state(idx, LaneState::Quarantined);
-        let sup = &mut self.supervision[idx];
-        sup.window.clear();
-        sup.divergences = 0;
-        sup.probation_clean = 0;
-        SharedStats::bump(&self.stats.quarantines);
+        self.supervision[idx] = LaneSupervision::default();
         self.metrics.robustness().on_quarantine();
         let virt_ns = self.lanes[idx].shared.clock.now_ns();
         obs_event!(self.tracer, EventKind::Quarantine, virt_ns, 0, idx as u64, 1);
-        // In ring mode, staged-but-undoorbelled entries would otherwise
-        // sit on the quarantined lane's SQ until the next doorbell admits
-        // them there; pull them off and re-stage clean reads on siblings.
-        if self.config.submit_mode == SubmitMode::Ring {
-            self.restage_quarantined_sq(idx);
-        }
+        self.restage_quarantined_sq(idx);
         if let Ok(CtrlReply::Evicted(evicted)) = self.lane_ctrl(idx, CtrlReq::Evict) {
             self.replace_evicted(idx, evicted);
         }
         let _ = self.lane_ctrl(idx, CtrlReq::SetMutator(None));
-        self.probe_for_probation(idx);
+        if matches!(self.lane_ctrl(idx, CtrlReq::HealthCheck), Ok(CtrlReply::Health(_))) {
+            self.enter_probation(idx);
+        }
     }
 
-    /// Run the lane health probe on a quarantined lane; a pass enters
-    /// probation (watchdog arg 2 in the trace), a failure leaves the
-    /// lane quarantined for a later probe.
-    fn probe_for_probation(&mut self, idx: usize) {
-        if matches!(self.lane_ctrl(idx, CtrlReq::HealthCheck), Ok(CtrlReply::Health(_))) {
-            self.set_lane_state(idx, LaneState::Probation);
-            self.supervision[idx].probation_clean = 0;
-            let virt_ns = self.lanes[idx].shared.clock.now_ns();
-            obs_event!(self.tracer, EventKind::Quarantine, virt_ns, 0, idx as u64, 2);
-        }
+    /// A quarantined lane's health probe passed: put it on probation
+    /// (watchdog arg 2 in the trace).
+    fn enter_probation(&mut self, idx: usize) {
+        self.set_lane_state(idx, LaneState::Probation);
+        self.supervision[idx].probation_clean = 0;
+        let virt_ns = self.lanes[idx].shared.clock.now_ns();
+        obs_event!(self.tracer, EventKind::Quarantine, virt_ns, 0, idx as u64, 2);
     }
 
     /// A probation lane served its clean window: restore it.
     fn restore_lane(&mut self, idx: usize) {
         self.set_lane_state(idx, LaneState::Healthy);
-        let sup = &mut self.supervision[idx];
-        sup.window.clear();
-        sup.divergences = 0;
-        sup.probation_clean = 0;
-        SharedStats::bump(&self.stats.lane_restores);
+        self.supervision[idx] = LaneSupervision::default();
         self.metrics.robustness().on_lane_restore();
         let virt_ns = self.lanes[idx].shared.clock.now_ns();
         obs_event!(self.tracer, EventKind::LaneRestored, virt_ns, 0, idx as u64, 0);
     }
 
-    /// Re-place the requests a quarantine eviction handed back: clean
-    /// reads go to the least-loaded available sibling, writes and dirty
-    /// reads return to the quarantined home (it still executes — only
-    /// replica-independent work may move). The evicted requests kept
-    /// their front-end reservations, so each re-placement first settles
-    /// the origin's accounting (un-admit) and then reserves its target.
+    /// Where work moved off a quarantined lane `origin` goes: a clean read
+    /// to the least-loaded available sibling (`staged`: by submission-ring
+    /// occupancy, else by admitted in-flight), anything else — writes and
+    /// dirty reads, since only replica-independent work may move — back
+    /// to `origin`, which still executes.
+    fn replacement(&self, origin: usize, req: &Request, staged: bool) -> usize {
+        let id = self.lane_id(origin).expect("quarantined lanes exist");
+        let table = &self.lane_table[&id.device];
+        let movable = matches!(req, Request::Read { blkid, blkcnt, .. }
+                if self.router.span_is_clean(id.device, *blkid, *blkcnt));
+        movable
+            .then(|| least_loaded_sibling(&self.loads(table, staged), id.replica))
+            .flatten()
+            .map_or(origin, |r| table[r])
+    }
+
+    /// Re-place the requests a quarantine eviction handed back (see
+    /// [`DriverletService::replacement`]). The evicted requests kept
+    /// their front-end reservations, so each first settles the origin's
+    /// accounting (un-admit) and is then admitted on its target.
     fn replace_evicted(&mut self, origin: usize, evicted: Vec<Pending>) {
-        let device = self.lanes[origin].device;
-        let table = self.lane_table[&device].clone();
         for p in evicted {
-            let host_ns = self.metrics.host_now_ns();
-            {
-                let sh = &self.lanes[origin].shared;
-                sh.inflight.fetch_sub(1, Ordering::Release);
-                sh.metrics.on_requeue(host_ns);
-            }
-            let movable = matches!(&p.req, Request::Read { blkid, blkcnt, .. }
-                    if self.router.span_is_clean(device, *blkid, *blkcnt));
-            let target = movable
-                .then(|| {
-                    table
-                        .iter()
-                        .copied()
-                        .filter(|&i| i != origin)
-                        .filter(|&i| {
-                            let s = &self.lanes[i].shared;
-                            LaneState::from_gauge(s.metrics.state()) != LaneState::Quarantined
-                                && (s.inflight.load(Ordering::Acquire) as usize) < s.capacity
-                        })
-                        .min_by_key(|&i| self.lanes[i].shared.inflight.load(Ordering::Acquire))
-                })
-                .flatten()
-                // The origin just drained, so it always has room again.
-                .unwrap_or(origin);
-            let lane = &mut self.lanes[target];
-            lane.shared.reserve().expect("the eviction or the room check freed a slot");
-            lane.admit_tx.try_push(p).expect("reservation bounds the admit ring");
-            lane.shared.unpark();
+            let sh = &self.lanes[origin].shared;
+            sh.inflight.fetch_sub(1, Ordering::Release);
+            sh.metrics.on_requeue(self.metrics.host_now_ns());
+            let target = self.replacement(origin, &p.req, false);
+            self.admit(target, p, self.trace_stamp())
+                .expect("the eviction or the room check freed a slot");
         }
     }
 
     /// Pull staged-but-undoorbelled entries off a quarantined lane's
-    /// submission ring and re-stage clean reads on available siblings
-    /// (writes and dirty reads re-stage where they were). Skipped when
-    /// the ring's producer is detached to a [`LaneSubmitter`] — a
-    /// concurrent producer owns the staging side then.
+    /// submission ring and re-stage them (see
+    /// [`DriverletService::replacement`]), so the next doorbell does not
+    /// admit clean reads onto the sick lane. Skipped when the ring's
+    /// producer is detached to a [`LaneSubmitter`] — a concurrent producer
+    /// owns the staging side then.
     fn restage_quarantined_sq(&mut self, origin: usize) {
         if !self.lanes[origin].sq.producer_attached() {
             return;
         }
-        let device = self.lanes[origin].device;
-        let table = self.lane_table[&device].clone();
-        let staged = self.lanes[origin].sq.drain_staged();
-        for e in staged {
-            let movable = matches!(&e.req, Request::Read { blkid, blkcnt, .. }
-                    if self.router.span_is_clean(device, *blkid, *blkcnt));
-            let target = movable
-                .then(|| {
-                    table
-                        .iter()
-                        .copied()
-                        .filter(|&i| i != origin)
-                        .filter(|&i| {
-                            let l = &self.lanes[i];
-                            LaneState::from_gauge(l.shared.metrics.state())
-                                != LaneState::Quarantined
-                                && l.sq.producer_attached()
-                                && !l.sq.is_full()
-                        })
-                        .min_by_key(|&i| self.lanes[i].sq.len())
-                })
-                .flatten()
-                .unwrap_or(origin);
+        for e in self.lanes[origin].sq.drain_staged() {
+            let target = self.replacement(origin, &e.req, true);
             self.lanes[target]
                 .sq
                 .try_push(e)
@@ -2166,21 +1884,7 @@ impl DriverletService {
     /// Run the event loop until every lane is empty and return all
     /// completions produced (the old `drain` contract).
     pub fn drain_all(&mut self) -> Vec<Completion> {
-        self.flush_doorbell();
-        match self.config.exec_mode {
-            ExecMode::Sequential => {
-                let mut all = Vec::new();
-                loop {
-                    let step = self.step(None);
-                    if step.is_empty() {
-                        break;
-                    }
-                    all.extend(step);
-                }
-                all
-            }
-            ExecMode::Threaded => self.drain_threaded(None),
-        }
+        self.drain_until_idle(None)
     }
 
     /// Run the event loop restricted to `device` until that lane is empty
@@ -2188,20 +1892,23 @@ impl DriverletService {
     /// [`ServeError::QueueFull`] names the saturated device, leaving every
     /// other lane's queue (and hold) untouched.
     pub fn drain_device(&mut self, device: Device) -> Vec<Completion> {
+        self.drain_until_idle(Some(device))
+    }
+
+    /// Step the lanes `filter` selects until they are idle (threaded: run
+    /// them to quiescence) and return every completion produced.
+    fn drain_until_idle(&mut self, filter: Option<Device>) -> Vec<Completion> {
         self.flush_doorbell();
-        match self.config.exec_mode {
-            ExecMode::Sequential => {
-                let mut all = Vec::new();
-                loop {
-                    let step = self.step(Some(device));
-                    if step.is_empty() {
-                        break;
-                    }
-                    all.extend(step);
-                }
-                all
+        if self.config.exec_mode == ExecMode::Threaded {
+            return self.drain_threaded(filter);
+        }
+        let mut all = Vec::new();
+        loop {
+            let step = self.step(filter);
+            if step.is_empty() {
+                return all;
             }
-            ExecMode::Threaded => self.drain_threaded(Some(device)),
+            all.extend(step);
         }
     }
 
@@ -2339,8 +2046,18 @@ impl DriverletService {
             .map_err(|_| ServeError::Invalid(format!("lane {idx} dropped the control reply")))?
     }
 
-    /// Install a solver-driven device fault on `device`'s lane: every
-    /// replay the lane runs from now on passes through a
+    /// The lane a control operation on `target` addresses: replica 0 of a
+    /// device, or the pinned lane.
+    fn control_lane(&self, target: impl Into<Target>) -> Result<usize, ServeError> {
+        let id = target.into().lane_id();
+        self.lane_of(id)
+            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))
+    }
+
+    /// Install a solver-driven device fault on `target`'s lane (replica 0
+    /// of a device, or one pinned replica — the adversarial fault-storm
+    /// experiments fault one replica and watch failover carry its
+    /// traffic): every replay the lane runs from now on passes through a
     /// [`ConstraintFlipper`] following `plan` — it falsifies the targeted
     /// constraint with concolically solved register/DMA observations, so
     /// the lane behaves exactly like a misbehaving device at that point of
@@ -2351,45 +2068,24 @@ impl DriverletService {
     /// waits for that hand-off.
     pub fn inject_fault(
         &mut self,
-        device: Device,
+        target: impl Into<Target>,
         plan: FaultPlan,
     ) -> Result<Arc<Mutex<FlipOutcome>>, ServeError> {
-        self.inject_fault_at(LaneId { device, replica: 0 }, plan)
-    }
-
-    /// [`DriverletService::inject_fault`] with replica-lane addressing:
-    /// fault exactly one lane of a fleet (the adversarial fault-storm
-    /// experiments target one replica and watch the failover path carry
-    /// its traffic).
-    pub fn inject_fault_at(
-        &mut self,
-        id: LaneId,
-        plan: FaultPlan,
-    ) -> Result<Arc<Mutex<FlipOutcome>>, ServeError> {
-        let idx = self
-            .lane_of(id)
-            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))?;
+        let idx = self.control_lane(target)?;
         let (flipper, outcome) = ConstraintFlipper::new(plan);
         self.lane_ctrl(idx, CtrlReq::SetMutator(Some(Box::new(flipper))))?;
         Ok(outcome)
     }
 
-    /// Remove any fault installed on `device`'s lane; subsequent replays
+    /// Remove any fault installed on `target`'s lane; subsequent replays
     /// see the real device again. Same batch-boundary hand-off as
     /// [`DriverletService::inject_fault`].
-    pub fn clear_fault(&mut self, device: Device) -> Result<(), ServeError> {
-        self.clear_fault_at(LaneId { device, replica: 0 })
-    }
-
-    /// [`DriverletService::clear_fault`] with replica-lane addressing.
-    pub fn clear_fault_at(&mut self, id: LaneId) -> Result<(), ServeError> {
-        let idx = self
-            .lane_of(id)
-            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))?;
+    pub fn clear_fault(&mut self, target: impl Into<Target>) -> Result<(), ServeError> {
+        let idx = self.control_lane(target)?;
         self.lane_ctrl(idx, CtrlReq::SetMutator(None)).map(|_| ())
     }
 
-    /// Verify `device`'s lane is still serviceable — the post-divergence
+    /// Verify `target`'s lane is still serviceable — the post-divergence
     /// invariant the explore harness gates on. Block lanes write a pattern
     /// over the scratch probe extent at [`HEALTH_PROBE_BLKID`] and must
     /// read it back byte-identically; the camera lane must complete a
@@ -2401,27 +2097,21 @@ impl DriverletService {
     /// [`LaneHealth`] snapshot (queue depth, in-flight count, lifetime
     /// completion/divergence counters, last-activity host stamp) taken at
     /// the probe's batch boundary.
-    pub fn lane_health_check(&mut self, device: Device) -> Result<LaneHealth, ServeError> {
-        self.lane_health_check_at(LaneId { device, replica: 0 })
-    }
-
-    /// [`DriverletService::lane_health_check`] with replica-lane
-    /// addressing. Under supervision, a **passing** probe on a
-    /// quarantined lane doubles as the operator-invoked recovery step:
-    /// the lane moves to [`LaneState::Probation`] exactly as if the
-    /// watchdog's own post-quarantine probe had passed, and the returned
-    /// snapshot reflects the new state.
-    pub fn lane_health_check_at(&mut self, id: LaneId) -> Result<LaneHealth, ServeError> {
-        let idx = self
-            .lane_of(id)
-            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))?;
+    ///
+    /// Under supervision, a **passing** probe on a quarantined lane
+    /// doubles as the operator-invoked recovery step: the lane moves to
+    /// [`LaneState::Probation`] exactly as if the watchdog's own
+    /// post-quarantine probe had passed, and the returned snapshot
+    /// reflects the new state.
+    pub fn lane_health_check(
+        &mut self,
+        target: impl Into<Target>,
+    ) -> Result<LaneHealth, ServeError> {
+        let idx = self.control_lane(target)?;
         match self.lane_ctrl(idx, CtrlReq::HealthCheck)? {
             CtrlReply::Health(mut health) => {
                 if self.config.supervise.enabled && self.lane_state(idx) == LaneState::Quarantined {
-                    self.set_lane_state(idx, LaneState::Probation);
-                    self.supervision[idx].probation_clean = 0;
-                    let virt_ns = self.lanes[idx].shared.clock.now_ns();
-                    obs_event!(self.tracer, EventKind::Quarantine, virt_ns, 0, idx as u64, 2);
+                    self.enter_probation(idx);
                     health.state = LaneState::Probation;
                 }
                 Ok(health)
@@ -2438,9 +2128,7 @@ impl DriverletService {
     /// a typed error (single-producer discipline is kept statically).
     pub fn lane_submitter(&mut self, lane: usize) -> Result<LaneSubmitter, ServeError> {
         let next_request = Arc::clone(&self.next_request);
-        let stats = Arc::clone(&self.stats);
         let control_clock = Arc::clone(&self.control_cell);
-        let metrics = Arc::clone(&self.metrics);
         let tracer = self.recorder.register(&format!("submitter-{lane}"), 0);
         let l = self
             .lanes
@@ -2454,9 +2142,8 @@ impl DriverletService {
             producer,
             sq_depth: l.sq.depth(),
             next_request,
-            stats,
             control_clock,
-            metrics,
+            metrics: Arc::clone(&l.shared.metrics),
             tracer,
         })
     }
@@ -2492,12 +2179,16 @@ impl DriverletService {
 
     /// A point-in-time snapshot of the metrics plane (per-lane counters
     /// and latency histograms, SMC-by-kind, per-session reconciliation
-    /// counters). `None` when the configured plane is [`ObsConfig::Off`].
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        if !self.metrics.is_enabled() {
-            return None;
-        }
-        Some(self.metrics.snapshot())
+    /// counters). The counters are always live; the histograms stay empty
+    /// under [`ObsConfig::Off`].
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+
+    /// A host stamp for a cluster of back-to-back trace emits (the clock
+    /// read dominates the emit cost); 0 when tracing is off.
+    fn trace_stamp(&self) -> u64 {
+        self.tracer.as_ref().map_or(0, |t| t.host_now_ns())
     }
 }
 
@@ -2517,7 +2208,9 @@ pub const HEALTH_PROBE_BLKID: u32 = crate::lane::HEALTH_PROBE_BLKID;
 /// * The session is **not** validated at stage time (the service would
 ///   have to be locked for that). A stale session's entries are admitted,
 ///   execute, and their completions are dropped at post time — exactly
-///   the behaviour of closing a session with requests in flight.
+///   the behaviour of closing a session with requests in flight. The
+///   session's submit count is taken front-end side at doorbell time, so
+///   a stale session never regains a metrics series.
 /// * A rejected stage burns its request id (ids stay globally unique and
 ///   per-submitter monotone; they are no longer dense across the
 ///   service).
@@ -2527,9 +2220,9 @@ pub struct LaneSubmitter {
     producer: SpscProducer<SqEntry>,
     sq_depth: usize,
     next_request: Arc<AtomicU64>,
-    stats: Arc<SharedStats>,
     control_clock: Arc<ClockCell>,
-    metrics: Arc<MetricsRegistry>,
+    /// The lane's metrics series (stages and rejections count there).
+    metrics: Arc<LaneMetrics>,
     /// This submitter thread's own trace ring on track 0 (`None` unless
     /// the service runs the full plane).
     tracer: Option<TraceHandle>,
@@ -2569,14 +2262,11 @@ impl LaneSubmitter {
         match self.producer.try_push(SqEntry { id, session, req, enqueued_ns }) {
             Ok(_) => {
                 obs_event!(self.tracer, EventKind::Submitted, enqueued_ns, session, id, 0);
-                if self.metrics.is_enabled() {
-                    self.metrics.session(session).on_submit();
-                }
-                SharedStats::bump(&self.stats.submitted);
+                self.metrics.on_submit();
                 Ok(id)
             }
             Err((_, depth)) => {
-                SharedStats::bump(&self.stats.rejected);
+                self.metrics.on_reject();
                 Err(ServeError::QueueFull {
                     device: self.device,
                     depth,
@@ -3187,6 +2877,97 @@ mod tests {
         }
     }
 
+    /// Run `op` and report the one SMC kind it charged (if any) and how far
+    /// it moved the control clock.
+    fn charged(
+        s: &mut DriverletService,
+        op: impl FnOnce(&mut DriverletService),
+    ) -> (Option<dlt_obs::trace::SmcKind>, u64) {
+        use dlt_obs::trace::SmcKind;
+        let smc = s.metrics.smc();
+        let before: Vec<u64> = SmcKind::ALL.iter().map(|&k| smc.calls(k)).collect();
+        let t0 = s.control_now_ns();
+        op(s);
+        let grown: Vec<SmcKind> = SmcKind::ALL
+            .iter()
+            .zip(before)
+            .filter(|(&k, b)| smc.calls(k) > *b)
+            .map(|(&k, b)| {
+                assert_eq!(smc.calls(k), b + 1, "at most one world switch per operation");
+                k
+            })
+            .collect();
+        assert!(grown.len() <= 1, "one operation charged several SMC kinds: {grown:?}");
+        (grown.first().copied(), s.control_now_ns() - t0)
+    }
+
+    /// Move the control clock past every lane clock, so a reap's
+    /// observation fast-forward is a no-op and only its charge shows.
+    fn observe_everything(s: &mut DriverletService) {
+        let lag = s.now_ns() - s.control_now_ns();
+        s.client_think_ns(lag + 1);
+    }
+
+    #[test]
+    fn charge_table_prices_each_world_switch_exactly() {
+        use dlt_obs::trace::SmcKind;
+        let cost = dlt_hw::CostModel::default();
+        let invoke = cost.world_switch_ns + cost.smc_invoke_ns;
+        let rd = |b: u32| Request::Read { device: Device::Mmc, blkid: b, blkcnt: 1 };
+        for mode in [SubmitMode::PerCall, SubmitMode::Ring] {
+            let per_call = mode == SubmitMode::PerCall;
+            let mut s = mmc_service(ServeConfig {
+                submit_mode: mode,
+                cq_depth: 2,
+                obs: ObsConfig::MetricsOnly,
+                block_granularities: vec![1],
+                ..ServeConfig::default()
+            });
+            let sess = s.open_session().unwrap();
+
+            let submit = charged(&mut s, |s| {
+                s.submit(sess, rd(1)).unwrap();
+            });
+            let expect = if per_call { (Some(SmcKind::Invoke), invoke) } else { (None, 0) };
+            assert_eq!(submit, expect, "{mode:?} submit");
+
+            s.drain_all();
+            observe_everything(&mut s);
+            let waiting = charged(&mut s, |s| assert_eq!(s.take_completions(sess).len(), 1));
+            assert_eq!(waiting, expect, "{mode:?} reap with completions waiting");
+
+            let empty = charged(&mut s, |s| assert!(s.take_completions(sess).is_empty()));
+            let blocking = if per_call {
+                (SmcKind::Invoke, invoke)
+            } else {
+                (SmcKind::Yield, cost.world_switch_ns)
+            };
+            assert_eq!(empty, (Some(blocking.0), blocking.1), "{mode:?} empty reap");
+
+            let overflows = s.stats().cq_overflows;
+            for b in 0..3 {
+                s.submit(sess, rd(b)).unwrap();
+            }
+            s.drain_all();
+            assert_eq!(s.stats().cq_overflows, overflows + 1, "a depth-2 CQ overflows once");
+            observe_everything(&mut s);
+            let flush = charged(&mut s, |s| assert_eq!(s.take_completions(sess).len(), 3));
+            assert_eq!(flush, (Some(blocking.0), blocking.1), "{mode:?} reap after CQ overflow");
+
+            // Detached staging leaves exactly `n` entries for one doorbell.
+            let mut submitter = s.lane_submitter(0).unwrap();
+            for b in 0..5 {
+                submitter.stage(sess, rd(b)).unwrap();
+            }
+            let doorbell = charged(&mut s, |s| assert_eq!(s.ring_doorbell().unwrap(), 5));
+            assert_eq!(
+                doorbell,
+                (Some(SmcKind::Doorbell), cost.ring_doorbell_ns + 5 * cost.ring_entry_validate_ns),
+                "{mode:?} doorbell of 5 entries"
+            );
+        }
+    }
+
     #[test]
     fn doorbell_admits_a_whole_batch_in_one_world_switch() {
         let mut s = mmc_service(ring_config());
@@ -3454,7 +3235,7 @@ mod tests {
         );
         let sess = s.open_session().unwrap();
         let outcome = s
-            .inject_fault_at(
+            .inject_fault(
                 LaneId { device: Device::Mmc, replica: 0 },
                 FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
             )
@@ -3501,7 +3282,7 @@ mod tests {
         );
         let sess = s.open_session().unwrap();
         for replica in 0..2 {
-            s.inject_fault_at(
+            s.inject_fault(
                 LaneId { device: Device::Mmc, replica },
                 FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
             )
@@ -3550,7 +3331,7 @@ mod tests {
             },
         );
         let sess = s.open_session().unwrap();
-        s.inject_fault_at(
+        s.inject_fault(
             LaneId { device: Device::Mmc, replica: 0 },
             FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
         )
@@ -3568,7 +3349,7 @@ mod tests {
         assert_eq!(s.stats().quarantines, 1, "the threshold tripped exactly once");
         // The quarantine's soft reset cleared the fault and the probe
         // passed: the lane is on probation, serving traffic again.
-        let health = s.lane_health_check_at(LaneId { device: Device::Mmc, replica: 0 }).unwrap();
+        let health = s.lane_health_check(LaneId { device: Device::Mmc, replica: 0 }).unwrap();
         assert_eq!(health.state, crate::LaneState::Probation);
         // probation_ok clean completions on the lane restore it.
         s.take_completions(sess);
@@ -3579,7 +3360,7 @@ mod tests {
         assert_eq!(probation.len(), 2);
         assert!(probation.iter().all(|c| c.result.is_ok()));
         assert_eq!(s.stats().lane_restores, 1, "the clean window restored the lane");
-        let health = s.lane_health_check_at(LaneId { device: Device::Mmc, replica: 0 }).unwrap();
+        let health = s.lane_health_check(LaneId { device: Device::Mmc, replica: 0 }).unwrap();
         assert_eq!(health.state, crate::LaneState::Healthy);
         assert_eq!(s.stats().failover_exhausted, 0);
     }
@@ -3601,9 +3382,135 @@ mod tests {
         }
         // Only the live sessions keep a series; churned ones are gone.
         assert_eq!(s.metrics.session_series_count(), 1, "closed sessions left no series behind");
-        let snap = s.metrics_snapshot().unwrap();
+        let snap = s.metrics_snapshot();
         assert_eq!(snap.sessions.len(), 1);
         let _ = keeper;
+    }
+
+    #[test]
+    fn detached_stage_for_a_closed_session_orphans_without_a_series() {
+        let mut s = mmc_service(ServeConfig { obs: ObsConfig::Full, ..ring_config() });
+        let live = s.open_session().unwrap();
+        let closed = s.open_session().unwrap();
+        s.close_session(closed);
+        let mut submitter = s.lane_submitter(0).unwrap();
+        submitter
+            .stage(closed, Request::Read { device: Device::Mmc, blkid: 3, blkcnt: 1 })
+            .unwrap();
+        assert_eq!(s.ring_doorbell().unwrap(), 1);
+        assert_eq!(s.drain_all().len(), 1, "the stale session's entry still executes");
+        assert_eq!(
+            s.metrics.session_series_count(),
+            s.session_count(),
+            "staging for a closed session must not resurrect its series"
+        );
+        let snap = s.metrics_snapshot();
+        assert_eq!(snap.robustness.orphan_outcomes, 1, "the outcome lands in the orphan aggregate");
+        assert_eq!(snap.sessions.iter().map(|x| x.session).collect::<Vec<_>>(), vec![live]);
+    }
+
+    /// The count fields of a snapshot — everything but histograms and host
+    /// stamps.
+    fn snapshot_counters(snap: &MetricsSnapshot) -> impl PartialEq + std::fmt::Debug {
+        let lanes: Vec<[u64; 17]> = snap
+            .lanes
+            .iter()
+            .map(|l| {
+                [
+                    l.submitted,
+                    l.rejected,
+                    l.admitted,
+                    l.completed,
+                    l.diverged,
+                    l.failed,
+                    l.in_queue,
+                    l.occupancy_high_water,
+                    l.replays,
+                    l.coalesced_requests,
+                    l.invocations,
+                    l.merged,
+                    l.blocks_moved,
+                    l.holds,
+                    l.early_unplugs,
+                    l.doorbell_batches,
+                    l.state,
+                ]
+            })
+            .collect();
+        (
+            lanes,
+            snap.smc_by_kind.clone(),
+            [snap.doorbell_entries, snap.cq_overflows],
+            snap.sessions.clone(),
+            snap.route.clone(),
+            snap.robustness.clone(),
+        )
+    }
+
+    #[test]
+    fn counters_do_not_depend_on_the_observability_level() {
+        let policy = RoutePolicy::HashShard { chunk_blocks: 16 };
+        // Never-written blocks homed on the replica the fault will hit.
+        let homed0: Vec<u32> =
+            (256..512u32).filter(|b| policy.replica_for(*b, 2) == 0).take(3).collect();
+        let run = |obs: ObsConfig, submit_mode: SubmitMode| {
+            let mut s = mmc_fleet(
+                2,
+                ServeConfig {
+                    submit_mode,
+                    obs,
+                    cq_depth: 4,
+                    route: RouteConfig { policy, spill: true },
+                    failover: FailoverConfig { enabled: true, ..FailoverConfig::default() },
+                    block_granularities: vec![1, 8],
+                    ..ServeConfig::default()
+                },
+            );
+            let sess = s.open_session().unwrap();
+            let data = vec![5u8; 8 * BLOCK];
+            s.submit(sess, Request::Write { device: Device::Mmc, blkid: 64, data }).unwrap();
+            for b in 0..8 {
+                s.submit(sess, Request::Read { device: Device::Mmc, blkid: 100 + b, blkcnt: 1 })
+                    .unwrap();
+            }
+            s.drain_all();
+            s.take_completions(sess);
+            let fault =
+                FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() };
+            s.inject_fault(LaneId { device: Device::Mmc, replica: 0 }, fault).unwrap();
+            for &b in &homed0 {
+                s.submit(sess, Request::Read { device: Device::Mmc, blkid: b, blkcnt: 1 }).unwrap();
+            }
+            assert!(s.drain_all().iter().all(|c| c.result.is_ok()), "failover served every read");
+            s.take_completions(sess);
+            let smc = [s.smc_calls(), s.smc_doorbells(), s.smc_legacy()];
+            (s.stats(), s.lane_status(), smc, s.metrics_snapshot())
+        };
+        for mode in [SubmitMode::PerCall, SubmitMode::Ring] {
+            let (stats, lanes, smc, snap) = run(ObsConfig::Off, mode);
+            assert!(stats.failovers >= 1, "{mode:?}: the injected fault failed over");
+            assert!(stats.cq_overflows >= 1, "{mode:?}: the depth-4 CQ overflowed");
+            assert!(
+                snap.lanes.iter().all(|l| l.latency_ns.total() == 0)
+                    && snap.doorbell_batch.total() == 0,
+                "{mode:?}: Off records no histograms"
+            );
+            for obs in [ObsConfig::MetricsOnly, ObsConfig::Full] {
+                let (stats_at, lanes_at, smc_at, snap_at) = run(obs, mode);
+                assert_eq!(stats_at, stats, "{mode:?} {obs:?}: stats()");
+                assert_eq!(lanes_at, lanes, "{mode:?} {obs:?}: lane_status()");
+                assert_eq!(smc_at, smc, "{mode:?} {obs:?}: SMC counts");
+                assert_eq!(
+                    snapshot_counters(&snap_at),
+                    snapshot_counters(&snap),
+                    "{mode:?} {obs:?}: snapshot counters"
+                );
+                assert!(
+                    snap_at.lanes.iter().any(|l| l.latency_ns.total() > 0),
+                    "{mode:?} {obs:?}: the latency histograms record"
+                );
+            }
+        }
     }
 
     #[test]

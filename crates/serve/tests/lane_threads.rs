@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use dlt_core::{FaultPlan, ReplayError};
 use dlt_recorder::campaign::record_mmc_driverlet_subset;
 use dlt_serve::{
-    Completion, Device, DriverletService, ExecMode, Payload, Request, RouteConfig, ServeConfig,
-    ServeError, SubmitMode,
+    Completion, Device, DriverletService, ExecMode, LaneId, Payload, Request, RouteConfig,
+    ServeConfig, ServeError, SubmitMode,
 };
 use dlt_template::Driverlet;
 
@@ -224,7 +224,11 @@ fn replica_lanes_serve_the_same_device_independently() {
     for lane in 0..2usize {
         let data = vec![0xA0u8 | lane as u8; 512];
         let id = service
-            .submit_to_lane(lane, session, Request::Write { device: Device::Mmc, blkid: 64, data })
+            .submit_to(
+                LaneId { device: Device::Mmc, replica: lane },
+                session,
+                Request::Write { device: Device::Mmc, blkid: 64, data },
+            )
             .expect("replica write");
         ids.push((lane, id));
     }
@@ -232,8 +236,8 @@ fn replica_lanes_serve_the_same_device_independently() {
     let mut readbacks: Vec<(usize, u64)> = Vec::new();
     for lane in 0..2usize {
         let id = service
-            .submit_to_lane(
-                lane,
+            .submit_to(
+                LaneId { device: Device::Mmc, replica: lane },
                 session,
                 Request::Read { device: Device::Mmc, blkid: 64, blkcnt: 1 },
             )

@@ -7,8 +7,9 @@
 //!   time — with **zero** events dropped at the default ring size.
 //! * The Chrome export must name every registered track and emit one
 //!   complete (`"X"`) span per request.
-//! * `Off` and `MetricsOnly` keep the recorder dark: no events, no
-//!   Chrome trace, and (for `Off`) no metrics snapshot either.
+//! * `Off` and `MetricsOnly` keep the recorder dark: no events and no
+//!   Chrome trace; the counters run at every level, and `Off` leaves the
+//!   histograms empty.
 
 use std::collections::HashSet;
 
@@ -155,12 +156,9 @@ fn off_and_metrics_only_keep_the_recorder_dark() {
         service.drain_all();
         assert!(service.trace_events().is_empty(), "{obs:?} must not record events");
         assert!(service.chrome_trace().is_none(), "{obs:?} must not export a trace");
-        match obs {
-            ObsConfig::Off => assert!(service.metrics_snapshot().is_none()),
-            _ => {
-                let snap = service.metrics_snapshot().expect("metrics plane is on");
-                assert_eq!(snap.lanes[0].completed, 20);
-            }
-        }
+        let snap = service.metrics_snapshot();
+        assert_eq!(snap.lanes[0].completed, 20, "{obs:?}: the counters are always on");
+        let recorded = snap.lanes[0].latency_ns.total();
+        assert_eq!(recorded, if obs == ObsConfig::Off { 0 } else { 20 }, "{obs:?}: histograms");
     }
 }

@@ -297,9 +297,7 @@ fn check_block_device(device: Device, policy: Policy, choices: &[u8]) {
 
 /// The ring-batched flavour of the property: the same generated program
 /// driven through [`SubmitMode::Ring`], with doorbell batch sizes drawn
-/// from the generated bytes and one session submitting through the legacy
-/// per-call SMC path *interleaved* with the ring sessions (the syscall
-/// beside io_uring). Ring batching changes **when** requests become
+/// from the generated bytes. Ring batching changes **when** requests become
 /// visible to the TEE — whole doorbell batches share one admission stamp —
 /// but must never change any payload, violate per-session ordering, or
 /// complete a request before it was submitted.
@@ -314,13 +312,10 @@ fn check_ring_batches(device: Device, policy: Policy, choices: &[u8]) {
     let mut service =
         DriverletService::with_driverlets(&[(device, bundle_for(device).clone())], config)
             .expect("build service");
-    let sessions: Vec<u32> = (0..3).map(|_| service.open_session().unwrap()).collect();
-    // Sessions 0 and 1 stage into the submission ring; session 2 pays one
-    // SMC per call. Each path preserves its sessions' submission order on
-    // its own (ring entries are admitted in enqueue order, per-call
-    // submits are admitted immediately), so the per-session ordering
-    // assertion below must survive any interleaving of the two.
-    let legacy_session = sessions[2];
+    // Both sessions stage into the submission ring, which admits entries
+    // in enqueue order, so the per-session ordering assertion below must
+    // survive any doorbell batching.
+    let sessions: Vec<u32> = (0..2).map(|_| service.open_session().unwrap()).collect();
 
     let mut requests: HashMap<RequestId, Request> = HashMap::new();
     let mut session_of: HashMap<RequestId, u32> = HashMap::new();
@@ -337,18 +332,13 @@ fn check_ring_batches(device: Device, policy: Policy, choices: &[u8]) {
         } else {
             Request::Read { device, blkid, blkcnt }
         };
-        let id = if session == legacy_session {
-            service.submit_per_call(session, req.clone()).expect("legacy submit")
-        } else {
-            let id = service.submit(session, req.clone()).expect("ring enqueue");
-            staged_since_doorbell += 1;
-            // Random doorbell batch sizes: ring after 1..=5 staged entries.
-            if staged_since_doorbell > usize::from(choice % 5) {
-                service.ring_doorbell().expect("doorbell");
-                staged_since_doorbell = 0;
-            }
-            id
-        };
+        let id = service.submit(session, req.clone()).expect("ring enqueue");
+        staged_since_doorbell += 1;
+        // Random doorbell batch sizes: ring after 1..=5 staged entries.
+        if staged_since_doorbell > usize::from(choice % 5) {
+            service.ring_doorbell().expect("doorbell");
+            staged_since_doorbell = 0;
+        }
         requests.insert(id, req);
         session_of.insert(id, session);
     }
@@ -1036,7 +1026,7 @@ fn check_adversarial_fleet(mmc_replicas: usize, choices: &[u8], skip: u64, exec_
     for (i, &choice) in choices.iter().enumerate() {
         if i == half {
             service
-                .inject_fault_at(
+                .inject_fault(
                     LaneId { device: Device::Mmc, replica: 0 },
                     FaultPlan {
                         template: Some("_rd_".into()),
@@ -1141,7 +1131,7 @@ fn check_adversarial_fleet(mmc_replicas: usize, choices: &[u8], skip: u64, exec_
     assert!(tail.iter().all(|c| c.result.is_ok()), "the fleet serves cleanly after the storm");
     assert!(service.stats().lane_restores >= 1, "probation restored the quarantined lane");
     let health = service
-        .lane_health_check_at(LaneId { device: Device::Mmc, replica: 0 })
+        .lane_health_check(LaneId { device: Device::Mmc, replica: 0 })
         .expect("post-probation health");
     assert_eq!(health.state, LaneState::Healthy);
 }

@@ -353,14 +353,12 @@ pub struct TeeKernel {
     trustlets: Vec<Box<dyn Trustlet>>,
     sessions: HashMap<u32, usize>,
     next_session: u32,
-    smc_calls: u64,
-    doorbell_calls: u64,
     /// Optional flight-recorder handle: every world switch is bracketed by
     /// `SmcEnter`/`SmcExit` events carrying the SMC kind in `arg`.
     tracer: Option<TraceHandle>,
-    /// Optional SMC-kind counters shared with the serving layer's metrics
-    /// registry.
-    smc_metrics: Option<Arc<SmcMetrics>>,
+    /// The kernel's SMC counts by kind — its own, or a set shared with the
+    /// serving layer's metrics registry.
+    smc_metrics: Arc<SmcMetrics>,
 }
 
 impl TeeKernel {
@@ -374,10 +372,8 @@ impl TeeKernel {
             trustlets: Vec::new(),
             sessions: HashMap::new(),
             next_session: 1,
-            smc_calls: 0,
-            doorbell_calls: 0,
             tracer: None,
-            smc_metrics: None,
+            smc_metrics: Arc::default(),
         })
     }
 
@@ -387,18 +383,16 @@ impl TeeKernel {
         self.tracer = tracer;
     }
 
-    /// Share an SMC-kind counter set with this kernel; every subsequent
-    /// world switch bumps the counter for its kind.
+    /// Count this kernel's SMCs in a shared counter set (replacing its
+    /// own); every subsequent world switch bumps the counter for its kind.
     pub fn set_smc_metrics(&mut self, metrics: Arc<SmcMetrics>) {
-        self.smc_metrics = Some(metrics);
+        self.smc_metrics = metrics;
     }
 
-    /// Record one world switch of `kind` against the metrics plane and, when
-    /// tracing, emit the `SmcEnter` instant. Pairs with [`Self::smc_exit`].
+    /// Count one world switch of `kind` and, when tracing, emit the
+    /// `SmcEnter` instant. Pairs with [`Self::smc_exit`].
     fn smc_enter(&mut self, kind: SmcKind, session: u32) {
-        if let Some(m) = &self.smc_metrics {
-            m.record(kind);
-        }
+        self.smc_metrics.record(kind);
         if let Some(t) = self.tracer.as_mut() {
             let now = self.io.now_ns();
             t.emit(EventKind::SmcEnter, now, session, 0, kind as u64);
@@ -476,8 +470,6 @@ impl TeeKernel {
         buf: &mut [u8],
     ) -> Result<u64, TeeError> {
         self.smc_enter(SmcKind::Doorbell, 0);
-        self.smc_calls += 1;
-        self.doorbell_calls += 1;
         {
             let mut clock = self.io.clock.lock();
             let ns = clock.cost().ring_doorbell_ns;
@@ -521,21 +513,22 @@ impl TeeKernel {
     /// Number of SMCs (world switches into the TEE) performed, doorbells
     /// included.
     pub fn smc_calls(&self) -> u64 {
-        self.smc_calls
+        self.smc_metrics.total()
     }
 
     /// World switches that were ring doorbells ([`TeeKernel::invoke_batch`]).
     pub fn smc_doorbells(&self) -> u64 {
-        self.doorbell_calls
+        self.smc_metrics.calls(SmcKind::Doorbell)
     }
 
     /// World switches on the legacy per-call path (open/invoke/close/yield).
     pub fn smc_legacy(&self) -> u64 {
-        self.smc_calls - self.doorbell_calls
+        self.smc_calls() - self.smc_doorbells()
     }
 
+    /// Charge one world switch to the control clock (counted by
+    /// [`Self::smc_enter`]).
     fn smc(&mut self) {
-        self.smc_calls += 1;
         self.io.clock.lock().charge_world_switch();
     }
 }
