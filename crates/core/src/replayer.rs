@@ -855,8 +855,8 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlt_hw::device::MmioDevice;
-    use dlt_hw::{shared, IrqController, Platform, Shared};
+    use dlt_hw::device::{DeviceCtx, MmioDevice, Window};
+    use dlt_hw::Platform;
     use dlt_template::{
         Constraint, DataDirection, DmaRole, Event, Iface, ParamSpec, ReadSink, RecordedEvent,
         SymExpr, Template, TemplateMeta,
@@ -921,58 +921,50 @@ mod tests {
     const RIG_IRQ: u32 = 49;
 
     struct RigDev {
-        irqs: Shared<IrqController>,
         status: u32,
         arg: u32,
         busy_until: u64,
     }
 
+    const RIG_WINDOWS: &[Window] =
+        &[Window { name: "rig", base: RIG_BASE, len: 0x100, irq_line: Some(RIG_IRQ) }];
+
     impl MmioDevice for RigDev {
-        fn name(&self) -> &'static str {
-            "rig"
+        fn windows(&self) -> &'static [Window] {
+            RIG_WINDOWS
         }
-        fn mmio_base(&self) -> u64 {
-            RIG_BASE
-        }
-        fn mmio_len(&self) -> u64 {
-            0x100
-        }
-        fn read32(&mut self, offset: u64, now: u64) -> u32 {
+        fn read32(&mut self, _window: usize, offset: u64, ctx: &mut DeviceCtx<'_>) -> u32 {
             match offset {
                 0x0 => self.status,
                 0x4 => self.arg,
-                0x8 => u32::from(now < self.busy_until), // BUSY flag
-                0xc => 0x2a,                             // constant ID register
+                0x8 => u32::from(ctx.now_ns < self.busy_until), // BUSY flag
+                0xc => 0x2a,                                    // constant ID register
                 _ => 0,
             }
         }
-        fn write32(&mut self, offset: u64, val: u32, now: u64) {
+        fn write32(&mut self, _window: usize, offset: u64, val: u32, ctx: &mut DeviceCtx<'_>) {
             match offset {
                 0x0 => self.status = val,
                 0x4 => {
                     self.arg = val;
                     // Kick: busy for 30 us, then raise the IRQ.
-                    self.busy_until = now + 30_000;
-                    self.irqs.lock().assert_at(RIG_IRQ, self.busy_until);
+                    self.busy_until = ctx.now_ns + 30_000;
+                    ctx.irqs.assert_at(RIG_IRQ, self.busy_until);
                 }
                 _ => {}
             }
         }
-        fn tick(&mut self, _now: u64) {}
-        fn soft_reset(&mut self, _now: u64) {
+        fn tick(&mut self, _ctx: &mut DeviceCtx<'_>) {}
+        fn soft_reset(&mut self, _window: usize, _ctx: &mut DeviceCtx<'_>) {
             self.status = 0;
             self.arg = 0;
             self.busy_until = 0;
-        }
-        fn irq_line(&self) -> Option<u32> {
-            Some(RIG_IRQ)
         }
     }
 
     fn rig_platform() -> Platform {
         let p = Platform::new();
-        let dev = shared(RigDev { irqs: p.irqs.clone(), status: 0, arg: 0, busy_until: 0 });
-        p.bus.lock().attach(dlt_hw::device::SharedDevice::boxed(dev)).unwrap();
+        p.bus.lock().attach(Box::new(RigDev { status: 0, arg: 0, busy_until: 0 })).unwrap();
         p.bus.lock().set_device_secure("rig", true).unwrap();
         p
     }
@@ -1212,24 +1204,15 @@ mod tests {
         // device literally named "dma" qualified.
         struct AuxDev;
         impl MmioDevice for AuxDev {
-            fn name(&self) -> &'static str {
-                "aux-engine"
+            fn windows(&self) -> &'static [Window] {
+                &[Window { name: "aux-engine", base: 0x3f50_0000, len: 0x100, irq_line: None }]
             }
-            fn mmio_base(&self) -> u64 {
-                0x3f50_0000
-            }
-            fn mmio_len(&self) -> u64 {
-                0x100
-            }
-            fn read32(&mut self, _offset: u64, _now: u64) -> u32 {
+            fn read32(&mut self, _window: usize, _offset: u64, _ctx: &mut DeviceCtx<'_>) -> u32 {
                 0
             }
-            fn write32(&mut self, _offset: u64, _val: u32, _now: u64) {}
-            fn tick(&mut self, _now: u64) {}
-            fn soft_reset(&mut self, _now: u64) {}
-            fn irq_line(&self) -> Option<u32> {
-                None
-            }
+            fn write32(&mut self, _: usize, _: u64, _: u32, _: &mut DeviceCtx<'_>) {}
+            fn tick(&mut self, _ctx: &mut DeviceCtx<'_>) {}
+            fn soft_reset(&mut self, _window: usize, _ctx: &mut DeviceCtx<'_>) {}
         }
         let platform = rig_platform();
         platform.bus.lock().attach(Box::new(AuxDev)).unwrap();

@@ -21,8 +21,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dlt_core::Replayer;
-use dlt_hw::device::MmioDevice;
-use dlt_hw::{shared, IrqController, Platform, Shared};
+use dlt_hw::device::{DeviceCtx, MmioDevice, Window};
+use dlt_hw::Platform;
 use dlt_tee::SecureIo;
 use dlt_template::{
     Constraint, DataDirection, DmaRole, Driverlet, Event, Iface, ParamSpec, ReadSink,
@@ -55,45 +55,38 @@ const IRQ: u32 = 51;
 
 /// A stub device that never allocates in its access/tick/reset paths.
 struct NullDev {
-    irqs: Shared<IrqController>,
     value: u32,
     busy_until: u64,
 }
 
+const WINDOWS: &[Window] =
+    &[Window { name: "null-dev", base: BASE, len: 0x100, irq_line: Some(IRQ) }];
+
 impl MmioDevice for NullDev {
-    fn name(&self) -> &'static str {
-        "null-dev"
+    fn windows(&self) -> &'static [Window] {
+        WINDOWS
     }
-    fn mmio_base(&self) -> u64 {
-        BASE
-    }
-    fn mmio_len(&self) -> u64 {
-        0x100
-    }
-    fn read32(&mut self, offset: u64, now: u64) -> u32 {
+    fn read32(&mut self, _window: usize, offset: u64, ctx: &mut DeviceCtx<'_>) -> u32 {
         match offset {
             0x0 => self.value,
-            0x4 => u32::from(now < self.busy_until),
+            0x4 => u32::from(ctx.now_ns < self.busy_until),
             _ => 0,
         }
     }
-    fn write32(&mut self, offset: u64, val: u32, now: u64) {
+    fn write32(&mut self, _window: usize, offset: u64, val: u32, ctx: &mut DeviceCtx<'_>) {
         match offset {
             0x0 => self.value = val,
             0x8 => {
-                self.busy_until = now + 20_000;
-                self.irqs.lock().assert_at(IRQ, self.busy_until);
+                self.busy_until = ctx.now_ns + 20_000;
+                ctx.irqs.assert_at(IRQ, self.busy_until);
             }
             _ => {}
         }
     }
-    fn tick(&mut self, _now: u64) {}
-    fn soft_reset(&mut self, _now: u64) {
+    fn tick(&mut self, _ctx: &mut DeviceCtx<'_>) {}
+    fn soft_reset(&mut self, _window: usize, _ctx: &mut DeviceCtx<'_>) {
         self.value = 0;
         self.busy_until = 0;
-    }
-    fn irq_line(&self) -> Option<u32> {
-        Some(IRQ)
     }
     fn next_deadline_ns(&self) -> Option<u64> {
         (self.busy_until > 0).then_some(self.busy_until)
@@ -181,8 +174,7 @@ fn full_vocabulary_template() -> Template {
 #[test]
 fn compiled_replay_is_allocation_free_when_warm() {
     let platform = Platform::new();
-    let dev = shared(NullDev { irqs: platform.irqs.clone(), value: 0, busy_until: 0 });
-    platform.bus.lock().attach(dlt_hw::device::SharedDevice::boxed(dev)).unwrap();
+    platform.bus.lock().attach(Box::new(NullDev { value: 0, busy_until: 0 })).unwrap();
     platform.bus.lock().set_device_secure("null-dev", true).unwrap();
 
     let mut d = Driverlet::new("null-dev", "replay_alloc_free", vec![full_vocabulary_template()]);
@@ -219,8 +211,7 @@ fn compiled_replay_is_allocation_free_when_warm() {
     // Sanity: the interpreted baseline *does* allocate on the same workload,
     // so the counter demonstrably observes this code path.
     let platform2 = Platform::new();
-    let dev2 = shared(NullDev { irqs: platform2.irqs.clone(), value: 0, busy_until: 0 });
-    platform2.bus.lock().attach(dlt_hw::device::SharedDevice::boxed(dev2)).unwrap();
+    platform2.bus.lock().attach(Box::new(NullDev { value: 0, busy_until: 0 })).unwrap();
     platform2.bus.lock().set_device_secure("null-dev", true).unwrap();
     let mut d2 = Driverlet::new("null-dev", "replay_alloc_free", vec![full_vocabulary_template()]);
     d2.sign(b"zero");

@@ -1,10 +1,10 @@
 //! The data FIFO link shared by the SDHOST controller and the DMA engine.
 //!
 //! On the real SoC the DMA engine issues reads/writes against the SDDATA
-//! register using the DREQ handshake. In the simulation the two device models
-//! share this byte FIFO: the controller fills it with card data (reads) or
-//! drains it into the card (writes); the DMA engine moves bytes between the
-//! FIFO and physical memory according to its control blocks.
+//! register using the DREQ handshake. In the simulation the controller owns
+//! this byte FIFO and fills it with card data (reads) or drains it into the
+//! card (writes); the DMA engine borrows it to move bytes between the FIFO
+//! and physical memory according to its control blocks.
 
 use std::collections::VecDeque;
 
@@ -19,7 +19,7 @@ pub enum FifoDir {
     HostToCard,
 }
 
-/// The shared FIFO.
+/// The data FIFO.
 #[derive(Debug)]
 pub struct FifoLink {
     buf: VecDeque<u8>,

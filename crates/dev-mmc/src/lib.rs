@@ -17,6 +17,9 @@
 //!   the full driver for multi-block transfers (Figure 4's descriptor
 //!   topology: one 4 KiB page and one descriptor per eight 512-byte blocks).
 //!
+//! [`MmcController`] owns the controller and the DMA engine and serves both
+//! register windows on the bus, so the data FIFO they share has one owner.
+//!
 //! The device FSMs are strictly data-independent (the paper's design
 //! prerequisite, §3.1): the state transition path depends only on the request
 //! shape (read vs write, block count), never on block contents.
@@ -56,55 +59,101 @@ pub const BLOCK_SIZE: usize = 512;
 /// is sparse so the full range is addressable without allocating 16 GB.
 pub const CARD_BLOCKS: u64 = 31_457_280;
 
-use dlt_hw::{shared, Platform, Shared};
+use dlt_hw::device::{DeviceCtx, MmioDevice, Window};
+use dlt_hw::irq::lines;
+use dlt_hw::{CostModel, Platform};
 
-/// Everything the MMC path needs, constructed and wired onto a platform bus.
-pub struct MmcSubsystem {
-    /// Typed handle to the controller (the card lives inside it).
-    pub sdhost: Shared<SdHost>,
-    /// Typed handle to the DMA engine.
-    pub dma: Shared<DmaEngine>,
-    /// The FIFO link shared by the controller and the DMA engine.
-    pub fifo: Shared<FifoLink>,
+/// The MMC path's one bus device: the SDHOST controller (with its card and
+/// data FIFO) and the system DMA engine that drains and fills that FIFO. It
+/// serves both register windows, so the FIFO has a single owner.
+pub struct MmcController {
+    /// The SDHOST controller and its card.
+    pub sdhost: SdHost,
+    /// The system DMA engine.
+    pub dma: DmaEngine,
 }
+
+/// Index of the SDHOST window in [`MmcController`]'s windows.
+const SDHOST_WINDOW: usize = 0;
+
+const WINDOWS: &[Window] = &[
+    Window { name: "sdhost", base: SDHOST_BASE, len: SDHOST_LEN, irq_line: Some(lines::MMC) },
+    Window { name: "dma", base: DMA_BASE, len: DMA_LEN, irq_line: Some(lines::DMA) },
+];
+
+impl MmcController {
+    /// A controller wrapping `card`, with an idle DMA engine.
+    pub fn new(card: SdCard, cost: CostModel) -> Self {
+        MmcController { dma: DmaEngine::new(cost.clone()), sdhost: SdHost::new(card, cost) }
+    }
+}
+
+impl MmioDevice for MmcController {
+    fn windows(&self) -> &'static [Window] {
+        WINDOWS
+    }
+
+    fn read32(&mut self, window: usize, offset: u64, ctx: &mut DeviceCtx<'_>) -> u32 {
+        match window {
+            SDHOST_WINDOW => self.sdhost.read32(offset, ctx),
+            _ => self.dma.read32(offset, &mut self.sdhost.fifo, ctx),
+        }
+    }
+
+    fn write32(&mut self, window: usize, offset: u64, val: u32, ctx: &mut DeviceCtx<'_>) {
+        match window {
+            SDHOST_WINDOW => self.sdhost.write32(offset, val, ctx),
+            _ => self.dma.write32(offset, val, &mut self.sdhost.fifo, ctx),
+        }
+    }
+
+    fn tick(&mut self, ctx: &mut DeviceCtx<'_>) {
+        self.sdhost.tick(ctx);
+        self.dma.tick(&mut self.sdhost.fifo, ctx);
+    }
+
+    fn soft_reset(&mut self, window: usize, _ctx: &mut DeviceCtx<'_>) {
+        match window {
+            SDHOST_WINDOW => self.sdhost.soft_reset(),
+            _ => self.dma.soft_reset(),
+        }
+    }
+
+    fn next_deadline_ns(&self) -> Option<u64> {
+        let dma = self.dma.next_deadline_ns(&self.sdhost.fifo);
+        self.sdhost.next_deadline_ns().into_iter().chain(dma).min()
+    }
+}
+
+/// The MMC path wired onto a platform bus. Reach the controller, its card
+/// and the DMA engine with `platform.bus.lock().device::<MmcController>()`.
+pub struct MmcSubsystem;
 
 impl MmcSubsystem {
     /// Build the MMC controller, card and DMA engine and attach them to the
     /// platform's bus.
     pub fn attach(platform: &Platform) -> dlt_hw::HwResult<Self> {
-        let fifo = shared(FifoLink::new());
-        let card = SdCard::formatted(CARD_BLOCKS);
-        let sdhost =
-            shared(SdHost::new(card, fifo.clone(), platform.irqs.clone(), platform.cost()));
-        let dma = shared(DmaEngine::new(
-            fifo.clone(),
-            platform.mem.clone(),
-            platform.irqs.clone(),
-            platform.cost(),
-        ));
-        {
-            let mut bus = platform.bus.lock();
-            bus.attach(dlt_hw::device::SharedDevice::boxed(sdhost.clone()))?;
-            bus.attach(dlt_hw::device::SharedDevice::boxed(dma.clone()))?;
-        }
-        Ok(MmcSubsystem { sdhost, dma, fifo })
+        let controller = MmcController::new(SdCard::formatted(CARD_BLOCKS), platform.cost());
+        platform.attach(Box::new(controller))?;
+        Ok(MmcSubsystem)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlt_hw::MmioDevice;
 
     #[test]
     fn subsystem_attaches_both_devices() {
         let p = Platform::new();
-        let sys = MmcSubsystem::attach(&p).unwrap();
-        let names = p.bus.lock().device_names();
+        MmcSubsystem::attach(&p).unwrap();
+        let mut bus = p.bus.lock();
+        let names = bus.device_names();
         assert!(names.contains(&"sdhost"));
         assert!(names.contains(&"dma"));
-        assert!(sys.sdhost.lock().is_idle());
-        assert!(sys.dma.lock().is_idle());
+        let mmc = bus.device::<MmcController>().unwrap();
+        assert!(mmc.sdhost.is_idle());
+        assert!(mmc.dma.is_idle());
     }
 
     #[test]

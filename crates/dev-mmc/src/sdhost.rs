@@ -3,7 +3,8 @@
 //! The controller sits between the driver-visible register file and the
 //! [`crate::card::SdCard`]. Data moves through a FIFO which is either drained
 //! by PIO accesses to `SDDATA` or by the system DMA engine
-//! ([`crate::dma::DmaEngine`]) via the shared [`crate::fifo::FifoLink`].
+//! ([`crate::dma::DmaEngine`]), which borrows the controller's
+//! [`crate::fifo::FifoLink`] from the [`crate::MmcController`] owning both.
 //!
 //! The model reproduces the behaviours the paper's templates depend on:
 //!
@@ -18,14 +19,14 @@
 //!   the paper's fault-injection experiment sees diverge when the medium is
 //!   unplugged (§8.2.1).
 
-use dlt_hw::device::{MmioDevice, RegBank};
+use dlt_hw::device::{DeviceCtx, RegBank};
 use dlt_hw::irq::lines;
-use dlt_hw::{CostModel, IrqController, Shared};
+use dlt_hw::CostModel;
 
 use crate::card::{CmdResult, SdCard};
 use crate::fifo::{FifoDir, FifoLink};
 use crate::regs::{self, sdcmd, sdedm, sdhcfg, sdhsts};
-use crate::{BLOCK_SIZE, SDHOST_BASE, SDHOST_LEN};
+use crate::BLOCK_SIZE;
 
 /// An in-flight data operation.
 #[derive(Debug, Clone)]
@@ -42,12 +43,11 @@ struct DataOp {
     committed: bool,
 }
 
-/// The SDHOST controller with its SD card.
+/// The SDHOST controller with its SD card and data FIFO.
 pub struct SdHost {
     regs: RegBank,
     card: SdCard,
-    fifo: Shared<FifoLink>,
-    irqs: Shared<IrqController>,
+    pub(crate) fifo: FifoLink,
     cost: CostModel,
     /// Deadline at which the currently issued command's NEW_FLAG clears.
     cmd_done_ns: Option<u64>,
@@ -59,12 +59,7 @@ pub struct SdHost {
 
 impl SdHost {
     /// Create a controller wrapping `card`.
-    pub fn new(
-        card: SdCard,
-        fifo: Shared<FifoLink>,
-        irqs: Shared<IrqController>,
-        cost: CostModel,
-    ) -> Self {
+    pub fn new(card: SdCard, cost: CostModel) -> Self {
         let mut regs = RegBank::new();
         for (off, _) in regs::SDHOST_REGISTERS {
             regs.define(*off, 0);
@@ -74,8 +69,7 @@ impl SdHost {
         SdHost {
             regs,
             card,
-            fifo,
-            irqs,
+            fifo: FifoLink::new(),
             cost,
             cmd_done_ns: None,
             op: None,
@@ -105,11 +99,6 @@ impl SdHost {
         self.irqs_raised
     }
 
-    fn raise_irq(&mut self, deadline_ns: u64) {
-        self.irqs.lock().assert_at(lines::MMC, deadline_ns);
-        self.irqs_raised += 1;
-    }
-
     fn irq_enabled_for(&self, sts_bits: u32) -> bool {
         let cfg = self.regs.get(regs::SDHCFG);
         (sts_bits & sdhsts::BLOCK_IRPT != 0 && cfg & sdhcfg::BLOCK_IRPT_EN != 0)
@@ -117,21 +106,23 @@ impl SdHost {
             || (sts_bits & sdhsts::SDIO_IRPT != 0 && cfg & sdhcfg::SDIO_IRPT_EN != 0)
     }
 
-    fn post_status(&mut self, bits: u32, now_ns: u64) {
+    fn post_status(&mut self, bits: u32, ctx: &mut DeviceCtx<'_>) {
         self.regs.set_bits(regs::SDHSTS, bits);
         if self.irq_enabled_for(bits) {
-            self.raise_irq(now_ns + self.cost.irq_delivery_ns);
+            ctx.irqs.assert_at(lines::MMC, ctx.now_ns + self.cost.irq_delivery_ns);
+            self.irqs_raised += 1;
         }
     }
 
     fn set_fsm(&mut self, fsm: u32) {
-        let level = self.fifo.lock().level_words() as u32;
+        let level = self.fifo.level_words() as u32;
         let edm = (fsm & sdedm::FSM_MASK)
             | ((level.min(sdedm::FIFO_LEVEL_MASK)) << sdedm::FIFO_LEVEL_SHIFT);
         self.regs.set(regs::SDEDM, edm);
     }
 
-    fn issue_command(&mut self, cmdreg: u32, now_ns: u64) {
+    fn issue_command(&mut self, cmdreg: u32, ctx: &mut DeviceCtx<'_>) {
+        let now_ns = ctx.now_ns;
         self.commands_issued += 1;
         let index = (cmdreg & sdcmd::INDEX_MASK) as u8;
         let arg = self.regs.get(regs::SDARG);
@@ -159,7 +150,7 @@ impl SdHost {
         let mut newcmd = cmdreg;
         if matches!(result, CmdResult::Timeout) {
             newcmd |= sdcmd::FAIL_FLAG;
-            self.post_status(sdhsts::CMD_TIME_OUT, now_ns);
+            self.post_status(sdhsts::CMD_TIME_OUT, ctx);
             // The command never really executes; NEW clears after the timeout
             // interval so the polling driver observes the failure.
             self.cmd_done_ns = Some(now_ns + self.cost.sd_cmd_ns);
@@ -189,15 +180,13 @@ impl SdHost {
                 // Pull the data out of the card now; it becomes visible to the
                 // FIFO consumers only once the media deadline passes.
                 let data = self.card.read_blocks(u64::from(arg), blocks);
-                let mut fifo = self.fifo.lock();
-                fifo.begin(FifoDir::CardToHost, media_deadline_ns);
+                self.fifo.begin(FifoDir::CardToHost, media_deadline_ns);
                 if let Some(bytes) = data {
-                    fifo.push_bytes(&bytes);
+                    self.fifo.push_bytes(&bytes);
                 }
-                drop(fifo);
                 self.set_fsm(sdedm::FSM_READDATA);
             } else {
-                self.fifo.lock().begin(FifoDir::HostToCard, now_ns);
+                self.fifo.begin(FifoDir::HostToCard, now_ns);
                 self.set_fsm(sdedm::FSM_WRITEDATA);
             }
 
@@ -215,7 +204,8 @@ impl SdHost {
         }
     }
 
-    fn progress(&mut self, now_ns: u64) {
+    fn progress(&mut self, ctx: &mut DeviceCtx<'_>) {
+        let now_ns = ctx.now_ns;
         // Command-done: clear NEW_FLAG so pollers observe completion.
         if let Some(done) = self.cmd_done_ns {
             if now_ns >= done {
@@ -230,12 +220,12 @@ impl SdHost {
         if op.read {
             if !op.completed && now_ns >= op.media_deadline_ns {
                 op.completed = true;
-                self.post_status(sdhsts::DATA_FLAG | sdhsts::BLOCK_IRPT, now_ns);
+                self.post_status(sdhsts::DATA_FLAG | sdhsts::BLOCK_IRPT, ctx);
                 self.set_fsm(sdedm::FSM_READDATA);
             }
             // The read op retires once the FIFO has been fully drained.
-            if op.completed && self.fifo.lock().level() == 0 {
-                self.fifo.lock().finish();
+            if op.completed && self.fifo.level() == 0 {
+                self.fifo.finish();
                 self.set_fsm(sdedm::FSM_DATAMODE);
                 self.op = None;
                 return;
@@ -243,20 +233,20 @@ impl SdHost {
         } else {
             let expected = op.blocks as usize * op.block_size;
             if !op.committed {
-                let level = self.fifo.lock().level();
+                let level = self.fifo.level();
                 if level >= expected
                     && now_ns
                         >= op
                             .media_deadline_ns
                             .saturating_sub(u64::from(op.blocks) * self.cost.sd_write_block_ns)
                 {
-                    let data = self.fifo.lock().pop_bytes(expected);
+                    let data = self.fifo.pop_bytes(expected);
                     let ok = self.card.write_blocks(u64::from(op.lba), &data);
                     op.committed = true;
                     if !ok {
-                        self.post_status(sdhsts::REW_TIME_OUT, now_ns);
+                        self.post_status(sdhsts::REW_TIME_OUT, ctx);
                         self.set_fsm(sdedm::FSM_IDENTMODE);
-                        self.fifo.lock().finish();
+                        self.fifo.finish();
                         self.op = None;
                         return;
                     }
@@ -264,8 +254,8 @@ impl SdHost {
                 }
             }
             if op.committed && !op.completed && now_ns >= op.media_deadline_ns {
-                self.post_status(sdhsts::BUSY_IRPT | sdhsts::BLOCK_IRPT, now_ns);
-                self.fifo.lock().finish();
+                self.post_status(sdhsts::BUSY_IRPT | sdhsts::BLOCK_IRPT, ctx);
+                self.fifo.finish();
                 self.set_fsm(sdedm::FSM_DATAMODE);
                 self.op = None;
                 return;
@@ -273,32 +263,15 @@ impl SdHost {
         }
         self.op = Some(op);
     }
-}
 
-impl MmioDevice for SdHost {
-    fn name(&self) -> &'static str {
-        "sdhost"
-    }
-
-    fn mmio_base(&self) -> u64 {
-        SDHOST_BASE
-    }
-
-    fn mmio_len(&self) -> u64 {
-        SDHOST_LEN
-    }
-
-    fn read32(&mut self, offset: u64, now_ns: u64) -> u32 {
-        self.progress(now_ns);
+    /// Read a register at `offset` from the SDHOST window base.
+    pub fn read32(&mut self, offset: u64, ctx: &mut DeviceCtx<'_>) -> u32 {
+        self.progress(ctx);
         match offset {
             regs::SDDATA => {
-                let ready = {
-                    let f = self.fifo.lock();
-                    f.data_ready(now_ns) && f.level() > 0
-                };
-                if ready {
-                    let w = self.fifo.lock().pop_word();
-                    self.progress(now_ns);
+                if self.fifo.data_ready(ctx.now_ns) && self.fifo.level() > 0 {
+                    let w = self.fifo.pop_word();
+                    self.progress(ctx);
                     w
                 } else {
                     self.regs.set_bits(regs::SDHSTS, sdhsts::FIFO_ERROR);
@@ -317,8 +290,9 @@ impl MmioDevice for SdHost {
         }
     }
 
-    fn write32(&mut self, offset: u64, val: u32, now_ns: u64) {
-        self.progress(now_ns);
+    /// Write a register at `offset` from the SDHOST window base.
+    pub fn write32(&mut self, offset: u64, val: u32, ctx: &mut DeviceCtx<'_>) {
+        self.progress(ctx);
         match offset {
             regs::SDVDD => {
                 self.powered = val & 1 != 0;
@@ -329,33 +303,35 @@ impl MmioDevice for SdHost {
                 let cur = self.regs.get(regs::SDHSTS);
                 self.regs.set(regs::SDHSTS, cur & !val);
                 if val != 0 {
-                    self.irqs.lock().clear(lines::MMC);
+                    ctx.irqs.clear(lines::MMC);
                 }
             }
             regs::SDCMD => {
                 if val & sdcmd::NEW_FLAG != 0 {
-                    self.issue_command(val, now_ns);
+                    self.issue_command(val, ctx);
                 } else {
                     self.regs.set(regs::SDCMD, val);
                 }
             }
             regs::SDDATA => {
-                self.fifo.lock().push_word(val);
-                self.progress(now_ns);
+                self.fifo.push_word(val);
+                self.progress(ctx);
             }
             _ => self.regs.set(offset, val),
         }
-        self.progress(now_ns);
+        self.progress(ctx);
     }
 
-    fn tick(&mut self, now_ns: u64) {
-        self.progress(now_ns);
+    /// Make progress up to `ctx.now_ns`.
+    pub fn tick(&mut self, ctx: &mut DeviceCtx<'_>) {
+        self.progress(ctx);
     }
 
-    fn soft_reset(&mut self, _now_ns: u64) {
+    /// Soft reset: a clean, initialised controller and card.
+    pub fn soft_reset(&mut self) {
         self.regs.reset();
         self.regs.set(regs::SDVER, 0x2835_0001);
-        self.fifo.lock().finish();
+        self.fifo.finish();
         self.cmd_done_ns = None;
         self.op = None;
         self.powered = true;
@@ -363,19 +339,13 @@ impl MmioDevice for SdHost {
         self.set_fsm(sdedm::FSM_DATAMODE);
     }
 
-    fn irq_line(&self) -> Option<u32> {
-        Some(lines::MMC)
-    }
-
-    fn register_map(&self) -> Vec<(u64, &'static str)> {
-        regs::SDHOST_REGISTERS.iter().map(|(o, n)| (*o, *n)).collect()
-    }
-
-    fn is_idle(&self) -> bool {
+    /// Whether no command or data operation is in flight.
+    pub fn is_idle(&self) -> bool {
         self.op.is_none() && self.cmd_done_ns.is_none()
     }
 
-    fn next_deadline_ns(&self) -> Option<u64> {
+    /// The controller's next time-driven transition, if any.
+    pub fn next_deadline_ns(&self) -> Option<u64> {
         // Command completion and media latency are the host's only
         // time-driven transitions; FIFO drain is event-driven (the DMA
         // engine reports its own deadline).
@@ -390,116 +360,142 @@ impl MmioDevice for SdHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlt_hw::shared;
+    use dlt_hw::{IrqController, PhysMem};
 
-    fn fixture() -> (SdHost, Shared<FifoLink>, Shared<IrqController>) {
-        let fifo = shared(FifoLink::new());
-        let irqs = shared(IrqController::new());
-        let card = SdCard::formatted(4096);
-        let host = SdHost::new(card, fifo.clone(), irqs.clone(), CostModel::default());
-        (host, fifo, irqs)
+    /// A controller with the memory and interrupt controller a bus would
+    /// lend it.
+    struct Rig {
+        host: SdHost,
+        mem: PhysMem,
+        irqs: IrqController,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let host = SdHost::new(SdCard::formatted(4096), CostModel::default());
+            Rig { host, mem: PhysMem::new(0, 0), irqs: IrqController::new() }
+        }
+
+        fn ctx(&mut self, now_ns: u64) -> (&mut SdHost, DeviceCtx<'_>) {
+            (&mut self.host, DeviceCtx { now_ns, mem: &mut self.mem, irqs: &mut self.irqs })
+        }
+
+        fn read32(&mut self, offset: u64, now: u64) -> u32 {
+            let (host, mut ctx) = self.ctx(now);
+            host.read32(offset, &mut ctx)
+        }
+
+        fn write32(&mut self, offset: u64, val: u32, now: u64) {
+            let (host, mut ctx) = self.ctx(now);
+            host.write32(offset, val, &mut ctx)
+        }
+
+        fn tick(&mut self, now: u64) {
+            let (host, mut ctx) = self.ctx(now);
+            host.tick(&mut ctx)
+        }
     }
 
     /// Bring the controller+card to the transfer state the way the full
     /// driver's probe path would, but condensed (the gold driver in
     /// dlt-gold-drivers performs the full sequence; here we only need the
     /// card usable).
-    fn power_and_init(host: &mut SdHost) {
-        host.write32(regs::SDVDD, 1, 0);
-        host.write32(regs::SDHCFG, sdhcfg::BLOCK_IRPT_EN | sdhcfg::BUSY_IRPT_EN, 0);
-        host.write32(regs::SDHBCT, BLOCK_SIZE as u32, 0);
-        host.card_mut().fast_init();
+    fn power_and_init(rig: &mut Rig) {
+        rig.write32(regs::SDVDD, 1, 0);
+        rig.write32(regs::SDHCFG, sdhcfg::BLOCK_IRPT_EN | sdhcfg::BUSY_IRPT_EN, 0);
+        rig.write32(regs::SDHBCT, BLOCK_SIZE as u32, 0);
+        rig.host.card_mut().fast_init();
     }
 
-    fn issue(host: &mut SdHost, index: u8, arg: u32, flags: u32, now: u64) {
-        host.write32(regs::SDARG, arg, now);
-        host.write32(regs::SDCMD, sdcmd::NEW_FLAG | flags | u32::from(index), now);
+    fn issue(rig: &mut Rig, index: u8, arg: u32, flags: u32, now: u64) {
+        rig.write32(regs::SDARG, arg, now);
+        rig.write32(regs::SDCMD, sdcmd::NEW_FLAG | flags | u32::from(index), now);
     }
 
     #[test]
     fn command_new_flag_clears_after_latency() {
-        let (mut host, _f, _i) = fixture();
-        power_and_init(&mut host);
-        issue(&mut host, 13, 0x4567 << 16, 0, 1_000);
-        assert!(host.read32(regs::SDCMD, 1_000) & sdcmd::NEW_FLAG != 0);
+        let mut rig = Rig::new();
+        power_and_init(&mut rig);
+        issue(&mut rig, 13, 0x4567 << 16, 0, 1_000);
+        assert!(rig.read32(regs::SDCMD, 1_000) & sdcmd::NEW_FLAG != 0);
         let done = 1_000 + CostModel::default().sd_cmd_ns + 1;
-        assert!(host.read32(regs::SDCMD, done) & sdcmd::NEW_FLAG == 0);
+        assert!(rig.read32(regs::SDCMD, done) & sdcmd::NEW_FLAG == 0);
     }
 
     #[test]
     fn unpowered_controller_times_out_commands() {
-        let (mut host, _f, _i) = fixture();
-        issue(&mut host, 13, 0, 0, 0);
-        assert!(host.read32(regs::SDCMD, 0) & sdcmd::FAIL_FLAG != 0);
-        assert!(host.read32(regs::SDHSTS, 0) & sdhsts::CMD_TIME_OUT != 0);
+        let mut rig = Rig::new();
+        issue(&mut rig, 13, 0, 0, 0);
+        assert!(rig.read32(regs::SDCMD, 0) & sdcmd::FAIL_FLAG != 0);
+        assert!(rig.read32(regs::SDHSTS, 0) & sdhsts::CMD_TIME_OUT != 0);
     }
 
     #[test]
     fn pio_read_of_one_block() {
-        let (mut host, _f, _i) = fixture();
-        power_and_init(&mut host);
-        host.card_mut().poke_block(3, &[0x5a; BLOCK_SIZE]);
-        host.write32(regs::SDHBLC, 1, 0);
-        issue(&mut host, 17, 3, sdcmd::READ_CMD, 0);
+        let mut rig = Rig::new();
+        power_and_init(&mut rig);
+        rig.host.card_mut().poke_block(3, &[0x5a; BLOCK_SIZE]);
+        rig.write32(regs::SDHBLC, 1, 0);
+        issue(&mut rig, 17, 3, sdcmd::READ_CMD, 0);
         // Data is not ready before the media deadline.
-        assert_eq!(host.read32(regs::SDDATA, 1_000), 0);
-        assert!(host.read32(regs::SDHSTS, 1_000) & sdhsts::FIFO_ERROR != 0);
-        host.write32(regs::SDHSTS, sdhsts::FIFO_ERROR, 1_000);
+        assert_eq!(rig.read32(regs::SDDATA, 1_000), 0);
+        assert!(rig.read32(regs::SDHSTS, 1_000) & sdhsts::FIFO_ERROR != 0);
+        rig.write32(regs::SDHSTS, sdhsts::FIFO_ERROR, 1_000);
         // After the deadline, BLOCK_IRPT is posted and data flows.
         let cost = CostModel::default();
         let t = cost.sd_cmd_ns + cost.sd_transaction_overhead_ns + cost.sd_read_block_ns + 10;
-        host.tick(t);
-        assert!(host.read32(regs::SDHSTS, t) & sdhsts::BLOCK_IRPT != 0);
+        rig.tick(t);
+        assert!(rig.read32(regs::SDHSTS, t) & sdhsts::BLOCK_IRPT != 0);
         let mut words = Vec::new();
         for _ in 0..BLOCK_SIZE / 4 {
-            words.push(host.read32(regs::SDDATA, t));
+            words.push(rig.read32(regs::SDDATA, t));
         }
         assert!(words.iter().all(|w| *w == 0x5a5a_5a5a));
-        assert!(host.is_idle());
+        assert!(rig.host.is_idle());
     }
 
     #[test]
     fn pio_write_of_one_block_reaches_the_card() {
-        let (mut host, _f, irqs) = fixture();
-        power_and_init(&mut host);
-        host.write32(regs::SDHBLC, 1, 0);
-        issue(&mut host, 24, 9, sdcmd::WRITE_CMD, 0);
+        let mut rig = Rig::new();
+        power_and_init(&mut rig);
+        rig.write32(regs::SDHBLC, 1, 0);
+        issue(&mut rig, 24, 9, sdcmd::WRITE_CMD, 0);
         for i in 0..BLOCK_SIZE as u32 / 4 {
-            host.write32(regs::SDDATA, 0x0101_0101u32.wrapping_mul(i % 3 + 1), 10);
+            rig.write32(regs::SDDATA, 0x0101_0101u32.wrapping_mul(i % 3 + 1), 10);
         }
         let cost = CostModel::default();
         let t = cost.sd_cmd_ns + cost.sd_transaction_overhead_ns + cost.sd_write_block_ns + 10;
-        host.tick(t);
-        assert!(host.read32(regs::SDHSTS, t) & sdhsts::BUSY_IRPT != 0);
-        let blk = host.card().peek_block(9);
+        rig.tick(t);
+        assert!(rig.read32(regs::SDHSTS, t) & sdhsts::BUSY_IRPT != 0);
+        let blk = rig.host.card().peek_block(9);
         assert_eq!(&blk[0..4], &[1, 1, 1, 1]);
-        assert!(host.card().blocks_written() == 1);
-        assert!(irqs.lock().assert_count() > 0);
-        assert!(host.is_idle());
+        assert!(rig.host.card().blocks_written() == 1);
+        assert!(rig.irqs.assert_count() > 0);
+        assert!(rig.host.is_idle());
     }
 
     #[test]
     fn block_irq_asserts_only_when_enabled() {
-        let (mut host, _f, irqs) = fixture();
-        power_and_init(&mut host);
+        let mut rig = Rig::new();
+        power_and_init(&mut rig);
         // Disable interrupts.
-        host.write32(regs::SDHCFG, 0, 0);
-        host.write32(regs::SDHBLC, 1, 0);
-        issue(&mut host, 17, 0, sdcmd::READ_CMD, 0);
-        host.tick(10_000_000);
-        assert_eq!(irqs.lock().assert_count(), 0);
+        rig.write32(regs::SDHCFG, 0, 0);
+        rig.write32(regs::SDHBLC, 1, 0);
+        issue(&mut rig, 17, 0, sdcmd::READ_CMD, 0);
+        rig.tick(10_000_000);
+        assert_eq!(rig.irqs.assert_count(), 0);
         // Status bit is still visible for polling drivers.
-        assert!(host.read32(regs::SDHSTS, 10_000_000) & sdhsts::BLOCK_IRPT != 0);
+        assert!(rig.read32(regs::SDHSTS, 10_000_000) & sdhsts::BLOCK_IRPT != 0);
     }
 
     #[test]
     fn sdedm_reports_fsm_and_fifo_level() {
-        let (mut host, _f, _i) = fixture();
-        power_and_init(&mut host);
-        host.card_mut().poke_block(0, &[1; BLOCK_SIZE]);
-        host.write32(regs::SDHBLC, 1, 0);
-        issue(&mut host, 17, 0, sdcmd::READ_CMD, 0);
-        let edm = host.read32(regs::SDEDM, 100);
+        let mut rig = Rig::new();
+        power_and_init(&mut rig);
+        rig.host.card_mut().poke_block(0, &[1; BLOCK_SIZE]);
+        rig.write32(regs::SDHBLC, 1, 0);
+        issue(&mut rig, 17, 0, sdcmd::READ_CMD, 0);
+        let edm = rig.read32(regs::SDEDM, 100);
         assert_eq!(edm & sdedm::FSM_MASK, sdedm::FSM_READDATA);
         let level = (edm >> sdedm::FIFO_LEVEL_SHIFT) & sdedm::FIFO_LEVEL_MASK;
         assert!(level > 0, "FIFO level field should be non-zero during a read");
@@ -507,48 +503,42 @@ mod tests {
 
     #[test]
     fn removing_the_card_mid_sequence_shows_up_in_status() {
-        let (mut host, _f, _i) = fixture();
-        power_and_init(&mut host);
-        host.card_mut().remove();
-        issue(&mut host, 17, 0, sdcmd::READ_CMD, 0);
-        assert!(host.read32(regs::SDCMD, 0) & sdcmd::FAIL_FLAG != 0);
-        assert!(host.read32(regs::SDHSTS, 0) & sdhsts::CMD_TIME_OUT != 0);
+        let mut rig = Rig::new();
+        power_and_init(&mut rig);
+        rig.host.card_mut().remove();
+        issue(&mut rig, 17, 0, sdcmd::READ_CMD, 0);
+        assert!(rig.read32(regs::SDCMD, 0) & sdcmd::FAIL_FLAG != 0);
+        assert!(rig.read32(regs::SDHSTS, 0) & sdhsts::CMD_TIME_OUT != 0);
     }
 
     #[test]
     fn soft_reset_restores_a_clean_initialised_state() {
-        let (mut host, fifo, _i) = fixture();
-        power_and_init(&mut host);
-        host.write32(regs::SDHBLC, 4, 0);
-        issue(&mut host, 18, 0, sdcmd::READ_CMD, 0);
-        assert!(!host.is_idle());
-        host.soft_reset(1);
-        assert!(host.is_idle());
-        assert_eq!(fifo.lock().level(), 0);
-        assert_eq!(host.read32(regs::SDHSTS, 1), 0);
+        let mut rig = Rig::new();
+        power_and_init(&mut rig);
+        rig.write32(regs::SDHBLC, 4, 0);
+        issue(&mut rig, 18, 0, sdcmd::READ_CMD, 0);
+        assert!(!rig.host.is_idle());
+        rig.host.soft_reset();
+        assert!(rig.host.is_idle());
+        assert_eq!(rig.host.fifo.level(), 0);
+        assert_eq!(rig.read32(regs::SDHSTS, 1), 0);
         // The card is usable again without a full re-init.
-        host.write32(regs::SDVDD, 1, 1);
-        host.write32(regs::SDHBLC, 1, 1);
-        issue(&mut host, 17, 0, sdcmd::READ_CMD, 1);
-        assert!(host.read32(regs::SDCMD, 1) & sdcmd::FAIL_FLAG == 0);
+        rig.write32(regs::SDVDD, 1, 1);
+        rig.write32(regs::SDHBLC, 1, 1);
+        issue(&mut rig, 17, 0, sdcmd::READ_CMD, 1);
+        assert!(rig.read32(regs::SDCMD, 1) & sdcmd::FAIL_FLAG == 0);
     }
 
     #[test]
     fn status_write_one_to_clear() {
-        let (mut host, _f, _i) = fixture();
-        power_and_init(&mut host);
-        host.write32(regs::SDHBLC, 1, 0);
-        issue(&mut host, 17, 0, sdcmd::READ_CMD, 0);
-        host.tick(10_000_000);
-        let sts = host.read32(regs::SDHSTS, 10_000_000);
+        let mut rig = Rig::new();
+        power_and_init(&mut rig);
+        rig.write32(regs::SDHBLC, 1, 0);
+        issue(&mut rig, 17, 0, sdcmd::READ_CMD, 0);
+        rig.tick(10_000_000);
+        let sts = rig.read32(regs::SDHSTS, 10_000_000);
         assert!(sts & sdhsts::BLOCK_IRPT != 0);
-        host.write32(regs::SDHSTS, sdhsts::BLOCK_IRPT, 10_000_000);
-        assert_eq!(host.read32(regs::SDHSTS, 10_000_000) & sdhsts::BLOCK_IRPT, 0);
-    }
-
-    #[test]
-    fn register_map_is_complete() {
-        let (host, _f, _i) = fixture();
-        assert_eq!(host.register_map().len(), 24);
+        rig.write32(regs::SDHSTS, sdhsts::BLOCK_IRPT, 10_000_000);
+        assert_eq!(rig.read32(regs::SDHSTS, 10_000_000) & sdhsts::BLOCK_IRPT, 0);
     }
 }

@@ -43,29 +43,20 @@ pub const USB_DISK_BLOCKS: u64 = 15_728_640;
 /// read-modify-write behaviour the paper observed (§7.2.3).
 pub const USB_FTL_PAGE: usize = 4096;
 
-use dlt_hw::{shared, Platform, Shared};
+use dlt_hw::Platform;
 
-/// The USB subsystem wired onto a platform.
-pub struct UsbSubsystem {
-    /// Typed handle to the host controller (the mass-storage device plugs
-    /// into its root port).
-    pub hostctrl: Shared<UsbHostController>,
-}
+/// The USB path wired onto a platform bus. Reach the host controller (the
+/// mass-storage device plugs into its root port) with
+/// `platform.bus.lock().device::<UsbHostController>()`.
+pub struct UsbSubsystem;
 
 impl UsbSubsystem {
     /// Build the host controller with an attached mass-storage device and
     /// attach it to the platform's bus.
     pub fn attach(platform: &Platform) -> dlt_hw::HwResult<Self> {
-        let disk = ScsiDisk::new(USB_DISK_BLOCKS);
-        let device = UsbMassStorage::new(disk);
-        let hostctrl = shared(UsbHostController::new(
-            device,
-            platform.mem.clone(),
-            platform.irqs.clone(),
-            platform.cost(),
-        ));
-        platform.bus.lock().attach(dlt_hw::device::SharedDevice::boxed(hostctrl.clone()))?;
-        Ok(UsbSubsystem { hostctrl })
+        let device = UsbMassStorage::new(ScsiDisk::new(USB_DISK_BLOCKS));
+        platform.attach(Box::new(UsbHostController::new(device, platform.cost())))?;
+        Ok(UsbSubsystem)
     }
 }
 
@@ -76,8 +67,10 @@ mod tests {
     #[test]
     fn subsystem_attaches() {
         let p = Platform::new();
-        let sys = UsbSubsystem::attach(&p).unwrap();
-        assert!(p.bus.lock().device_names().contains(&"dwc2"));
-        assert!(sys.hostctrl.lock().device().disk().total_blocks() == USB_DISK_BLOCKS);
+        UsbSubsystem::attach(&p).unwrap();
+        let mut bus = p.bus.lock();
+        assert!(bus.device_names().contains(&"dwc2"));
+        let hostctrl = bus.device::<UsbHostController>().unwrap();
+        assert!(hostctrl.device().disk().total_blocks() == USB_DISK_BLOCKS);
     }
 }

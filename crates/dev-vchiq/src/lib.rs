@@ -56,21 +56,17 @@ pub mod regs {
     ];
 }
 
-use dlt_hw::{shared, Platform, Shared};
+use dlt_hw::Platform;
 
-/// The VC4/VCHIQ subsystem wired onto a platform.
-pub struct VchiqSubsystem {
-    /// Typed handle to the accelerator.
-    pub vc4: Shared<Vc4Vchiq>,
-}
+/// The VC4/VCHIQ path wired onto a platform bus. Reach the accelerator with
+/// `platform.bus.lock().device::<Vc4Vchiq>()`.
+pub struct VchiqSubsystem;
 
 impl VchiqSubsystem {
     /// Build the accelerator and attach it to the platform's bus.
     pub fn attach(platform: &Platform) -> dlt_hw::HwResult<Self> {
-        let vc4 =
-            shared(Vc4Vchiq::new(platform.mem.clone(), platform.irqs.clone(), platform.cost()));
-        platform.bus.lock().attach(dlt_hw::device::SharedDevice::boxed(vc4.clone()))?;
-        Ok(VchiqSubsystem { vc4 })
+        platform.attach(Box::new(Vc4Vchiq::new(platform.cost())))?;
+        Ok(VchiqSubsystem)
     }
 }
 
@@ -81,7 +77,7 @@ mod tests {
     #[test]
     fn subsystem_attaches() {
         let p = Platform::new();
-        let _sys = VchiqSubsystem::attach(&p).unwrap();
+        VchiqSubsystem::attach(&p).unwrap();
         assert!(p.bus.lock().device_names().contains(&"vchiq"));
     }
 

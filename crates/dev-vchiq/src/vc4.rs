@@ -6,9 +6,9 @@
 //! replies into the VC4→CPU slot area and rings doorbell 0 (which is wired to
 //! the VCHIQ interrupt line).
 
-use dlt_hw::device::{MmioDevice, RegBank};
+use dlt_hw::device::{DeviceCtx, MmioDevice, RegBank, Window};
 use dlt_hw::irq::lines;
-use dlt_hw::{CostModel, IrqController, PhysMem, Shared};
+use dlt_hw::{CostModel, PhysMem};
 
 use crate::msg::{synth_jpeg, CameraResolution, MmalMessage, MsgType};
 use crate::queue::{self, pagelist, RX_AREA_OFF, TX_AREA_OFF};
@@ -53,8 +53,6 @@ struct CaptureJob {
 /// The VC4/VCHIQ device.
 pub struct Vc4Vchiq {
     regs: RegBank,
-    mem: Shared<PhysMem>,
-    irqs: Shared<IrqController>,
     cost: CostModel,
     queue_base: Option<u64>,
     /// How far into the TX area the device has parsed.
@@ -78,7 +76,7 @@ pub struct Vc4Vchiq {
 
 impl Vc4Vchiq {
     /// Create the accelerator.
-    pub fn new(mem: Shared<PhysMem>, irqs: Shared<IrqController>, cost: CostModel) -> Self {
+    pub fn new(cost: CostModel) -> Self {
         let mut regbank = RegBank::new();
         for (off, _) in regs::VCHIQ_REGISTERS {
             regbank.define(*off, 0);
@@ -86,8 +84,6 @@ impl Vc4Vchiq {
         regbank.define(regs::VERSION, 0x0001_0007);
         Vc4Vchiq {
             regs: regbank,
-            mem,
-            irqs,
             cost,
             queue_base: None,
             tx_read_pos: 0,
@@ -120,6 +116,11 @@ impl Vc4Vchiq {
     /// Error replies signalled so far.
     pub fn errors_signalled(&self) -> u64 {
         self.errors_signalled
+    }
+
+    /// Whether no reply is waiting to be delivered.
+    pub fn is_idle(&self) -> bool {
+        self.pending.is_empty()
     }
 
     /// Whether the capture port is currently enabled.
@@ -355,10 +356,9 @@ impl Vc4Vchiq {
         );
     }
 
-    fn materialise_frame(&mut self, job: &CaptureJob) {
+    fn materialise_frame(&mut self, job: &CaptureJob, mem: &mut PhysMem) {
         let frame = synth_jpeg(job.resolution, job.frame_no);
         let to_write = frame.len().min(job.buf_size as usize);
-        let mut mem = self.mem.lock();
         let num_pages = mem.read32(job.pg_list + pagelist::NUM_PAGES).unwrap_or(0) as usize;
         // The page list describes a physically contiguous span starting at the
         // first page entry (the host allocator hands out contiguous buffers);
@@ -373,24 +373,19 @@ impl Vc4Vchiq {
         }
         // Record how many bytes actually landed in the buffer.
         let _ = mem.write32(job.pg_list + pagelist::TOTAL_LEN, written as u32);
-        drop(mem);
         self.frames_produced += 1;
     }
 
-    fn process_doorbell(&mut self, now_ns: u64) {
+    fn process_doorbell(&mut self, ctx: &mut DeviceCtx<'_>) {
+        let now_ns = ctx.now_ns;
         let Some(base) = self.queue_base else { return };
         loop {
-            let tx_pos = {
-                let mem = self.mem.lock();
-                mem.read32(base + queue::slot0::TX_POS).unwrap_or(0)
-            };
+            let tx_pos = ctx.mem.read32(base + queue::slot0::TX_POS).unwrap_or(0);
             if self.tx_read_pos >= tx_pos {
                 break;
             }
-            let parsed = {
-                let mem = self.mem.lock();
-                queue::read_message(&mem, base, TX_AREA_OFF, self.tx_read_pos).unwrap_or(None)
-            };
+            let parsed =
+                queue::read_message(ctx.mem, base, TX_AREA_OFF, self.tx_read_pos).unwrap_or(None);
             match parsed {
                 Some((msg, next)) => {
                     self.tx_read_pos = next;
@@ -414,7 +409,8 @@ impl Vc4Vchiq {
         }
     }
 
-    fn deliver_due_replies(&mut self, now_ns: u64) {
+    fn deliver_due_replies(&mut self, ctx: &mut DeviceCtx<'_>) {
+        let now_ns = ctx.now_ns;
         let Some(base) = self.queue_base else { return };
         while let Some(first) = self.pending.first() {
             if first.due_ns > now_ns {
@@ -422,47 +418,30 @@ impl Vc4Vchiq {
             }
             let reply = self.pending.remove(0);
             if let Some(job) = &reply.capture {
-                self.materialise_frame(job);
+                self.materialise_frame(job, ctx.mem);
             }
-            let next = {
-                let mut mem = self.mem.lock();
-                let written = queue::write_message(
-                    &mut mem,
-                    base,
-                    RX_AREA_OFF,
-                    self.rx_write_pos,
-                    &reply.msg,
-                );
-                match written {
-                    Ok(next) => {
-                        let _ = mem.write32(base + queue::slot0::RX_POS, next);
-                        next
-                    }
-                    Err(_) => self.rx_write_pos,
-                }
-            };
-            self.rx_write_pos = next;
+            let written =
+                queue::write_message(ctx.mem, base, RX_AREA_OFF, self.rx_write_pos, &reply.msg);
+            if let Ok(next) = written {
+                let _ = ctx.mem.write32(base + queue::slot0::RX_POS, next);
+                self.rx_write_pos = next;
+            }
             self.bell0_pending = true;
-            self.irqs.lock().assert_at(lines::VCHIQ, now_ns + self.cost.irq_delivery_ns);
+            ctx.irqs.assert_at(lines::VCHIQ, now_ns + self.cost.irq_delivery_ns);
         }
     }
 }
 
+const WINDOWS: &[Window] =
+    &[Window { name: "vchiq", base: VCHIQ_BASE, len: VCHIQ_LEN, irq_line: Some(lines::VCHIQ) }];
+
 impl MmioDevice for Vc4Vchiq {
-    fn name(&self) -> &'static str {
-        "vchiq"
+    fn windows(&self) -> &'static [Window] {
+        WINDOWS
     }
 
-    fn mmio_base(&self) -> u64 {
-        VCHIQ_BASE
-    }
-
-    fn mmio_len(&self) -> u64 {
-        VCHIQ_LEN
-    }
-
-    fn read32(&mut self, offset: u64, now_ns: u64) -> u32 {
-        self.tick(now_ns);
+    fn read32(&mut self, _window: usize, offset: u64, ctx: &mut DeviceCtx<'_>) -> u32 {
+        self.tick(ctx);
         match offset {
             regs::BELL0 => {
                 if self.bell0_pending {
@@ -476,7 +455,7 @@ impl MmioDevice for Vc4Vchiq {
         }
     }
 
-    fn write32(&mut self, offset: u64, val: u32, now_ns: u64) {
+    fn write32(&mut self, _window: usize, offset: u64, val: u32, ctx: &mut DeviceCtx<'_>) {
         match offset {
             regs::MBOX_WRITE => {
                 // The published address must be queue-aligned; the low bits
@@ -489,25 +468,25 @@ impl MmioDevice for Vc4Vchiq {
             }
             regs::BELL2 => {
                 if val & 1 != 0 {
-                    self.process_doorbell(now_ns);
+                    self.process_doorbell(ctx);
                 }
             }
             regs::BELL0 => {
                 if val & 1 != 0 {
                     self.bell0_pending = false;
-                    self.irqs.lock().clear(lines::VCHIQ);
+                    ctx.irqs.clear(lines::VCHIQ);
                 }
             }
             _ => self.regs.set(offset, val),
         }
-        self.tick(now_ns);
+        self.tick(ctx);
     }
 
-    fn tick(&mut self, now_ns: u64) {
-        self.deliver_due_replies(now_ns);
+    fn tick(&mut self, ctx: &mut DeviceCtx<'_>) {
+        self.deliver_due_replies(ctx);
     }
 
-    fn soft_reset(&mut self, _now_ns: u64) {
+    fn soft_reset(&mut self, _window: usize, _ctx: &mut DeviceCtx<'_>) {
         self.regs.reset();
         self.regs.set(regs::VERSION, 0x0001_0007);
         self.queue_base = None;
@@ -525,25 +504,13 @@ impl MmioDevice for Vc4Vchiq {
         // cannot re-attach a lost sensor (matches the paper's unrecoverable
         // fault-injection outcome).
     }
-
-    fn irq_line(&self) -> Option<u32> {
-        Some(lines::VCHIQ)
-    }
-
-    fn register_map(&self) -> Vec<(u64, &'static str)> {
-        regs::VCHIQ_REGISTERS.iter().map(|(o, n)| (*o, *n)).collect()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::is_valid_jpeg;
-    use dlt_hw::shared;
+    use dlt_hw::IrqController;
 
     const QUEUE_BASE: u64 = 0x10_0000;
     const PG_LIST: u64 = 0x20_0000;
@@ -551,8 +518,8 @@ mod tests {
 
     struct Rig {
         vc4: Vc4Vchiq,
-        mem: Shared<PhysMem>,
-        irqs: Shared<IrqController>,
+        mem: PhysMem,
+        irqs: IrqController,
         now: u64,
         tx_pos: u32,
         rx_read: u32,
@@ -560,45 +527,65 @@ mod tests {
 
     impl Rig {
         fn new() -> Self {
-            let mem = shared(PhysMem::new(0, 16 << 20));
-            let irqs = shared(IrqController::new());
-            let vc4 = Vc4Vchiq::new(mem.clone(), irqs.clone(), CostModel::default());
+            let mem = PhysMem::new(0, 16 << 20);
+            let irqs = IrqController::new();
+            let vc4 = Vc4Vchiq::new(CostModel::default());
             let mut rig = Rig { vc4, mem, irqs, now: 0, tx_pos: 0, rx_read: 0 };
             // CPU initialises slot 0 and publishes the queue address.
             for (off, w) in queue::slot0_init_words() {
-                rig.mem.lock().write32(QUEUE_BASE + off, w).unwrap();
+                rig.mem.write32(QUEUE_BASE + off, w).unwrap();
             }
-            rig.vc4.write32(regs::MBOX_WRITE, QUEUE_BASE as u32, 0);
+            rig.write32(regs::MBOX_WRITE, QUEUE_BASE as u32, 0);
             rig
+        }
+
+        fn ctx(&mut self, now_ns: u64) -> (&mut Vc4Vchiq, DeviceCtx<'_>) {
+            (&mut self.vc4, DeviceCtx { now_ns, mem: &mut self.mem, irqs: &mut self.irqs })
+        }
+
+        fn read32(&mut self, offset: u64, now: u64) -> u32 {
+            let (vc4, mut ctx) = self.ctx(now);
+            vc4.read32(0, offset, &mut ctx)
+        }
+
+        fn write32(&mut self, offset: u64, val: u32, now: u64) {
+            let (vc4, mut ctx) = self.ctx(now);
+            vc4.write32(0, offset, val, &mut ctx)
+        }
+
+        fn tick(&mut self, now: u64) {
+            let (vc4, mut ctx) = self.ctx(now);
+            vc4.tick(&mut ctx)
+        }
+
+        fn soft_reset(&mut self) {
+            let (vc4, mut ctx) = self.ctx(self.now);
+            vc4.soft_reset(0, &mut ctx)
         }
 
         fn send(&mut self, msg: MmalMessage) {
             let (words, new_pos) = queue::tx_message_words(self.tx_pos, &msg);
             for (off, w) in words {
-                self.mem.lock().write32(QUEUE_BASE + off, w).unwrap();
+                self.mem.write32(QUEUE_BASE + off, w).unwrap();
             }
             self.tx_pos = new_pos;
-            self.vc4.write32(regs::BELL2, 1, self.now);
+            self.write32(regs::BELL2, 1, self.now);
         }
 
         /// Advance time until a reply is available and return it.
         fn recv(&mut self) -> MmalMessage {
             for _ in 0..100_000 {
                 self.now += 1_000_000; // 1 ms steps
-                self.vc4.tick(self.now);
-                let rx_pos = self.mem.lock().read32(QUEUE_BASE + queue::slot0::RX_POS).unwrap();
+                self.tick(self.now);
+                let rx_pos = self.mem.read32(QUEUE_BASE + queue::slot0::RX_POS).unwrap();
                 if self.rx_read < rx_pos {
-                    let (msg, next) = queue::read_message(
-                        &self.mem.lock(),
-                        QUEUE_BASE,
-                        RX_AREA_OFF,
-                        self.rx_read,
-                    )
-                    .unwrap()
-                    .unwrap();
+                    let (msg, next) =
+                        queue::read_message(&self.mem, QUEUE_BASE, RX_AREA_OFF, self.rx_read)
+                            .unwrap()
+                            .unwrap();
                     self.rx_read = next;
-                    assert_eq!(self.vc4.read32(regs::BELL0, self.now), 1);
-                    self.vc4.write32(regs::BELL0, 1, self.now);
+                    assert_eq!(self.read32(regs::BELL0, self.now), 1);
+                    self.write32(regs::BELL0, 1, self.now);
                     return msg;
                 }
             }
@@ -623,7 +610,7 @@ mod tests {
 
         fn build_page_list(&mut self, bytes: u32) {
             let pages = (bytes as usize).div_ceil(pagelist::PAGE_BYTES);
-            let mut mem = self.mem.lock();
+            let mem = &mut self.mem;
             mem.write32(PG_LIST + pagelist::TOTAL_LEN, bytes).unwrap();
             mem.write32(PG_LIST + pagelist::NUM_PAGES, pages as u32).unwrap();
             for i in 0..pages {
@@ -634,7 +621,7 @@ mod tests {
 
         fn read_frame(&self, bytes: usize) -> Vec<u8> {
             let mut out = vec![0u8; bytes];
-            let mem = self.mem.lock();
+            let mem = &self.mem;
             let mut read = 0;
             let mut page = 0u64;
             while read < bytes {
@@ -668,7 +655,7 @@ mod tests {
         let frame = rig.read_frame(img_size as usize);
         assert!(is_valid_jpeg(&frame));
         assert_eq!(rig.vc4.frames_produced(), 1);
-        assert!(rig.irqs.lock().assert_count() > 0);
+        assert!(rig.irqs.assert_count() > 0);
     }
 
     #[test]
@@ -760,7 +747,7 @@ mod tests {
         assert_eq!(reply.mtype, MsgType::Error);
         assert_eq!(reply.payload[0], error_code::SENSOR_LOST);
         // Soft reset cannot bring the sensor back.
-        rig.vc4.soft_reset(rig.now);
+        rig.soft_reset();
         assert!(!rig.vc4.port_enabled());
     }
 
@@ -789,10 +776,10 @@ mod tests {
     fn soft_reset_requires_requeueing_the_mailbox() {
         let mut rig = Rig::new();
         rig.init_camera(CameraResolution::R720p);
-        rig.vc4.soft_reset(rig.now);
+        rig.soft_reset();
         // Doorbells without a published queue are ignored rather than crashing.
-        rig.vc4.write32(regs::BELL2, 1, rig.now);
+        rig.write32(regs::BELL2, 1, rig.now);
         assert!(rig.vc4.is_idle());
-        assert_eq!(rig.vc4.read32(regs::MBOX_WRITE, rig.now), 0);
+        assert_eq!(rig.read32(regs::MBOX_WRITE, rig.now), 0);
     }
 }

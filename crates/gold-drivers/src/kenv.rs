@@ -165,6 +165,7 @@ pub trait HwIo {
 }
 
 /// Concrete [`HwIo`] implementation used by the normal-world gold drivers.
+/// Each call takes the bus lock once.
 pub struct BusIo {
     bus: Shared<SystemBus>,
     world: World,
@@ -200,11 +201,6 @@ impl BusIo {
     pub fn dma_high_water(&self) -> u64 {
         self.dma.high_water()
     }
-
-    /// The bus handle.
-    pub fn bus(&self) -> Shared<SystemBus> {
-        self.bus.clone()
-    }
 }
 
 impl HwIo for BusIo {
@@ -224,9 +220,10 @@ impl HwIo for BusIo {
         delay_us: u64,
         timeout_us: u64,
     ) -> Result<u32, DriverError> {
+        let mut bus = self.bus.lock();
         let mut waited = 0u64;
         loop {
-            let v = self.readl(addr);
+            let v = bus.mmio_read32(addr, self.world, self.attr).unwrap_or(0xffff_ffff);
             if v & mask == expect {
                 return Ok(v);
             }
@@ -235,7 +232,7 @@ impl HwIo for BusIo {
                     "poll of {addr:#x} for mask {mask:#x} == {expect:#x}"
                 )));
             }
-            self.delay_us(delay_us.max(1));
+            bus.delay_us(delay_us.max(1));
             waited += delay_us.max(1);
         }
     }
@@ -277,7 +274,7 @@ impl HwIo for BusIo {
     }
 
     fn get_ts(&mut self) -> u64 {
-        self.bus.lock().clock().lock().now_ns()
+        self.bus.lock().clock.now_ns()
     }
 
     fn delay_us(&mut self, us: u64) {
@@ -341,7 +338,7 @@ mod tests {
         io.delay_us(100);
         let t1 = io.get_ts();
         assert!(t1 >= t0 + 100_000);
-        assert_eq!(p.clock.lock().now_ns(), t1);
+        assert_eq!(p.now_ns(), t1);
     }
 
     #[test]

@@ -209,17 +209,22 @@ impl<I: HwIo> Drop for MmcBlockDriver<I> {
 mod tests {
     use super::*;
     use crate::kenv::BusIo;
-    use dlt_dev_mmc::MmcSubsystem;
+    use dlt_dev_mmc::{MmcController, MmcSubsystem, SdCard};
     use dlt_hw::{DmaRegion, Platform};
 
-    fn rig(mode: CacheMode) -> (Platform, MmcSubsystem, MmcBlockDriver<BusIo>) {
+    fn rig(mode: CacheMode) -> (Platform, MmcBlockDriver<BusIo>) {
         let p = Platform::new();
-        let sys = MmcSubsystem::attach(&p).unwrap();
+        MmcSubsystem::attach(&p).unwrap();
         let io = BusIo::normal_world(p.bus.clone(), DmaRegion::new(0x200_0000, 0x100_0000));
         let mut host = MmcHost::new(io);
         host.probe().unwrap();
         let blk = MmcBlockDriver::new(host, mode);
-        (p, sys, blk)
+        (p, blk)
+    }
+
+    /// Run `f` on the platform's SD card.
+    fn card<R>(p: &Platform, f: impl FnOnce(&SdCard) -> R) -> R {
+        f(p.bus.lock().device::<MmcController>().unwrap().sdhost.card())
     }
 
     fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -228,11 +233,11 @@ mod tests {
 
     #[test]
     fn writeback_defers_the_medium_and_serves_reads_from_cache() {
-        let (_p, sys, mut blk) = rig(CacheMode::WriteBack);
+        let (p, mut blk) = rig(CacheMode::WriteBack);
         let data = pattern(8 * BLOCK_SIZE, 1);
         blk.write(16, &data, IoFlags::none()).unwrap();
         // The card has not seen the data yet.
-        assert_eq!(sys.sdhost.lock().card().blocks_written(), 0);
+        assert_eq!(card(&p, |c| c.blocks_written()), 0);
         // But reads observe it.
         let mut out = vec![0u8; 8 * BLOCK_SIZE];
         blk.read(16, 8, &mut out).unwrap();
@@ -240,22 +245,22 @@ mod tests {
         assert_eq!(blk.stats().cache_hits, 1);
         // Flush persists it.
         blk.flush().unwrap();
-        assert_eq!(sys.sdhost.lock().card().blocks_written(), 8);
-        assert_eq!(sys.sdhost.lock().card().peek_block(16)[..32], data[..32]);
+        assert_eq!(card(&p, |c| c.blocks_written()), 8);
+        assert_eq!(card(&p, |c| c.peek_block(16))[..32], data[..32]);
     }
 
     #[test]
     fn writethrough_hits_the_medium_immediately() {
-        let (_p, sys, mut blk) = rig(CacheMode::WriteThrough);
+        let (p, mut blk) = rig(CacheMode::WriteThrough);
         let data = pattern(BLOCK_SIZE, 2);
         blk.write(5, &data, IoFlags::none()).unwrap();
-        assert_eq!(sys.sdhost.lock().card().blocks_written(), 1);
+        assert_eq!(card(&p, |c| c.blocks_written()), 1);
         assert_eq!(blk.dirty_extents(), 0);
     }
 
     #[test]
     fn adjacent_writes_are_merged_into_one_device_io() {
-        let (_p, _sys, mut blk) = rig(CacheMode::WriteBack);
+        let (_p, mut blk) = rig(CacheMode::WriteBack);
         for i in 0..4u32 {
             blk.write(100 + i * 8, &pattern(8 * BLOCK_SIZE, i as u8), IoFlags::none()).unwrap();
         }
@@ -267,36 +272,36 @@ mod tests {
 
     #[test]
     fn partially_overlapping_read_forces_a_flush() {
-        let (_p, sys, mut blk) = rig(CacheMode::WriteBack);
+        let (p, mut blk) = rig(CacheMode::WriteBack);
         blk.write(10, &pattern(4 * BLOCK_SIZE, 7), IoFlags::none()).unwrap();
         let mut out = vec![0u8; 8 * BLOCK_SIZE];
         blk.read(8, 8, &mut out).unwrap();
         // The dirty data was flushed before the device read.
-        assert_eq!(sys.sdhost.lock().card().blocks_written(), 4);
+        assert_eq!(card(&p, |c| c.blocks_written()), 4);
         assert_eq!(&out[2 * BLOCK_SIZE..3 * BLOCK_SIZE], &pattern(4 * BLOCK_SIZE, 7)[..BLOCK_SIZE]);
     }
 
     #[test]
     fn sync_flag_overrides_writeback() {
-        let (_p, sys, mut blk) = rig(CacheMode::WriteBack);
+        let (p, mut blk) = rig(CacheMode::WriteBack);
         blk.write(3, &pattern(BLOCK_SIZE, 9), IoFlags::sync()).unwrap();
-        assert_eq!(sys.sdhost.lock().card().blocks_written(), 1);
+        assert_eq!(card(&p, |c| c.blocks_written()), 1);
     }
 
     #[test]
     fn cache_pressure_triggers_automatic_flush() {
-        let (_p, sys, mut blk) = rig(CacheMode::WriteBack);
+        let (p, mut blk) = rig(CacheMode::WriteBack);
         // 17 disjoint (non-mergeable) extents exceed the 16-extent cap.
         for i in 0..17u32 {
             blk.write(i * 100, &pattern(BLOCK_SIZE, i as u8), IoFlags::none()).unwrap();
         }
         assert!(blk.stats().flushes >= 1);
-        assert!(sys.sdhost.lock().card().blocks_written() >= 16);
+        assert!(card(&p, |c| c.blocks_written()) >= 16);
     }
 
     #[test]
     fn misaligned_write_length_is_rejected() {
-        let (_p, _sys, mut blk) = rig(CacheMode::WriteBack);
+        let (_p, mut blk) = rig(CacheMode::WriteBack);
         assert!(matches!(blk.write(0, &[0u8; 100], IoFlags::none()), Err(DriverError::Invalid(_))));
     }
 
@@ -304,13 +309,13 @@ mod tests {
     fn native_write_latency_is_lower_than_sync_write_latency() {
         // The virtual-time shape behind Figure 5: a cached write returns much
         // faster than a synchronous one.
-        let (p_native, _s1, mut native) = rig(CacheMode::WriteBack);
+        let (p_native, mut native) = rig(CacheMode::WriteBack);
         let data = pattern(8 * BLOCK_SIZE, 3);
         let t0 = p_native.now_ns();
         native.write(0, &data, IoFlags::none()).unwrap();
         let native_ns = p_native.now_ns() - t0;
 
-        let (p_sync, _s2, mut sync) = rig(CacheMode::WriteThrough);
+        let (p_sync, mut sync) = rig(CacheMode::WriteThrough);
         let t0 = p_sync.now_ns();
         sync.write(0, &data, IoFlags::none()).unwrap();
         let sync_ns = p_sync.now_ns() - t0;

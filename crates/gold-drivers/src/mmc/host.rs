@@ -450,41 +450,42 @@ impl<I: HwIo> MmcHost<I> {
 mod tests {
     use super::*;
     use crate::kenv::BusIo;
-    use dlt_dev_mmc::MmcSubsystem;
-    use dlt_hw::{Platform, Shared};
+    use dlt_dev_mmc::{MmcController, MmcSubsystem};
+    use dlt_hw::Platform;
 
-    fn rig() -> (Platform, dlt_dev_mmc::MmcSubsystem, MmcHost<BusIo>) {
+    fn rig() -> (Platform, MmcHost<BusIo>) {
         let p = Platform::new();
-        let sys = MmcSubsystem::attach(&p).unwrap();
+        MmcSubsystem::attach(&p).unwrap();
         let io = BusIo::normal_world(p.bus.clone(), DmaRegion::new(0x200_0000, 0x100_0000));
         let mut host = MmcHost::new(io);
         host.probe().unwrap();
-        (p, sys, host)
+        (p, host)
     }
 
-    fn card_blocks(sys: &dlt_dev_mmc::MmcSubsystem, lba: u64, n: usize) -> Vec<u8> {
+    /// Run `f` on the platform's MMC controller.
+    fn mmc<R>(p: &Platform, f: impl FnOnce(&mut MmcController) -> R) -> R {
+        f(p.bus.lock().device::<MmcController>().unwrap())
+    }
+
+    fn card_blocks(p: &Platform, lba: u64, n: usize) -> Vec<u8> {
         let mut out = Vec::new();
         for i in 0..n {
-            out.extend_from_slice(&sys.sdhost.lock().card().peek_block(lba + i as u64));
+            out.extend_from_slice(&mmc(p, |m| m.sdhost.card().peek_block(lba + i as u64)));
         }
         out
     }
 
-    fn sys_sdhost(sys: &dlt_dev_mmc::MmcSubsystem) -> Shared<dlt_dev_mmc::SdHost> {
-        sys.sdhost.clone()
-    }
-
     #[test]
     fn probe_initialises_the_card() {
-        let (_p, sys, host) = rig();
+        let (p, host) = rig();
         assert!(host.is_initialized());
         assert!(host.stats().commands >= 10);
-        assert!(sys.sdhost.lock().commands_issued() >= 10);
+        assert!(mmc(&p, |m| m.sdhost.commands_issued()) >= 10);
     }
 
     #[test]
     fn dma_write_then_read_round_trip_multiple_sizes() {
-        let (_p, sys, mut host) = rig();
+        let (p, mut host) = rig();
         host.set_record_mode(true);
         for &blkcnt in &[1u32, 8, 32] {
             let total = blkcnt as usize * BLOCK_SIZE;
@@ -492,7 +493,7 @@ mod tests {
                 (0..total).map(|i| ((i * 7 + blkcnt as usize) % 251) as u8).collect();
             let mut buf = payload.clone();
             host.do_io(Rw::Write, blkcnt, 100, IoFlags::none(), &mut buf).unwrap();
-            assert_eq!(card_blocks(&sys, 100, blkcnt as usize), payload, "blkcnt={blkcnt}");
+            assert_eq!(card_blocks(&p, 100, blkcnt as usize), payload, "blkcnt={blkcnt}");
             let mut back = vec![0u8; total];
             host.do_io(Rw::Read, blkcnt, 100, IoFlags::none(), &mut back).unwrap();
             assert_eq!(back, payload, "blkcnt={blkcnt}");
@@ -502,7 +503,7 @@ mod tests {
 
     #[test]
     fn pio_path_round_trip() {
-        let (_p, _sys, mut host) = rig();
+        let (_p, mut host) = rig();
         let payload: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i % 199) as u8).collect();
         let mut buf = payload.clone();
         host.do_io(Rw::Write, 1, 7, IoFlags::direct(), &mut buf).unwrap();
@@ -514,7 +515,7 @@ mod tests {
 
     #[test]
     fn read_of_unwritten_blocks_is_zero() {
-        let (_p, _sys, mut host) = rig();
+        let (_p, mut host) = rig();
         let mut buf = vec![0xaau8; 4 * BLOCK_SIZE];
         host.do_io(Rw::Read, 4, 5000, IoFlags::none(), &mut buf).unwrap();
         assert!(buf.iter().all(|b| *b == 0));
@@ -522,7 +523,7 @@ mod tests {
 
     #[test]
     fn invalid_requests_are_rejected() {
-        let (_p, _sys, mut host) = rig();
+        let (_p, mut host) = rig();
         let mut buf = vec![0u8; 512];
         assert!(matches!(
             host.do_io(Rw::Read, 0, 0, IoFlags::none(), &mut buf),
@@ -538,8 +539,8 @@ mod tests {
 
     #[test]
     fn card_removal_surfaces_as_a_device_error_and_recovery_attempt() {
-        let (_p, sys, mut host) = rig();
-        sys_sdhost(&sys).lock().card_mut().remove();
+        let (p, mut host) = rig();
+        mmc(&p, |m| m.sdhost.card_mut().remove());
         let mut buf = vec![0u8; 512];
         let err = host.do_io(Rw::Read, 1, 0, IoFlags::none(), &mut buf).unwrap_err();
         assert!(matches!(err, DriverError::Device(_) | DriverError::Timeout(_)));
@@ -548,25 +549,27 @@ mod tests {
 
     #[test]
     fn retune_runs_outside_record_mode_only() {
-        let (p, _sys, mut host) = rig();
+        let (p, mut host) = rig();
         host.set_record_mode(true);
-        p.clock.lock().advance_ns(2 * RETUNE_PERIOD_NS);
+        p.bus.lock().clock.advance_ns(2 * RETUNE_PERIOD_NS);
         let mut buf = vec![0u8; 512];
         host.do_io(Rw::Read, 1, 0, IoFlags::none(), &mut buf).unwrap();
         assert_eq!(host.stats().retunes, 0);
         host.set_record_mode(false);
-        p.clock.lock().advance_ns(2 * RETUNE_PERIOD_NS);
+        p.bus.lock().clock.advance_ns(2 * RETUNE_PERIOD_NS);
         host.do_io(Rw::Read, 1, 0, IoFlags::none(), &mut buf).unwrap();
         assert_eq!(host.stats().retunes, 1);
     }
 
     #[test]
     fn large_transfers_use_one_descriptor_pair_per_eight_blocks() {
-        let (_p, sys, mut host) = rig();
+        let (p, mut host) = rig();
         let mut buf = vec![0u8; 256 * BLOCK_SIZE];
         host.do_io(Rw::Read, 256, 0, IoFlags::none(), &mut buf).unwrap();
         // 256 blocks -> 32 pages -> 32 control blocks chained on the engine.
-        assert!(sys.dma.lock().chains_executed() >= 1);
-        assert!(sys.dma.lock().bytes_transferred() >= (256 * BLOCK_SIZE - READ_TAIL_BYTES) as u64);
+        assert!(mmc(&p, |m| m.dma.chains_executed()) >= 1);
+        assert!(
+            mmc(&p, |m| m.dma.bytes_transferred()) >= (256 * BLOCK_SIZE - READ_TAIL_BYTES) as u64
+        );
     }
 }

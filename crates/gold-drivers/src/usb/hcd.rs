@@ -217,43 +217,48 @@ impl<I: HwIo> UsbHcd<I> {
 mod tests {
     use super::*;
     use crate::kenv::BusIo;
-    use dlt_dev_usb::UsbSubsystem;
+    use dlt_dev_usb::{UsbHostController, UsbSubsystem};
     use dlt_hw::Platform;
 
-    fn rig() -> (Platform, UsbSubsystem, UsbHcd<BusIo>) {
+    fn rig() -> (Platform, UsbHcd<BusIo>) {
         let p = Platform::new();
-        let sys = UsbSubsystem::attach(&p).unwrap();
+        UsbSubsystem::attach(&p).unwrap();
         let io = BusIo::normal_world(p.bus.clone(), DmaRegion::new(0x200_0000, 0x100_0000));
         let hcd = UsbHcd::new(io);
-        (p, sys, hcd)
+        (p, hcd)
+    }
+
+    /// Run `f` on the platform's USB host controller.
+    fn hostctrl<R>(p: &Platform, f: impl FnOnce(&mut UsbHostController) -> R) -> R {
+        f(p.bus.lock().device::<UsbHostController>().unwrap())
     }
 
     #[test]
     fn core_and_port_init_then_enumeration() {
-        let (_p, sys, mut hcd) = rig();
+        let (p, mut hcd) = rig();
         hcd.core_init().unwrap();
         hcd.port_init().unwrap();
         hcd.enumerate().unwrap();
         assert!(hcd.is_initialized());
         assert_eq!(hcd.device_address(), 1);
-        assert!(sys.hostctrl.lock().device().is_configured());
+        assert!(hostctrl(&p, |hc| hc.device().is_configured()));
         assert!(hcd.stats().transfers >= 8);
     }
 
     #[test]
     fn port_init_fails_with_no_device() {
-        let (_p, sys, mut hcd) = rig();
+        let (p, mut hcd) = rig();
         hcd.core_init().unwrap();
-        sys.hostctrl.lock().unplug(0);
+        hostctrl(&p, |hc| hc.unplug());
         assert!(matches!(hcd.port_init(), Err(DriverError::NoMedium)));
     }
 
     #[test]
     fn unplug_mid_enumeration_is_detected() {
-        let (_p, sys, mut hcd) = rig();
+        let (p, mut hcd) = rig();
         hcd.core_init().unwrap();
         hcd.port_init().unwrap();
-        sys.hostctrl.lock().unplug(0);
+        hostctrl(&p, |hc| hc.unplug());
         let err = hcd.enumerate().unwrap_err();
         assert!(matches!(err, DriverError::NoMedium | DriverError::Device(_)));
     }

@@ -240,16 +240,21 @@ impl<I: HwIo> UsbStorageDriver<I> {
 mod tests {
     use super::*;
     use crate::kenv::BusIo;
-    use dlt_dev_usb::UsbSubsystem;
+    use dlt_dev_usb::{UsbHostController, UsbSubsystem};
     use dlt_hw::Platform;
 
-    fn rig() -> (Platform, UsbSubsystem, UsbStorageDriver<BusIo>) {
+    fn rig() -> (Platform, UsbStorageDriver<BusIo>) {
         let p = Platform::new();
-        let sys = UsbSubsystem::attach(&p).unwrap();
+        UsbSubsystem::attach(&p).unwrap();
         let io = BusIo::normal_world(p.bus.clone(), DmaRegion::new(0x200_0000, 0x100_0000));
         let mut drv = UsbStorageDriver::new(UsbHcd::new(io));
         drv.init().unwrap();
-        (p, sys, drv)
+        (p, drv)
+    }
+
+    /// Run `f` on the platform's USB host controller.
+    fn hostctrl<R>(p: &Platform, f: impl FnOnce(&mut UsbHostController) -> R) -> R {
+        f(p.bus.lock().device::<UsbHostController>().unwrap())
     }
 
     fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -258,14 +263,14 @@ mod tests {
 
     #[test]
     fn init_reads_capacity() {
-        let (_p, _sys, drv) = rig();
+        let (_p, drv) = rig();
         assert!(drv.is_initialized());
         assert_eq!(drv.capacity_blocks(), dlt_dev_usb::USB_DISK_BLOCKS);
     }
 
     #[test]
     fn write_read_round_trip_various_sizes() {
-        let (_p, sys, mut drv) = rig();
+        let (p, mut drv) = rig();
         for &blkcnt in &[1u32, 8, 32, 128] {
             let total = blkcnt as usize * USB_BLOCK_SIZE;
             let payload = pattern(total, blkcnt as u8);
@@ -275,12 +280,12 @@ mod tests {
             drv.do_io(Rw::Read, blkcnt, 64, IoFlags::none(), &mut back).unwrap();
             assert_eq!(back, payload, "blkcnt={blkcnt}");
         }
-        assert_eq!(sys.hostctrl.lock().device().disk().peek_block(64)[0], pattern(1, 128)[0]);
+        assert_eq!(hostctrl(&p, |hc| hc.device().disk().peek_block(64))[0], pattern(1, 128)[0]);
     }
 
     #[test]
     fn subpage_write_performs_rmw() {
-        let (_p, sys, mut drv) = rig();
+        let (p, mut drv) = rig();
         // Pre-existing page contents.
         let base = pattern(8 * USB_BLOCK_SIZE, 0x40);
         let mut buf = base.clone();
@@ -291,15 +296,15 @@ mod tests {
         assert_eq!(drv.stats().rmw_expansions, 1);
         // The rest of the page is preserved, the patched block changed.
         assert_eq!(
-            sys.hostctrl.lock().device().disk().peek_block(16),
+            hostctrl(&p, |hc| hc.device().disk().peek_block(16)),
             base[..USB_BLOCK_SIZE].to_vec()
         );
-        assert_eq!(sys.hostctrl.lock().device().disk().peek_block(19), patch);
+        assert_eq!(hostctrl(&p, |hc| hc.device().disk().peek_block(19)), patch);
     }
 
     #[test]
     fn tags_are_monotonic_serial_numbers() {
-        let (_p, _sys, mut drv) = rig();
+        let (_p, mut drv) = rig();
         let before = drv.tag;
         let mut buf = vec![0u8; USB_BLOCK_SIZE];
         drv.do_io(Rw::Read, 1, 0, IoFlags::none(), &mut buf).unwrap();
@@ -309,8 +314,8 @@ mod tests {
 
     #[test]
     fn unplug_mid_io_fails_cleanly() {
-        let (_p, sys, mut drv) = rig();
-        sys.hostctrl.lock().unplug(0);
+        let (p, mut drv) = rig();
+        hostctrl(&p, |hc| hc.unplug());
         let mut buf = vec![0u8; USB_BLOCK_SIZE];
         let err = drv.do_io(Rw::Read, 1, 0, IoFlags::none(), &mut buf).unwrap_err();
         assert!(matches!(

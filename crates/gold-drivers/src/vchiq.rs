@@ -278,31 +278,36 @@ mod tests {
     use super::*;
     use crate::kenv::BusIo;
     use dlt_dev_vchiq::msg::is_valid_jpeg;
-    use dlt_dev_vchiq::VchiqSubsystem;
+    use dlt_dev_vchiq::{Vc4Vchiq, VchiqSubsystem};
     use dlt_hw::Platform;
 
-    fn rig() -> (Platform, VchiqSubsystem, VchiqDriver<BusIo>) {
+    fn rig() -> (Platform, VchiqDriver<BusIo>) {
         let p = Platform::new();
-        let sys = VchiqSubsystem::attach(&p).unwrap();
+        VchiqSubsystem::attach(&p).unwrap();
         let io = BusIo::normal_world(p.bus.clone(), DmaRegion::new(0x200_0000, 0x200_0000));
         let drv = VchiqDriver::new(io);
-        (p, sys, drv)
+        (p, drv)
+    }
+
+    /// Run `f` on the platform's VC4 accelerator.
+    fn vc4<R>(p: &Platform, f: impl FnOnce(&mut Vc4Vchiq) -> R) -> R {
+        f(p.bus.lock().device::<Vc4Vchiq>().unwrap())
     }
 
     #[test]
     fn one_shot_capture_yields_a_valid_frame() {
-        let (_p, sys, mut drv) = rig();
+        let (p, mut drv) = rig();
         let mut buf = vec![0u8; 2 << 20];
         let size = drv.capture(1, CameraResolution::R720p, &mut buf).unwrap();
         assert_eq!(size, CameraResolution::R720p.frame_bytes());
         assert!(is_valid_jpeg(&buf[..size as usize]));
-        assert_eq!(sys.vc4.lock().frames_produced(), 1);
+        assert_eq!(vc4(&p, |v| v.frames_produced()), 1);
         assert_eq!(drv.stats().frames_captured, 1);
     }
 
     #[test]
     fn burst_capture_counts_frames_and_latency_grows() {
-        let (p, sys, mut drv) = rig();
+        let (p, mut drv) = rig();
         let mut buf = vec![0u8; 2 << 20];
         let t0 = p.now_ns();
         drv.capture(1, CameraResolution::R1080p, &mut buf).unwrap();
@@ -310,7 +315,7 @@ mod tests {
         let t0 = p.now_ns();
         drv.capture(10, CameraResolution::R1080p, &mut buf).unwrap();
         let ten = p.now_ns() - t0;
-        assert_eq!(sys.vc4.lock().frames_produced(), 11);
+        assert_eq!(vc4(&p, |v| v.frames_produced()), 11);
         assert!(ten > one, "ten frames must take longer than one");
         // Per-frame latency amortises the fixed init cost (§8.3.2).
         assert!(ten / 10 < one);
@@ -318,7 +323,7 @@ mod tests {
 
     #[test]
     fn too_small_buffer_is_rejected_locally() {
-        let (_p, _sys, mut drv) = rig();
+        let (_p, mut drv) = rig();
         let mut buf = vec![0u8; 1024];
         assert!(matches!(
             drv.capture(1, CameraResolution::R1440p, &mut buf),
@@ -328,8 +333,8 @@ mod tests {
 
     #[test]
     fn sensor_loss_surfaces_as_a_device_error() {
-        let (_p, sys, mut drv) = rig();
-        sys.vc4.lock().disconnect_sensor();
+        let (p, mut drv) = rig();
+        vc4(&p, |v| v.disconnect_sensor());
         let mut buf = vec![0u8; 2 << 20];
         let err = drv.capture(1, CameraResolution::R720p, &mut buf).unwrap_err();
         assert!(matches!(err, DriverError::Device(_)));
@@ -338,7 +343,7 @@ mod tests {
 
     #[test]
     fn resolutions_produce_their_advertised_sizes() {
-        let (_p, _sys, mut drv) = rig();
+        let (_p, mut drv) = rig();
         let mut buf = vec![0u8; 2 << 20];
         for r in CameraResolution::all() {
             let size = drv.capture(1, r, &mut buf).unwrap();

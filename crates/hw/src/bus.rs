@@ -6,13 +6,16 @@
 //! silicon (the paper modifies the Arm trusted firmware to assign the MMC and
 //! VC4 instances to the TEE, §8.3.1).
 
+use std::any::Any;
+use std::sync::Arc;
+
 use crate::clock::VirtualClock;
 use crate::cost::CostModel;
-use crate::device::MmioDevice;
+use crate::device::{DeviceCtx, MmioDevice, Window};
 use crate::error::HwError;
 use crate::irq::IrqController;
 use crate::mem::{DmaRegion, PhysMem};
-use crate::{shared, HwResult, Shared};
+use crate::{HwResult, Shared};
 
 /// Which world issued a bus access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,61 +37,97 @@ pub enum MmioAttr {
     Uncached,
 }
 
-struct DeviceSlot {
-    dev: Box<dyn MmioDevice>,
-    name: &'static str,
-    base: u64,
-    len: u64,
-    irq_line: Option<u32>,
+/// One mapped register window and the device serving it.
+struct WindowSlot {
+    window: Window,
+    /// Index of the serving device in `SystemBus::devices`.
+    dev: usize,
+    /// Index of this window among the device's own windows.
+    idx: usize,
     secure_only: bool,
 }
 
-/// The system interconnect.
+impl WindowSlot {
+    fn end(&self) -> u64 {
+        self.window.base + self.window.len
+    }
+}
+
+/// The system interconnect, and the single owner of one simulated
+/// platform's state: its clock, memory, interrupt controller and devices.
 pub struct SystemBus {
-    clock: Shared<VirtualClock>,
-    mem: Shared<PhysMem>,
-    irqs: Shared<IrqController>,
-    devices: Vec<DeviceSlot>,
+    /// The platform's virtual clock.
+    pub clock: VirtualClock,
+    /// The platform's physical memory.
+    pub mem: PhysMem,
+    /// The platform's interrupt controller.
+    pub irqs: IrqController,
+    devices: Vec<Box<dyn MmioDevice>>,
+    windows: Vec<WindowSlot>,
     secure_ram: Vec<DmaRegion>,
     access_count: u64,
 }
 
 impl SystemBus {
-    /// Create a bus over the given clock, memory and interrupt controller.
-    pub fn new(
-        clock: Shared<VirtualClock>,
-        mem: Shared<PhysMem>,
-        irqs: Shared<IrqController>,
-    ) -> Self {
-        SystemBus { clock, mem, irqs, devices: Vec::new(), secure_ram: Vec::new(), access_count: 0 }
+    /// Create a bus over the given clock and memory, with an idle interrupt
+    /// controller and no devices.
+    pub fn new(clock: VirtualClock, mem: PhysMem) -> Self {
+        SystemBus {
+            clock,
+            mem,
+            irqs: IrqController::new(),
+            devices: Vec::new(),
+            windows: Vec::new(),
+            secure_ram: Vec::new(),
+            access_count: 0,
+        }
     }
 
-    /// Attach a device. Its register window must not overlap an existing one.
+    /// Attach a device. Its register windows must not overlap existing ones.
     pub fn attach(&mut self, dev: Box<dyn MmioDevice>) -> HwResult<()> {
-        let (name, base, len, irq_line) =
-            (dev.name(), dev.mmio_base(), dev.mmio_len(), dev.irq_line());
-        for slot in &self.devices {
-            let overlaps = base < slot.base + slot.len && slot.base < base + len;
-            if overlaps {
+        for w in dev.windows() {
+            let overlapping =
+                self.windows.iter().find(|s| w.base < s.end() && s.window.base < w.base + w.len);
+            if let Some(s) = overlapping {
                 return Err(HwError::DeviceError {
-                    device: name.to_string(),
-                    reason: format!("register window overlaps {}", slot.name),
+                    device: w.name.to_string(),
+                    reason: format!("register window overlaps {}", s.window.name),
                 });
             }
         }
-        self.devices.push(DeviceSlot { dev, name, base, len, irq_line, secure_only: false });
+        let dev_idx = self.devices.len();
+        self.windows.extend(dev.windows().iter().enumerate().map(|(idx, &window)| WindowSlot {
+            window,
+            dev: dev_idx,
+            idx,
+            secure_only: false,
+        }));
+        self.devices.push(dev);
         Ok(())
+    }
+
+    /// The attached device of type `T` (e.g. to unplug the SD card
+    /// mid-transfer, §8.2.1, or to inspect what reached the medium).
+    pub fn device<T: MmioDevice>(&mut self) -> Option<&mut T> {
+        self.devices.iter_mut().find_map(|d| (d.as_mut() as &mut dyn Any).downcast_mut::<T>())
+    }
+
+    fn slot_named(&self, name: &str) -> HwResult<&WindowSlot> {
+        self.windows
+            .iter()
+            .find(|s| s.window.name == name)
+            .ok_or_else(|| HwError::NoSuchDevice { name: name.to_string() })
     }
 
     /// Assign a device exclusively to the secure world (TZASC programming).
     pub fn set_device_secure(&mut self, name: &str, secure_only: bool) -> HwResult<()> {
-        for slot in &mut self.devices {
-            if slot.name == name {
-                slot.secure_only = secure_only;
-                return Ok(());
-            }
-        }
-        Err(HwError::NoSuchDevice { name: name.to_string() })
+        let slot = self
+            .windows
+            .iter_mut()
+            .find(|s| s.window.name == name)
+            .ok_or_else(|| HwError::NoSuchDevice { name: name.to_string() })?;
+        slot.secure_only = secure_only;
+        Ok(())
     }
 
     /// Mark a RAM window as secure-world-only (the TEE's reserved CMA pool).
@@ -96,19 +135,14 @@ impl SystemBus {
         self.secure_ram.push(region);
     }
 
-    /// Remove all secure RAM windows (tests only).
-    pub fn clear_ram_protection(&mut self) {
-        self.secure_ram.clear();
-    }
-
     /// Whether `name` is currently assigned to the secure world.
     pub fn is_device_secure(&self, name: &str) -> bool {
-        self.devices.iter().any(|s| s.name == name && s.secure_only)
+        self.windows.iter().any(|s| s.window.name == name && s.secure_only)
     }
 
-    /// Names of all attached devices.
+    /// Names of all attached register windows.
     pub fn device_names(&self) -> Vec<&'static str> {
-        self.devices.iter().map(|s| s.name).collect()
+        self.windows.iter().map(|s| s.window.name).collect()
     }
 
     /// The secure-world device whose register window fully contains
@@ -116,19 +150,15 @@ impl SystemBus {
     /// a template may touch a second secure device (e.g. the system DMA
     /// engine next to the MMC host) and any secure window qualifies.
     pub fn secure_device_containing(&self, addr: u64, len: u64) -> Option<&'static str> {
-        self.devices
+        self.windows
             .iter()
-            .find(|s| s.secure_only && addr >= s.base && addr.saturating_add(len) <= s.base + s.len)
-            .map(|s| s.name)
+            .find(|s| s.secure_only && addr >= s.window.base && addr.saturating_add(len) <= s.end())
+            .map(|s| s.window.name)
     }
 
     /// MMIO register window of an attached device.
     pub fn device_window(&self, name: &str) -> HwResult<DmaRegion> {
-        self.devices
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| DmaRegion::new(s.base, s.len as usize))
-            .ok_or_else(|| HwError::NoSuchDevice { name: name.to_string() })
+        self.slot_named(name).map(|s| DmaRegion::new(s.window.base, s.window.len as usize))
     }
 
     /// Total number of MMIO accesses routed so far.
@@ -136,30 +166,24 @@ impl SystemBus {
         self.access_count
     }
 
-    /// Shared clock handle.
-    pub fn clock(&self) -> Shared<VirtualClock> {
-        self.clock.clone()
-    }
-
-    /// Shared physical memory handle.
-    pub fn mem(&self) -> Shared<PhysMem> {
-        self.mem.clone()
-    }
-
-    /// Shared interrupt controller handle.
-    pub fn irqs(&self) -> Shared<IrqController> {
-        self.irqs.clone()
-    }
-
-    fn slot_for(&self, addr: u64) -> Option<usize> {
-        self.devices.iter().position(|s| addr >= s.base && addr < s.base + s.len)
-    }
-
-    fn check_device_access(&self, idx: usize, addr: u64, world: World) -> HwResult<()> {
-        if self.devices[idx].secure_only && world == World::NonSecure {
+    /// Check, charge and count one register access. Returns the serving
+    /// device, its window index and the offset into the window.
+    fn route(&mut self, addr: u64, world: World, attr: MmioAttr) -> HwResult<(usize, usize, u64)> {
+        if !addr.is_multiple_of(4) {
+            return Err(HwError::Misaligned { addr, align: 4 });
+        }
+        let slot = self
+            .windows
+            .iter()
+            .find(|s| addr >= s.window.base && addr < s.end())
+            .ok_or(HwError::Unmapped { addr })?;
+        if slot.secure_only && world == World::NonSecure {
             return Err(HwError::PermissionDenied { addr, world });
         }
-        Ok(())
+        let routed = (slot.dev, slot.idx, addr - slot.window.base);
+        self.clock.charge_mmio(attr == MmioAttr::Uncached);
+        self.access_count += 1;
+        Ok(routed)
     }
 
     fn check_ram_access(&self, addr: u64, len: usize, world: World) -> HwResult<()> {
@@ -177,20 +201,10 @@ impl SystemBus {
 
     /// Read a 32-bit device register.
     pub fn mmio_read32(&mut self, addr: u64, world: World, attr: MmioAttr) -> HwResult<u32> {
-        if !addr.is_multiple_of(4) {
-            return Err(HwError::Misaligned { addr, align: 4 });
-        }
-        let idx = self.slot_for(addr).ok_or(HwError::Unmapped { addr })?;
-        self.check_device_access(idx, addr, world)?;
-        let now = {
-            let mut c = self.clock.lock();
-            c.charge_mmio(attr == MmioAttr::Uncached);
-            c.now_ns()
-        };
-        self.access_count += 1;
-        let off = addr - self.devices[idx].base;
-        let val = self.devices[idx].dev.read32(off, now);
-        Ok(val)
+        let (dev, window, off) = self.route(addr, world, attr)?;
+        let mut ctx =
+            DeviceCtx { now_ns: self.clock.now_ns(), mem: &mut self.mem, irqs: &mut self.irqs };
+        Ok(self.devices[dev].read32(window, off, &mut ctx))
     }
 
     /// Write a 32-bit device register.
@@ -201,63 +215,56 @@ impl SystemBus {
         world: World,
         attr: MmioAttr,
     ) -> HwResult<()> {
-        if !addr.is_multiple_of(4) {
-            return Err(HwError::Misaligned { addr, align: 4 });
-        }
-        let idx = self.slot_for(addr).ok_or(HwError::Unmapped { addr })?;
-        self.check_device_access(idx, addr, world)?;
-        let now = {
-            let mut c = self.clock.lock();
-            c.charge_mmio(attr == MmioAttr::Uncached);
-            c.now_ns()
-        };
-        self.access_count += 1;
-        let off = addr - self.devices[idx].base;
-        self.devices[idx].dev.write32(off, val, now);
+        let (dev, window, off) = self.route(addr, world, attr)?;
+        let mut ctx =
+            DeviceCtx { now_ns: self.clock.now_ns(), mem: &mut self.mem, irqs: &mut self.irqs };
+        self.devices[dev].write32(window, off, val, &mut ctx);
         Ok(())
     }
 
     /// Read bytes from RAM (charged as word copies).
     pub fn ram_read(&mut self, addr: u64, out: &mut [u8], world: World) -> HwResult<()> {
         self.check_ram_access(addr, out.len(), world)?;
-        self.clock.lock().charge_pio_words((out.len() as u64).div_ceil(4));
-        self.mem.lock().read_bytes(addr, out)
+        self.clock.charge_pio_words((out.len() as u64).div_ceil(4));
+        self.mem.read_bytes(addr, out)
     }
 
     /// Write bytes to RAM (charged as word copies).
     pub fn ram_write(&mut self, addr: u64, src: &[u8], world: World) -> HwResult<()> {
         self.check_ram_access(addr, src.len(), world)?;
-        self.clock.lock().charge_pio_words((src.len() as u64).div_ceil(4));
-        self.mem.lock().write_bytes(addr, src)
+        self.clock.charge_pio_words((src.len() as u64).div_ceil(4));
+        self.mem.write_bytes(addr, src)
     }
 
     /// Read a 32-bit little-endian word from RAM.
     pub fn ram_read32(&mut self, addr: u64, world: World) -> HwResult<u32> {
         self.check_ram_access(addr, 4, world)?;
-        self.clock.lock().charge_pio_words(1);
-        self.mem.lock().read32(addr)
+        self.clock.charge_pio_words(1);
+        self.mem.read32(addr)
     }
 
     /// Write a 32-bit little-endian word to RAM.
     pub fn ram_write32(&mut self, addr: u64, val: u32, world: World) -> HwResult<()> {
         self.check_ram_access(addr, 4, world)?;
-        self.clock.lock().charge_pio_words(1);
-        self.mem.lock().write32(addr, val)
+        self.clock.charge_pio_words(1);
+        self.mem.write32(addr, val)
     }
 
-    /// Tick every attached device up to the current time.
-    pub fn tick_all(&mut self) {
-        let now = self.clock.lock().now_ns();
-        self.irqs.lock().tick(now);
-        for slot in &mut self.devices {
-            slot.dev.tick(now);
+    /// Tick the interrupt controller and every attached device up to the
+    /// current time.
+    fn tick_all(&mut self) {
+        let now = self.clock.now_ns();
+        self.irqs.tick(now);
+        let mut ctx = DeviceCtx { now_ns: now, mem: &mut self.mem, irqs: &mut self.irqs };
+        for dev in &mut self.devices {
+            dev.tick(&mut ctx);
         }
     }
 
     /// Busy-wait (advancing virtual time) for `us` microseconds, ticking
     /// devices as time passes. Models `udelay`.
     pub fn delay_us(&mut self, us: u64) {
-        self.clock.lock().advance_us(us);
+        self.clock.advance_us(us);
         self.tick_all();
     }
 
@@ -268,8 +275,8 @@ impl SystemBus {
     /// queued arrival stamps and hold deadlines, because a lane's devices
     /// only make progress while a replay drives them.)
     pub fn next_event_ns(&self) -> Option<u64> {
-        let next_irq = self.irqs.lock().earliest_deadline();
-        let next_dev = self.devices.iter().filter_map(|s| s.dev.next_deadline_ns()).min();
+        let next_irq = self.irqs.earliest_deadline();
+        let next_dev = self.devices.iter().filter_map(|d| d.next_deadline_ns()).min();
         match (next_irq, next_dev) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -281,17 +288,17 @@ impl SystemBus {
     /// Returns the number of virtual microseconds waited. Fails with
     /// [`HwError::Timeout`] after `timeout_us`.
     pub fn wait_for_irq(&mut self, line: u32, timeout_us: u64, _world: World) -> HwResult<u64> {
-        let start = self.clock.lock().now_ns();
+        let start = self.clock.now_ns();
         let deadline = start + timeout_us * 1_000;
-        let quantum_ns = self.clock.lock().cost().poll_delay_ns.max(1);
+        let quantum_ns = self.clock.cost().poll_delay_ns.max(1);
         loop {
             self.tick_all();
-            let now = self.clock.lock().now_ns();
-            if self.irqs.lock().is_pending(line, now) {
+            let now = self.clock.now_ns();
+            if self.irqs.is_pending(line, now) {
                 // Charge the delivery latency once.
-                let delivery = self.clock.lock().cost().irq_delivery_ns;
-                self.clock.lock().advance_ns(delivery);
-                return Ok((self.clock.lock().now_ns() - start) / 1_000);
+                let delivery = self.clock.cost().irq_delivery_ns;
+                self.clock.advance_ns(delivery);
+                return Ok((self.clock.now_ns() - start) / 1_000);
             }
             if now >= deadline {
                 return Err(HwError::Timeout {
@@ -301,62 +308,41 @@ impl SystemBus {
             }
             // Jump straight to the next scheduled event when one exists,
             // otherwise advance by the polling quantum.
-            let next = self.next_event_ns();
-            let mut clock = self.clock.lock();
-            match next {
-                Some(d) if d > now && d <= deadline => clock.advance_to(d),
-                _ => clock.advance_ns(quantum_ns),
+            match self.next_event_ns() {
+                Some(d) if d > now && d <= deadline => self.clock.advance_to(d),
+                _ => self.clock.advance_ns(quantum_ns),
             }
         }
     }
 
     /// Acknowledge (clear) an interrupt line.
     pub fn ack_irq(&mut self, line: u32) {
-        self.irqs.lock().clear(line);
+        self.irqs.clear(line);
     }
 
     /// Whether an interrupt line is pending right now.
-    pub fn irq_pending(&mut self, line: u32) -> bool {
-        let now = self.clock.lock().now_ns();
-        self.irqs.lock().is_pending(line, now)
+    pub fn irq_pending(&self, line: u32) -> bool {
+        self.irqs.is_pending(line, self.clock.now_ns())
     }
 
     /// Soft-reset a device by name and clear its interrupt line.
     pub fn soft_reset_device(&mut self, name: &str) -> HwResult<()> {
-        let now = {
-            let mut c = self.clock.lock();
-            let cost = c.cost().soft_reset_ns;
-            c.advance_ns(cost);
-            c.now_ns()
-        };
-        let mut found = None;
-        for slot in &mut self.devices {
-            if slot.name == name {
-                slot.dev.soft_reset(now);
-                found = slot.irq_line;
-                if found.is_none() {
-                    return Ok(());
-                }
-                break;
-            }
+        let cost = self.clock.cost().soft_reset_ns;
+        self.clock.advance_ns(cost);
+        let slot = self.slot_named(name)?;
+        let (dev, window, irq_line) = (slot.dev, slot.idx, slot.window.irq_line);
+        let mut ctx =
+            DeviceCtx { now_ns: self.clock.now_ns(), mem: &mut self.mem, irqs: &mut self.irqs };
+        self.devices[dev].soft_reset(window, &mut ctx);
+        if let Some(line) = irq_line {
+            self.irqs.reset_line(line);
         }
-        match found {
-            Some(line) => {
-                self.irqs.lock().reset_line(line);
-                Ok(())
-            }
-            None => Err(HwError::NoSuchDevice { name: name.to_string() }),
-        }
-    }
-
-    /// Names and register maps of all devices (Table 7 effort analysis).
-    pub fn register_maps(&self) -> Vec<(&'static str, Vec<(u64, &'static str)>)> {
-        self.devices.iter().map(|s| (s.name, s.dev.register_map())).collect()
+        Ok(())
     }
 }
 
-/// Convenience bundle that wires a clock, RAM, the interrupt controller and a
-/// bus together with the standard memory map of the simulated SoC.
+/// Convenience bundle that builds a bus with the standard memory map of the
+/// simulated SoC.
 ///
 /// One `Platform` models **one TEE core**: everything attached to it shares
 /// its clock, and its timeline advances independently of every other
@@ -364,13 +350,9 @@ impl SystemBus {
 /// service builds one per device lane (all starting from epoch zero) and
 /// merges their timelines with a pointwise-max rule.
 pub struct Platform {
-    /// Shared virtual clock.
-    pub clock: Shared<VirtualClock>,
-    /// Shared physical memory.
-    pub mem: Shared<PhysMem>,
-    /// Shared interrupt controller.
-    pub irqs: Shared<IrqController>,
-    /// Shared system bus.
+    /// The system bus, which owns the clock, memory, interrupt controller
+    /// and devices. The platform, its `SecureIo` and a gold driver's `BusIo`
+    /// share it on one thread; each of their calls takes this one lock.
     pub bus: Shared<SystemBus>,
 }
 
@@ -390,21 +372,24 @@ impl Platform {
 
     /// Create a platform with a custom cost model.
     pub fn with_cost(cost: CostModel) -> Self {
-        let clock = shared(VirtualClock::new(cost));
-        let mem = shared(PhysMem::new(Self::RAM_BASE, Self::RAM_SIZE));
-        let irqs = shared(IrqController::new());
-        let bus = shared(SystemBus::new(clock.clone(), mem.clone(), irqs.clone()));
-        Platform { clock, mem, irqs, bus }
+        let mem = PhysMem::new(Self::RAM_BASE, Self::RAM_SIZE);
+        let bus = SystemBus::new(VirtualClock::new(cost), mem);
+        Platform { bus: Arc::new(parking_lot::Mutex::new(bus)) }
+    }
+
+    /// Attach a device to the platform's bus (see [`SystemBus::attach`]).
+    pub fn attach(&self, dev: Box<dyn MmioDevice>) -> HwResult<()> {
+        self.bus.lock().attach(dev)
     }
 
     /// Current virtual time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        self.clock.lock().now_ns()
+        self.bus.lock().clock.now_ns()
     }
 
     /// The cost model in use.
     pub fn cost(&self) -> CostModel {
-        self.clock.lock().cost().clone()
+        self.bus.lock().clock.cost().clone()
     }
 }
 
@@ -422,49 +407,45 @@ mod tests {
     /// written value, and a "completion" register at +0x4 that schedules an
     /// IRQ 100 us after being written.
     struct ToyDevice {
-        irqs: Shared<IrqController>,
         last: u32,
         resets: u32,
     }
 
+    const TOY: &[Window] = &[Window {
+        name: "toy",
+        base: 0x3f00_1000,
+        len: 0x100,
+        irq_line: Some(crate::irq::lines::MMC),
+    }];
+
     impl MmioDevice for ToyDevice {
-        fn name(&self) -> &'static str {
-            "toy"
+        fn windows(&self) -> &'static [Window] {
+            TOY
         }
-        fn mmio_base(&self) -> u64 {
-            0x3f00_1000
-        }
-        fn mmio_len(&self) -> u64 {
-            0x100
-        }
-        fn read32(&mut self, offset: u64, _now: u64) -> u32 {
+        fn read32(&mut self, _window: usize, offset: u64, _ctx: &mut DeviceCtx<'_>) -> u32 {
             match offset {
                 0x0 => self.last,
                 0x8 => self.resets,
                 _ => 0,
             }
         }
-        fn write32(&mut self, offset: u64, val: u32, now: u64) {
+        fn write32(&mut self, _window: usize, offset: u64, val: u32, ctx: &mut DeviceCtx<'_>) {
             match offset {
                 0x0 => self.last = val,
-                0x4 => self.irqs.lock().assert_at(crate::irq::lines::MMC, now + 100_000),
+                0x4 => ctx.irqs.assert_at(crate::irq::lines::MMC, ctx.now_ns + 100_000),
                 _ => {}
             }
         }
-        fn tick(&mut self, _now: u64) {}
-        fn soft_reset(&mut self, _now: u64) {
+        fn tick(&mut self, _ctx: &mut DeviceCtx<'_>) {}
+        fn soft_reset(&mut self, _window: usize, _ctx: &mut DeviceCtx<'_>) {
             self.last = 0;
             self.resets += 1;
-        }
-        fn irq_line(&self) -> Option<u32> {
-            Some(crate::irq::lines::MMC)
         }
     }
 
     fn toy_platform() -> Platform {
         let p = Platform::new();
-        let dev = Box::new(ToyDevice { irqs: p.irqs.clone(), last: 0, resets: 0 });
-        p.bus.lock().attach(dev).unwrap();
+        p.bus.lock().attach(Box::new(ToyDevice { last: 0, resets: 0 })).unwrap();
         p
     }
 
@@ -567,7 +548,7 @@ mod tests {
     #[test]
     fn overlapping_windows_are_rejected() {
         let p = toy_platform();
-        let dup = Box::new(ToyDevice { irqs: p.irqs.clone(), last: 0, resets: 0 });
+        let dup = Box::new(ToyDevice { last: 0, resets: 0 });
         let err = p.bus.lock().attach(dup).unwrap_err();
         assert!(matches!(err, HwError::DeviceError { .. }));
     }
@@ -580,6 +561,30 @@ mod tests {
         let mut out = [0u8; 5];
         bus.ram_read(0x1000, &mut out, World::NonSecure).unwrap();
         assert_eq!(out, [1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn typed_accessor_reaches_the_attached_device() {
+        let p = toy_platform();
+        p.bus.lock().device::<ToyDevice>().unwrap().last = 0x5a;
+        let v = p.bus.lock().mmio_read32(0x3f00_1000, World::Secure, MmioAttr::Uncached).unwrap();
+        assert_eq!(v, 0x5a);
+        assert!(p.bus.lock().device::<AbsentDevice>().is_none());
+    }
+
+    /// A device type that is never attached.
+    struct AbsentDevice;
+
+    impl MmioDevice for AbsentDevice {
+        fn windows(&self) -> &'static [Window] {
+            &[]
+        }
+        fn read32(&mut self, _window: usize, _offset: u64, _ctx: &mut DeviceCtx<'_>) -> u32 {
+            0
+        }
+        fn write32(&mut self, _: usize, _: u64, _: u32, _: &mut DeviceCtx<'_>) {}
+        fn tick(&mut self, _ctx: &mut DeviceCtx<'_>) {}
+        fn soft_reset(&mut self, _window: usize, _ctx: &mut DeviceCtx<'_>) {}
     }
 
     #[test]

@@ -21,8 +21,8 @@ use crate::cost::CostModel;
 
 /// Lock-free published view of one [`VirtualClock`].
 ///
-/// The clock itself lives behind its platform's mutex and is mutated only
-/// by the thread driving that platform; every advance also stores the new
+/// The clock itself lives in its platform's bus and is mutated only by the
+/// thread driving that platform; every advance also stores the new
 /// `now`/`idle` values here with `Release` ordering, so *other* threads
 /// (the `dlt-serve` front-end computing the pointwise-max clock join, lane
 /// status snapshots) can read a consistent recent value with an `Acquire`
@@ -113,7 +113,7 @@ impl VirtualClock {
 
     /// The lock-free published view of this clock. Cross-thread readers
     /// (the serve front-end's max-scan clock join) hold this handle and
-    /// never touch the platform mutex the clock itself lives behind.
+    /// never take the lock of the bus the clock itself lives in.
     pub fn cell(&self) -> Arc<ClockCell> {
         Arc::clone(&self.cell)
     }
@@ -129,19 +129,9 @@ impl VirtualClock {
         self.now_ns / 1_000
     }
 
-    /// Current virtual time in milliseconds (truncated).
-    pub fn now_ms(&self) -> u64 {
-        self.now_ns / 1_000_000
-    }
-
-    /// The shared cost model.
+    /// The cost model.
     pub fn cost(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// Replace the cost model (used by ablation benchmarks).
-    pub fn set_cost(&mut self, cost: CostModel) {
-        self.cost = cost;
     }
 
     /// Advance time by `ns` nanoseconds.
@@ -218,12 +208,6 @@ impl VirtualClock {
     /// Charge a PIO copy of `words` 32-bit words.
     pub fn charge_pio_words(&mut self, words: u64) {
         self.advance_ns(self.cost.dram_word_copy_ns.saturating_mul(words));
-    }
-
-    /// Charge a DMA transfer covering `pages` 4 KiB pages.
-    pub fn charge_dma(&mut self, pages: u64) {
-        let ns = self.cost.dma_transfer(pages);
-        self.advance_ns(ns);
     }
 }
 

@@ -6,51 +6,64 @@
 //! trait captures exactly that interface; the MMC, USB and VC4/VCHIQ
 //! simulators in `dlt-dev-*` implement it.
 
+use std::any::Any;
+
+use crate::irq::IrqController;
+use crate::mem::PhysMem;
+
+/// One register window a device serves on the bus.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// Stable bus name, e.g. `"sdhost"`, `"dma"`, `"dwc2"`, `"vchiq"`.
+    pub name: &'static str,
+    /// Physical base address.
+    pub base: u64,
+    /// Length in bytes.
+    pub len: u64,
+    /// The interrupt line the block behind this window asserts, if any.
+    pub irq_line: Option<u32>,
+}
+
+/// What a device may touch while the bus drives it: the current virtual
+/// time, physical memory (DMA, shared-memory queues) and the interrupt
+/// controller. The bus lends it for one access, tick or reset; devices hold
+/// no handle to any of it between calls.
+pub struct DeviceCtx<'a> {
+    /// Current virtual time in nanoseconds.
+    pub now_ns: u64,
+    /// The platform's physical memory.
+    pub mem: &'a mut PhysMem,
+    /// The platform's interrupt controller.
+    pub irqs: &'a mut IrqController,
+}
+
 /// A memory-mapped device on the simulated SoC.
 ///
-/// All methods take the current virtual time so device models can schedule
-/// completion interrupts and expire internal timers without holding a clock
-/// handle (which keeps lock ordering trivial in the single-threaded
-/// simulation).
-pub trait MmioDevice: Send {
-    /// Stable device name, e.g. `"sdhost"`, `"dwc2"`, `"vchiq"`.
-    fn name(&self) -> &'static str;
-
-    /// Physical base address of the register window.
-    fn mmio_base(&self) -> u64;
-
-    /// Length in bytes of the register window.
-    fn mmio_len(&self) -> u64;
+/// The bus owns every device by value and passes a [`DeviceCtx`] into each
+/// call, so a device model is plain state with no shared handles. A device
+/// may serve several register windows (the MMC controller serves the SDHOST
+/// and system DMA windows, which share a data FIFO); `window` indexes
+/// [`MmioDevice::windows`]. Tests reach the concrete type through
+/// [`crate::SystemBus::device`].
+pub trait MmioDevice: Any + Send {
+    /// The register windows this device serves.
+    fn windows(&self) -> &'static [Window];
 
     /// Read a 32-bit register at `offset` from the window base.
-    fn read32(&mut self, offset: u64, now_ns: u64) -> u32;
+    fn read32(&mut self, window: usize, offset: u64, ctx: &mut DeviceCtx<'_>) -> u32;
 
     /// Write a 32-bit register at `offset` from the window base.
-    fn write32(&mut self, offset: u64, val: u32, now_ns: u64);
+    fn write32(&mut self, window: usize, offset: u64, val: u32, ctx: &mut DeviceCtx<'_>);
 
-    /// Let the device make forward progress up to `now_ns` (complete DMA,
-    /// assert interrupts whose deadlines passed, etc.).
-    fn tick(&mut self, now_ns: u64);
+    /// Let the device make forward progress up to `ctx.now_ns` (complete
+    /// DMA, assert interrupts whose deadlines passed, etc.).
+    fn tick(&mut self, ctx: &mut DeviceCtx<'_>);
 
-    /// Soft reset: return to the clean post-initialisation state, as if the
-    /// device had just finished its boot-time bring-up. This is the recovery
-    /// primitive the replayer uses between templates and on divergence (§5).
-    fn soft_reset(&mut self, now_ns: u64);
-
-    /// The interrupt line this device asserts, if any.
-    fn irq_line(&self) -> Option<u32>;
-
-    /// Human-readable names of interesting registers (offset -> name), used
-    /// for template debugging output and the Table 7 effort analysis.
-    fn register_map(&self) -> Vec<(u64, &'static str)> {
-        Vec::new()
-    }
-
-    /// Whether the device believes it is idle (no in-flight work). Used by
-    /// tests and by the divergence analysis to detect residual state.
-    fn is_idle(&self) -> bool {
-        true
-    }
+    /// Soft reset the block behind `window`: return it to the clean
+    /// post-initialisation state, as if it had just finished its boot-time
+    /// bring-up. This is the recovery primitive the replayer uses between
+    /// templates and on divergence (§5).
+    fn soft_reset(&mut self, window: usize, ctx: &mut DeviceCtx<'_>);
 
     /// The next virtual time at which this device will make progress on its
     /// own (an internal completion deadline such as media latency), if one
@@ -60,66 +73,6 @@ pub trait MmioDevice: Send {
     /// quantum stepping and is always correct.
     fn next_deadline_ns(&self) -> Option<u64> {
         None
-    }
-}
-
-/// Adapter that exposes a shared, typed device handle as a boxed
-/// [`MmioDevice`] for bus attachment.
-///
-/// Device simulators are usually constructed as `Shared<ConcreteDevice>` so
-/// that tests, fault injectors and validation scripts keep a typed handle
-/// (e.g. to unplug the SD card mid-transfer, §8.2.1), while the bus owns a
-/// `Box<dyn MmioDevice>` routing accesses to the same instance.
-pub struct SharedDevice<T: MmioDevice>(pub crate::Shared<T>);
-
-impl<T: MmioDevice> SharedDevice<T> {
-    /// Wrap a shared typed handle.
-    pub fn new(inner: crate::Shared<T>) -> Self {
-        SharedDevice(inner)
-    }
-
-    /// Box this adapter for `SystemBus::attach`.
-    pub fn boxed(inner: crate::Shared<T>) -> Box<dyn MmioDevice>
-    where
-        T: 'static,
-    {
-        Box::new(SharedDevice(inner))
-    }
-}
-
-impl<T: MmioDevice> MmioDevice for SharedDevice<T> {
-    fn name(&self) -> &'static str {
-        self.0.lock().name()
-    }
-    fn mmio_base(&self) -> u64 {
-        self.0.lock().mmio_base()
-    }
-    fn mmio_len(&self) -> u64 {
-        self.0.lock().mmio_len()
-    }
-    fn read32(&mut self, offset: u64, now_ns: u64) -> u32 {
-        self.0.lock().read32(offset, now_ns)
-    }
-    fn write32(&mut self, offset: u64, val: u32, now_ns: u64) {
-        self.0.lock().write32(offset, val, now_ns)
-    }
-    fn tick(&mut self, now_ns: u64) {
-        self.0.lock().tick(now_ns)
-    }
-    fn soft_reset(&mut self, now_ns: u64) {
-        self.0.lock().soft_reset(now_ns)
-    }
-    fn irq_line(&self) -> Option<u32> {
-        self.0.lock().irq_line()
-    }
-    fn register_map(&self) -> Vec<(u64, &'static str)> {
-        self.0.lock().register_map()
-    }
-    fn is_idle(&self) -> bool {
-        self.0.lock().is_idle()
-    }
-    fn next_deadline_ns(&self) -> Option<u64> {
-        self.0.lock().next_deadline_ns()
     }
 }
 

@@ -19,6 +19,14 @@
 //! driver polls or waits for an interrupt. This mirrors the paper's system
 //! model (§3.1): devices are reactive FSMs that never initiate requests on
 //! their own.
+//!
+//! Each simulated platform has one owner. The [`SystemBus`] holds the
+//! clock, memory, interrupt controller and devices by value and lends a
+//! [`device::DeviceCtx`] (current time, memory, interrupt controller) to a
+//! device on every access, tick and reset, so no device holds a handle to
+//! anything. The only lock is around the bus itself ([`Shared`]), because a
+//! [`Platform`], the TEE's secure services and a gold driver's IO layer all
+//! reach the same bus.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,23 +41,16 @@ pub mod mem;
 
 use std::sync::Arc;
 
-/// Shared, mutably lockable handle used to wire devices, memory, the clock and
-/// the interrupt controller together.
-///
-/// The whole platform is single-threaded; the mutex only provides interior
-/// mutability with runtime borrow discipline (and keeps the types `Send` so
-/// Criterion benches can own them).
+/// The handle through which a [`Platform`], its secure services and a gold
+/// driver's IO layer share one [`SystemBus`]. The platform is driven by one
+/// thread; the mutex keeps the handle `Send` so a platform can move to the
+/// thread that drives it.
 pub type Shared<T> = Arc<parking_lot::Mutex<T>>;
-
-/// Wrap a value in a [`Shared`] handle.
-pub fn shared<T>(value: T) -> Shared<T> {
-    Arc::new(parking_lot::Mutex::new(value))
-}
 
 pub use bus::{Platform, SystemBus, World};
 pub use clock::{ClockCell, VirtualClock};
 pub use cost::CostModel;
-pub use device::MmioDevice;
+pub use device::{DeviceCtx, MmioDevice, Window};
 pub use error::HwError;
 pub use irq::IrqController;
 pub use mem::{DmaRegion, PhysMem};

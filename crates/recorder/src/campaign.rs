@@ -11,8 +11,8 @@
 
 use std::collections::HashMap;
 
-use dlt_dev_mmc::{MmcSubsystem, CARD_BLOCKS, SDHOST_BASE};
-use dlt_dev_usb::{UsbSubsystem, USB_BASE, USB_DISK_BLOCKS};
+use dlt_dev_mmc::{MmcController, MmcSubsystem, CARD_BLOCKS, SDHOST_BASE};
+use dlt_dev_usb::{UsbHostController, UsbSubsystem, USB_BASE, USB_DISK_BLOCKS};
 use dlt_dev_vchiq::msg::CameraResolution;
 use dlt_dev_vchiq::{VchiqSubsystem, VCHIQ_BASE};
 use dlt_gold_drivers::kenv::{BusIo, IoFlags, Rw};
@@ -97,17 +97,17 @@ fn mmc_run(
     seed: u64,
 ) -> Result<RecordRun, RecorderError> {
     let platform = Platform::new();
-    let sys =
-        MmcSubsystem::attach(&platform).map_err(|e| RecorderError::DriverFailed(e.to_string()))?;
+    MmcSubsystem::attach(&platform).map_err(|e| RecorderError::DriverFailed(e.to_string()))?;
     let total = blkcnt as usize * dlt_dev_mmc::BLOCK_SIZE;
 
     // For reads, pre-populate the card so payload-sink discovery has unique
     // data to match against.
     if matches!(rw, Rw::Read) {
         let fixture = pattern_buf(total, seed ^ 0xfeed);
-        let mut host_dev = sys.sdhost.lock();
+        let mut bus = platform.bus.lock();
+        let card = bus.device::<MmcController>().expect("attached above").sdhost.card_mut();
         for b in 0..blkcnt as usize {
-            host_dev.card_mut().poke_block(
+            card.poke_block(
                 u64::from(blkid) + b as u64,
                 &fixture[b * dlt_dev_mmc::BLOCK_SIZE..(b + 1) * dlt_dev_mmc::BLOCK_SIZE],
             );
@@ -220,14 +220,15 @@ fn usb_run(
     seed: u64,
 ) -> Result<RecordRun, RecorderError> {
     let platform = Platform::new();
-    let sys =
-        UsbSubsystem::attach(&platform).map_err(|e| RecorderError::DriverFailed(e.to_string()))?;
+    UsbSubsystem::attach(&platform).map_err(|e| RecorderError::DriverFailed(e.to_string()))?;
     let total = blkcnt as usize * dlt_dev_usb::USB_BLOCK_SIZE;
     if matches!(rw, Rw::Read) {
         let fixture = pattern_buf(total, seed ^ 0xbeef);
-        let mut hc = sys.hostctrl.lock();
+        let mut bus = platform.bus.lock();
+        let disk =
+            bus.device::<UsbHostController>().expect("attached above").device_mut().disk_mut();
         for b in 0..blkcnt as usize {
-            hc.device_mut().disk_mut().poke_block(
+            disk.poke_block(
                 u64::from(blkid) + b as u64,
                 &fixture[b * dlt_dev_usb::USB_BLOCK_SIZE..(b + 1) * dlt_dev_usb::USB_BLOCK_SIZE],
             );
@@ -344,8 +345,7 @@ fn camera_run(
     dma_skew: u64,
 ) -> Result<RecordRun, RecorderError> {
     let platform = Platform::new();
-    let _sys = VchiqSubsystem::attach(&platform)
-        .map_err(|e| RecorderError::DriverFailed(e.to_string()))?;
+    VchiqSubsystem::attach(&platform).map_err(|e| RecorderError::DriverFailed(e.to_string()))?;
     let io = BusIo::normal_world(
         platform.bus.clone(),
         DmaRegion::new(RECORD_DMA_BASE + dma_skew, RECORD_DMA_LEN),

@@ -339,7 +339,7 @@ impl LaneWorker {
     pub fn run_one_batch(&mut self, dispatch: Dispatch) -> usize {
         // The core fast-forwards over its idle gap to the dispatch instant
         // (arrival or plug deadline)...
-        self.platform.clock.lock().advance_idle_to(dispatch.at_ns);
+        self.platform.bus.lock().clock.advance_idle_to(dispatch.at_ns);
         // ...then unplugs and batches everything that arrived by then.
         let batch =
             self.lane.next_batch(self.config.policy, self.config.coalesce_window, dispatch.at_ns);

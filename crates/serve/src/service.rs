@@ -746,7 +746,7 @@ impl DriverletService {
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
         let control = Platform::new();
-        let control_cell = control.clock.lock().cell();
+        let control_cell = control.bus.lock().clock.cell();
         let mut tee = TeeKernel::install(&control, &[])?;
         tee.load_trustlet(Box::new(ServeGate));
         let quiesce = Arc::new(Quiesce::default());
@@ -814,7 +814,7 @@ impl DriverletService {
             let shared = Arc::new(LaneShared::new(
                 *device,
                 config.queue_capacity,
-                platform.clock.lock().cell(),
+                platform.bus.lock().clock.cell(),
                 Arc::clone(&quiesce),
                 metrics.register_lane(device.to_string()),
                 metrics.epoch(),
@@ -925,7 +925,7 @@ impl DriverletService {
     /// accordingly. Benchmarks use this to shape open-loop arrival
     /// processes (e.g. the anticipatory-hold sweep).
     pub fn client_think_ns(&mut self, ns: u64) {
-        self.control.clock.lock().advance_ns(ns);
+        self.control.bus.lock().clock.advance_ns(ns);
     }
 
     /// Per-lane timeline and queue snapshots (device, lane-local time,
@@ -2002,7 +2002,7 @@ impl DriverletService {
             }
         }
         if let Some(latest) = taken.iter().map(|c| c.completed_ns).max() {
-            self.control.clock.lock().advance_to(latest);
+            self.control.bus.lock().clock.advance_to(latest);
         }
         taken
     }

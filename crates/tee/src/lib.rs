@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use dlt_hw::bus::MmioAttr;
 use dlt_hw::mem::BumpDmaAllocator;
-use dlt_hw::{DmaRegion, HwError, Platform, Shared, SystemBus, World};
+use dlt_hw::{CostModel, DmaRegion, HwError, Platform, Shared, SystemBus, World};
 use dlt_obs::metrics::SmcMetrics;
 use dlt_obs::trace::{EventKind, SmcKind, TraceHandle};
 
@@ -81,29 +81,40 @@ impl From<HwError> for TeeError {
 /// replayer's dependencies are the short list of primitives in §6.2 (uncached
 /// register access, poll/delay loops, contiguous DMA from the reserved pool,
 /// the platform RNG, and normal-world RPC for timestamps).
+///
+/// Every method that touches the platform takes the bus lock once; cost
+/// lookups read a copy of the platform's cost model and take none.
 pub struct SecureIo {
     bus: Shared<SystemBus>,
-    /// Direct clock handle: time accounting (`charge_ns`, cost lookups,
-    /// timestamp RPCs) is on the replay hot path and must not take the bus
-    /// lock or clone the shared handle per event.
-    clock: Shared<dlt_hw::VirtualClock>,
+    /// The platform's cost model, copied at construction: it never changes
+    /// afterwards, and cost lookups sit on the replay hot path.
+    cost: CostModel,
     pool: BumpDmaAllocator,
     rng_state: u64,
     world_switches: u64,
-    rpc_calls: u64,
+}
+
+/// The physical address of `len` bytes at `offset` into `region`, or
+/// [`HwError::OutOfBounds`] when they do not lie inside the allocation.
+fn dma_addr(region: DmaRegion, offset: u64, len: usize) -> Result<u64, TeeError> {
+    let addr = region.base.saturating_add(offset);
+    if region.contains(addr, len) {
+        Ok(addr)
+    } else {
+        Err(TeeError::Hw(HwError::OutOfBounds { addr, len }))
+    }
 }
 
 impl SecureIo {
     /// Build the secure IO services over the platform bus.
     pub fn new(bus: Shared<SystemBus>) -> Self {
-        let clock = bus.lock().clock();
+        let cost = bus.lock().clock.cost().clone();
         SecureIo {
             bus,
-            clock,
+            cost,
             pool: BumpDmaAllocator::new(DmaRegion::new(TEE_DMA_POOL_BASE, TEE_DMA_POOL_BYTES)),
             rng_state: 0x9e37_79b9_7f4a_7c15,
             world_switches: 0,
-            rpc_calls: 0,
         }
     }
 
@@ -122,32 +133,35 @@ impl SecureIo {
         Ok(self.bus.lock().wait_for_irq(line, timeout_us, World::Secure)?)
     }
 
-    /// Read a word from secure DMA memory.
+    /// Read a word at `offset` into a secure DMA allocation.
     pub fn shm_read32(&mut self, region: DmaRegion, offset: u64) -> Result<u32, TeeError> {
-        Ok(self.bus.lock().ram_read32(region.base + offset, World::Secure)?)
+        let addr = dma_addr(region, offset, 4)?;
+        Ok(self.bus.lock().ram_read32(addr, World::Secure)?)
     }
 
-    /// Write a word to secure DMA memory.
+    /// Write a word at `offset` into a secure DMA allocation.
     pub fn shm_write32(
         &mut self,
         region: DmaRegion,
         offset: u64,
         val: u32,
     ) -> Result<(), TeeError> {
-        Ok(self.bus.lock().ram_write32(region.base + offset, val, World::Secure)?)
+        let addr = dma_addr(region, offset, 4)?;
+        Ok(self.bus.lock().ram_write32(addr, val, World::Secure)?)
     }
 
-    /// Copy payload into secure DMA memory.
+    /// Copy payload into a secure DMA allocation at `offset`.
     pub fn copy_to_dma(
         &mut self,
         region: DmaRegion,
         offset: u64,
         data: &[u8],
     ) -> Result<(), TeeError> {
-        Ok(self.bus.lock().ram_write(region.base + offset, data, World::Secure)?)
+        let addr = dma_addr(region, offset, data.len())?;
+        Ok(self.bus.lock().ram_write(addr, data, World::Secure)?)
     }
 
-    /// Copy payload out of secure DMA memory.
+    /// Copy payload out of a secure DMA allocation at `offset`.
     ///
     /// This is the zero-copy path for device→trustlet payload: the replayer
     /// hands a sub-slice of the trustlet buffer directly, so DMA contents
@@ -158,7 +172,8 @@ impl SecureIo {
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), TeeError> {
-        Ok(self.bus.lock().ram_read(region.base + offset, out, World::Secure)?)
+        let addr = dma_addr(region, offset, out.len())?;
+        Ok(self.bus.lock().ram_read(addr, out, World::Secure)?)
     }
 
     /// Allocate from the TEE's contiguous pool (the stock OP-TEE allocator
@@ -225,12 +240,11 @@ impl SecureIo {
     /// Timestamp via RPC to the normal world (OP-TEE obtains wall-clock time
     /// through an RPC, which costs a world switch each way).
     pub fn get_ts_rpc(&mut self) -> u64 {
-        self.rpc_calls += 1;
         self.world_switches += 2;
-        let mut c = self.clock.lock();
-        c.charge_world_switch();
-        c.charge_world_switch();
-        c.now_ns()
+        let mut bus = self.bus.lock();
+        bus.clock.charge_world_switch();
+        bus.clock.charge_world_switch();
+        bus.clock.now_ns()
     }
 
     /// Busy-wait, advancing virtual time and ticking devices.
@@ -241,36 +255,35 @@ impl SecureIo {
     /// Charge CPU time spent inside the TEE (e.g. the replayer's per-event
     /// dispatch cost) without ticking devices.
     pub fn charge_ns(&mut self, ns: u64) {
-        self.clock.lock().advance_ns(ns);
+        self.bus.lock().clock.advance_ns(ns);
     }
 
     /// The per-event dispatch cost from the platform cost model.
     pub fn replay_dispatch_cost_ns(&self) -> u64 {
-        self.clock.lock().cost().replay_event_dispatch_ns
+        self.cost.replay_event_dispatch_ns
     }
 
-    /// The per-IRQ wait overhead from the platform cost model (read without
-    /// cloning the whole model — it sits on the replay hot path).
+    /// The per-IRQ wait overhead from the platform cost model.
     pub fn irq_wait_overhead_ns(&self) -> u64 {
-        self.clock.lock().cost().irq_wait_overhead_ns
+        self.cost.irq_wait_overhead_ns
     }
 
     /// The software overhead of one full GP command invocation beyond the
     /// raw world switch (marshalling, session lookup, TA scheduling) —
     /// charged by gate-style trustlets on the per-call submit path.
     pub fn smc_invoke_overhead_ns(&self) -> u64 {
-        self.clock.lock().cost().smc_invoke_ns
+        self.cost.smc_invoke_ns
     }
 
     /// The gate's per-entry cost for validating one shared-memory
     /// submission-ring slot while draining a rung ring.
     pub fn ring_entry_validate_ns(&self) -> u64 {
-        self.clock.lock().cost().ring_entry_validate_ns
+        self.cost.ring_entry_validate_ns
     }
 
     /// A copy of the platform cost model (for replayer accounting).
-    pub fn cost_model(&self) -> dlt_hw::CostModel {
-        self.clock.lock().cost().clone()
+    pub fn cost_model(&self) -> CostModel {
+        self.cost.clone()
     }
 
     /// Acknowledge an interrupt line.
@@ -306,7 +319,7 @@ impl SecureIo {
 
     /// Current virtual time.
     pub fn now_ns(&self) -> u64 {
-        self.clock.lock().now_ns()
+        self.bus.lock().clock.now_ns()
     }
 }
 
@@ -470,11 +483,7 @@ impl TeeKernel {
         buf: &mut [u8],
     ) -> Result<u64, TeeError> {
         self.smc_enter(SmcKind::Doorbell, 0);
-        {
-            let mut clock = self.io.clock.lock();
-            let ns = clock.cost().ring_doorbell_ns;
-            clock.advance_ns(ns);
-        }
+        self.io.charge_ns(self.io.cost.ring_doorbell_ns);
         let idx = match self.trustlets.iter().position(|t| t.name() == name) {
             Some(idx) => idx,
             None => {
@@ -529,57 +538,50 @@ impl TeeKernel {
     /// Charge one world switch to the control clock (counted by
     /// [`Self::smc_enter`]).
     fn smc(&mut self) {
-        self.io.clock.lock().charge_world_switch();
+        self.io.bus.lock().clock.charge_world_switch();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlt_hw::device::{MmioDevice, SharedDevice};
-    use dlt_hw::{shared, IrqController, Platform};
+    use dlt_hw::device::{DeviceCtx, MmioDevice, Window};
+    use dlt_hw::Platform;
 
     struct StubDev {
-        irqs: Shared<IrqController>,
         reg: u32,
     }
+
+    const STUB: &[Window] =
+        &[Window { name: "stub", base: 0x3f30_0000, len: 0x100, irq_line: Some(7) }];
+
     impl MmioDevice for StubDev {
-        fn name(&self) -> &'static str {
-            "stub"
+        fn windows(&self) -> &'static [Window] {
+            STUB
         }
-        fn mmio_base(&self) -> u64 {
-            0x3f30_0000
-        }
-        fn mmio_len(&self) -> u64 {
-            0x100
-        }
-        fn read32(&mut self, offset: u64, _now: u64) -> u32 {
+        fn read32(&mut self, _window: usize, offset: u64, _ctx: &mut DeviceCtx<'_>) -> u32 {
             if offset == 0 {
                 self.reg
             } else {
                 0
             }
         }
-        fn write32(&mut self, offset: u64, val: u32, now: u64) {
+        fn write32(&mut self, _window: usize, offset: u64, val: u32, ctx: &mut DeviceCtx<'_>) {
             if offset == 0 {
                 self.reg = val;
             } else if offset == 4 {
-                self.irqs.lock().assert_at(7, now + 50_000);
+                ctx.irqs.assert_at(7, ctx.now_ns + 50_000);
             }
         }
-        fn tick(&mut self, _now: u64) {}
-        fn soft_reset(&mut self, _now: u64) {
+        fn tick(&mut self, _ctx: &mut DeviceCtx<'_>) {}
+        fn soft_reset(&mut self, _window: usize, _ctx: &mut DeviceCtx<'_>) {
             self.reg = 0;
-        }
-        fn irq_line(&self) -> Option<u32> {
-            Some(7)
         }
     }
 
     fn rig() -> (Platform, TeeKernel) {
         let p = Platform::new();
-        let dev = shared(StubDev { irqs: p.irqs.clone(), reg: 0 });
-        p.bus.lock().attach(SharedDevice::boxed(dev)).unwrap();
+        p.bus.lock().attach(Box::new(StubDev { reg: 0 })).unwrap();
         let tee = TeeKernel::install(&p, &["stub"]).unwrap();
         (p, tee)
     }
@@ -596,6 +598,29 @@ mod tests {
         let r = tee.io_mut().dma_alloc(128).unwrap();
         tee.io_mut().shm_write32(r, 0, 7).unwrap();
         assert_eq!(tee.io_mut().shm_read32(r, 0).unwrap(), 7);
+    }
+
+    #[test]
+    fn dma_accesses_stay_inside_their_allocation() {
+        let (_p, mut tee) = rig();
+        let io = tee.io_mut();
+        let a = io.dma_alloc(128).unwrap();
+        let b = io.dma_alloc(128).unwrap();
+        assert_eq!(b.base, a.end(), "the two allocations are adjacent");
+        let oob =
+            |r: Result<(), TeeError>| matches!(r, Err(TeeError::Hw(HwError::OutOfBounds { .. })));
+        assert!(oob(io.shm_write32(a, 128, 0xdead_beef)));
+        assert!(oob(io.copy_to_dma(a, 64, &[0xab; 96])));
+        assert!(oob(io.shm_read32(a, 126).map(|_| ())));
+        assert!(oob(io.copy_from_dma(a, 0, &mut [0u8; 129])));
+        assert!(oob(io.shm_write32(a, u64::MAX, 1)));
+        let mut untouched = [0xffu8; 128];
+        io.copy_from_dma(b, 0, &mut untouched).unwrap();
+        assert_eq!(untouched, [0u8; 128], "b must be unchanged");
+        // The last word and the whole allocation are still in bounds.
+        io.shm_write32(a, 124, 7).unwrap();
+        assert_eq!(io.shm_read32(a, 124).unwrap(), 7);
+        io.copy_to_dma(a, 0, &[1; 128]).unwrap();
     }
 
     #[test]

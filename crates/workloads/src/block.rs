@@ -364,10 +364,6 @@ impl BlockDev for NativeDev {
 /// template invocations of the recorded granularities.
 pub struct DriverletDev {
     platform: Platform,
-    /// Typed handle kept for fault injection in tests.
-    pub mmc: Option<dlt_hw::Shared<dlt_dev_mmc::SdHost>>,
-    /// Typed handle for the USB stick.
-    pub usb: Option<dlt_hw::Shared<dlt_dev_usb::UsbHostController>>,
     replayer: Replayer,
     kind: StorageKind,
     breakdown: HashMap<u32, u64>,
@@ -378,30 +374,20 @@ impl DriverletDev {
     /// replayer on a fresh platform.
     pub fn new(kind: StorageKind) -> Self {
         let platform = Platform::new();
-        let (mmc, usb, driverlet, secure) = match kind {
+        let (driverlet, secure) = match kind {
             StorageKind::Mmc => {
-                let sys = MmcSubsystem::attach(&platform).expect("attach mmc");
-                (
-                    Some(sys.sdhost),
-                    None,
-                    record_mmc_driverlet().expect("record mmc"),
-                    vec!["sdhost", "dma"],
-                )
+                MmcSubsystem::attach(&platform).expect("attach mmc");
+                (record_mmc_driverlet().expect("record mmc"), vec!["sdhost", "dma"])
             }
             StorageKind::Usb => {
-                let sys = UsbSubsystem::attach(&platform).expect("attach usb");
-                (
-                    None,
-                    Some(sys.hostctrl),
-                    record_usb_driverlet().expect("record usb"),
-                    vec!["dwc2"],
-                )
+                UsbSubsystem::attach(&platform).expect("attach usb");
+                (record_usb_driverlet().expect("record usb"), vec!["dwc2"])
             }
         };
         TeeKernel::install(&platform, &secure).expect("install tee");
         let mut replayer = Replayer::new(SecureIo::new(platform.bus.clone()));
         replayer.load_driverlet(driverlet, DEV_KEY).expect("load driverlet");
-        DriverletDev { platform, mmc, usb, replayer, kind, breakdown: HashMap::new() }
+        DriverletDev { platform, replayer, kind, breakdown: HashMap::new() }
     }
 
     /// Access the replayer (stats, additional driverlets).

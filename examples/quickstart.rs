@@ -4,7 +4,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use dlt_core::{replay_mmc, Replayer};
-use dlt_dev_mmc::MmcSubsystem;
+use dlt_dev_mmc::{MmcController, MmcSubsystem};
 use dlt_hw::Platform;
 use dlt_recorder::campaign::{record_mmc_driverlet_subset, DEV_KEY};
 use dlt_tee::{SecureIo, TeeKernel};
@@ -24,7 +24,7 @@ fn main() {
     // 2. On the target device: build the platform, assign the MMC controller
     //    and DMA engine to the TEE, and load the signed driverlet.
     let platform = Platform::new();
-    let mmc = MmcSubsystem::attach(&platform).expect("attach MMC");
+    MmcSubsystem::attach(&platform).expect("attach MMC");
     TeeKernel::install(&platform, &["sdhost", "dma"]).expect("install TEE");
     let mut replayer = Replayer::new(SecureIo::new(platform.bus.clone()));
     replayer.load_driverlet(driverlet, DEV_KEY).expect("verify + load driverlet");
@@ -45,7 +45,15 @@ fn main() {
 
     // 4. The card really holds the data, and the normal world really cannot
     //    reach the controller.
-    assert_eq!(&mmc.sdhost.lock().card().peek_block(42)[..secret.len()], secret);
+    let stored = platform
+        .bus
+        .lock()
+        .device::<MmcController>()
+        .expect("MMC attached above")
+        .sdhost
+        .card()
+        .peek_block(42);
+    assert_eq!(&stored[..secret.len()], secret);
     let blocked = platform.bus.lock().mmio_read32(
         dlt_dev_mmc::SDHOST_BASE,
         dlt_hw::World::NonSecure,

@@ -6,7 +6,7 @@
 //! Run with `cargo run --example secure_surveillance --release` (recording
 //! the two driverlets takes a few seconds in debug builds).
 
-use dlt_dev_mmc::MmcSubsystem;
+use dlt_dev_mmc::{MmcController, MmcSubsystem};
 use dlt_dev_vchiq::VchiqSubsystem;
 use dlt_hw::Platform;
 use dlt_recorder::campaign::{
@@ -22,7 +22,7 @@ fn main() {
 
     // Target platform: camera + SD card assigned to the TEE.
     let platform = Platform::new();
-    let mmc = MmcSubsystem::attach(&platform).expect("attach mmc");
+    MmcSubsystem::attach(&platform).expect("attach mmc");
     VchiqSubsystem::attach(&platform).expect("attach vchiq");
     TeeKernel::install(&platform, &["sdhost", "dma", "vchiq"]).expect("install tee");
     let mut replayer = dlt_core::Replayer::new(SecureIo::new(platform.bus.clone()));
@@ -46,6 +46,13 @@ fn main() {
     println!(
         "[done] {} frames stored; card now holds {} written blocks; OS saw none of it",
         trustlet.frames_stored(),
-        mmc.sdhost.lock().card().blocks_written()
+        platform
+            .bus
+            .lock()
+            .device::<MmcController>()
+            .expect("MMC attached above")
+            .sdhost
+            .card()
+            .blocks_written()
     );
 }

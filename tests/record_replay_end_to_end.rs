@@ -7,8 +7,8 @@
 use std::collections::HashMap;
 
 use dlt_core::{replay_cam, replay_mmc, replay_usb, ReplayError, Replayer};
-use dlt_dev_mmc::MmcSubsystem;
-use dlt_dev_usb::UsbSubsystem;
+use dlt_dev_mmc::{MmcController, MmcSubsystem, SdCard};
+use dlt_dev_usb::{UsbHostController, UsbSubsystem};
 use dlt_dev_vchiq::msg::is_valid_jpeg;
 use dlt_dev_vchiq::VchiqSubsystem;
 use dlt_hw::Platform;
@@ -22,20 +22,24 @@ use dlt_tee::{SecureIo, TeeKernel};
 /// all three, plus a replayer.
 struct Target {
     platform: Platform,
-    mmc: MmcSubsystem,
-    usb: UsbSubsystem,
-    _vchiq: VchiqSubsystem,
     replayer: Replayer,
 }
 
 fn target() -> Target {
     let platform = Platform::new();
-    let mmc = MmcSubsystem::attach(&platform).unwrap();
-    let usb = UsbSubsystem::attach(&platform).unwrap();
-    let vchiq = VchiqSubsystem::attach(&platform).unwrap();
+    MmcSubsystem::attach(&platform).unwrap();
+    UsbSubsystem::attach(&platform).unwrap();
+    VchiqSubsystem::attach(&platform).unwrap();
     let _tee = TeeKernel::install(&platform, &["sdhost", "dma", "dwc2", "vchiq"]).unwrap();
     let replayer = Replayer::new(SecureIo::new(platform.bus.clone()));
-    Target { platform, mmc, usb, _vchiq: vchiq, replayer }
+    Target { platform, replayer }
+}
+
+impl Target {
+    /// Run `f` on the SD card behind the target's MMC controller.
+    fn card<R>(&self, f: impl FnOnce(&mut SdCard) -> R) -> R {
+        f(self.platform.bus.lock().device::<MmcController>().unwrap().sdhost.card_mut())
+    }
 }
 
 #[test]
@@ -52,7 +56,7 @@ fn mmc_write_then_read_replay_round_trip() {
     // The card holds exactly the written data.
     for b in 0..8u64 {
         assert_eq!(
-            t.mmc.sdhost.lock().card().peek_block(4096 + b),
+            t.card(|c| c.peek_block(4096 + b)),
             payload[(b as usize) * 512..(b as usize + 1) * 512].to_vec(),
             "block {b} mismatch"
         );
@@ -77,11 +81,7 @@ fn mmc_replay_matches_native_driver_results() {
     // Populate the card directly (fixture).
     let fixture = pattern_buf(8 * 512, 0xcafe);
     for b in 0..8u64 {
-        t.mmc
-            .sdhost
-            .lock()
-            .card_mut()
-            .poke_block(128 + b, &fixture[(b as usize) * 512..(b as usize + 1) * 512]);
+        t.card(|c| c.poke_block(128 + b, &fixture[(b as usize) * 512..(b as usize + 1) * 512]));
     }
     let mut via_driverlet = vec![0u8; 8 * 512];
     replay_mmc(&mut t.replayer, 0x1, 8, 128, 0, &mut via_driverlet).unwrap();
@@ -124,7 +124,16 @@ fn usb_write_then_read_replay_round_trip() {
     let payload = pattern_buf(8 * 512, 0x1337);
     let mut buf = payload.clone();
     replay_usb(&mut t.replayer, 0x10, 8, 2000, 0, &mut buf).unwrap();
-    assert_eq!(t.usb.hostctrl.lock().device().disk().peek_block(2000), payload[..512].to_vec());
+    let stored = t
+        .platform
+        .bus
+        .lock()
+        .device::<UsbHostController>()
+        .unwrap()
+        .device()
+        .disk()
+        .peek_block(2000);
+    assert_eq!(stored, payload[..512].to_vec());
     let mut back = vec![0u8; 8 * 512];
     replay_usb(&mut t.replayer, 0x1, 8, 2000, 0, &mut back).unwrap();
     assert_eq!(back, payload);
@@ -193,7 +202,7 @@ fn fault_injection_unplugging_the_card_aborts_with_a_divergence_report() {
     let mut buf = vec![0u8; 8 * 512];
     replay_mmc(&mut t.replayer, 0x1, 8, 0, 0, &mut buf).unwrap();
     // Unplug the medium (§8.2.1 fault injection).
-    t.mmc.sdhost.lock().card_mut().remove();
+    t.card(|c| c.remove());
     let err = replay_mmc(&mut t.replayer, 0x1, 8, 64, 0, &mut buf).unwrap_err();
     match err {
         ReplayError::Diverged(report) => {
@@ -212,7 +221,7 @@ fn fault_injection_unplugging_the_card_aborts_with_a_divergence_report() {
     }
     assert!(t.replayer.stats().divergences >= 2);
     // Re-inserting the medium lets replay recover after resets.
-    t.mmc.sdhost.lock().card_mut().reinsert();
+    t.card(|c| c.reinsert());
     replay_mmc(&mut t.replayer, 0x1, 8, 64, 0, &mut buf).unwrap();
 }
 

@@ -2,7 +2,7 @@
 //! §8.2.1 stress/vetting validation.
 
 use dlt_core::{replay_mmc, Replayer};
-use dlt_dev_mmc::MmcSubsystem;
+use dlt_dev_mmc::{MmcController, MmcSubsystem, SdCard};
 use dlt_dev_vchiq::VchiqSubsystem;
 use dlt_hw::Platform;
 use dlt_recorder::campaign::{
@@ -11,13 +11,18 @@ use dlt_recorder::campaign::{
 use dlt_tee::{SecureIo, TeeKernel};
 use dlt_trustlets::{CredentialStore, SurveillanceTrustlet};
 
+/// Run `f` on the SD card behind the platform's MMC controller.
+fn card<R>(platform: &Platform, f: impl FnOnce(&mut SdCard) -> R) -> R {
+    f(platform.bus.lock().device::<MmcController>().unwrap().sdhost.card_mut())
+}
+
 #[test]
 fn surveillance_trustlet_stores_verifiable_frames() {
     let camera_driverlet = record_camera_driverlet_subset(&[1]).unwrap();
     let mmc_driverlet = record_mmc_driverlet_subset(&[256]).unwrap();
 
     let platform = Platform::new();
-    let mmc = MmcSubsystem::attach(&platform).unwrap();
+    MmcSubsystem::attach(&platform).unwrap();
     VchiqSubsystem::attach(&platform).unwrap();
     TeeKernel::install(&platform, &["sdhost", "dma", "vchiq"]).unwrap();
     let mut replayer = Replayer::new(SecureIo::new(platform.bus.clone()));
@@ -35,14 +40,14 @@ fn surveillance_trustlet_stores_verifiable_frames() {
     assert_eq!(jpeg0.len(), f0.img_size as usize);
     assert_eq!(jpeg1.len(), f1.img_size as usize);
     // The card actually holds the blocks (written by the driverlet, not the OS).
-    assert!(mmc.sdhost.lock().card().blocks_written() >= u64::from(f0.blocks + f1.blocks));
+    assert!(card(&platform, |c| c.blocks_written()) >= u64::from(f0.blocks + f1.blocks));
 }
 
 #[test]
 fn credential_store_round_trips_and_detects_corruption() {
     let driverlet = record_mmc_driverlet_subset(&[1]).unwrap();
     let platform = Platform::new();
-    let mmc = MmcSubsystem::attach(&platform).unwrap();
+    MmcSubsystem::attach(&platform).unwrap();
     TeeKernel::install(&platform, &["sdhost", "dma"]).unwrap();
     let mut replayer = Replayer::new(SecureIo::new(platform.bus.clone()));
     replayer.load_driverlet(driverlet, DEV_KEY).unwrap();
@@ -53,9 +58,9 @@ fn credential_store_round_trips_and_detects_corruption() {
     assert!(matches!(store.load(&mut replayer, 4), Err(dlt_trustlets::TrustletError::NotFound)));
     // Corrupt the stored block behind the trustlet's back: the checksum
     // catches it on the next load.
-    let mut raw = mmc.sdhost.lock().card().peek_block(103);
+    let mut raw = card(&platform, |c| c.peek_block(103));
     raw[20] ^= 0xff;
-    mmc.sdhost.lock().card_mut().poke_block(103, &raw);
+    card(&platform, |c| c.poke_block(103, &raw));
     assert!(matches!(store.load(&mut replayer, 3), Err(dlt_trustlets::TrustletError::Corrupt(_))));
 }
 
