@@ -312,6 +312,14 @@ impl MmioDevice for UsbHostController {
             self.device.fast_init();
         }
     }
+
+    fn quiet_until_ns(&self) -> Option<u64> {
+        // A port change raises its interrupt at the very next tick.
+        if self.port_irq {
+            return Some(0);
+        }
+        Some(self.pending.as_ref().map_or(u64::MAX, |p| p.done_ns))
+    }
 }
 
 #[cfg(test)]
@@ -504,6 +512,35 @@ mod tests {
         assert!(rig.read32(regs::HPRT, 1_000) & hprt::CONN_STS != 0);
         let data = rig.scsi_read(0, 1, 77);
         assert_eq!(data.len(), 512);
+    }
+
+    #[test]
+    fn quiet_until_tracks_the_channel_and_port_changes() {
+        let mut rig = Rig::new();
+        rig.enable_irqs();
+        assert_eq!(rig.hc.quiet_until_ns(), Some(u64::MAX), "idle");
+        let ch = regs::CHANNEL;
+        rig.write32(regs::hctsiz(ch), 512 | (1 << hctsiz::PKTCNT_SHIFT), 1_000);
+        rig.write32(regs::hcdma(ch), DATA_BUF as u32, 1_000);
+        let charval = 512
+            | (BULK_IN_EP << hcchar::EPNUM_SHIFT)
+            | hcchar::EPTYPE_BULK
+            | hcchar::EPDIR_IN
+            | hcchar::CHENA;
+        rig.write32(regs::hcchar(ch), charval, 1_000);
+        let done = rig.hc.quiet_until_ns().unwrap();
+        assert!(done > 1_000);
+        // Quiet means quiet: one ns early the tick does nothing.
+        rig.tick(done - 1);
+        assert_eq!(rig.irqs.assert_count(), 0);
+        assert_eq!(rig.hc.quiet_until_ns(), Some(done));
+        rig.tick(done);
+        assert!(rig.irqs.assert_count() > 0, "completion raises the interrupt");
+        assert_eq!(rig.hc.quiet_until_ns(), Some(u64::MAX));
+        rig.hc.unplug();
+        assert!(rig.hc.quiet_until_ns().unwrap() <= done, "the port change is due now");
+        rig.tick(done);
+        assert_eq!(rig.hc.quiet_until_ns(), Some(u64::MAX));
     }
 
     #[test]

@@ -504,6 +504,12 @@ impl MmioDevice for Vc4Vchiq {
         // cannot re-attach a lost sensor (matches the paper's unrecoverable
         // fault-injection outcome).
     }
+
+    fn quiet_until_ns(&self) -> Option<u64> {
+        // Replies are only delivered into a published queue.
+        let due = self.pending.first().filter(|_| self.queue_base.is_some());
+        Some(due.map_or(u64::MAX, |p| p.due_ns))
+    }
 }
 
 #[cfg(test)]
@@ -770,6 +776,22 @@ mod tests {
         assert_ne!(frames[0], frames[1]);
         assert_ne!(frames[1], frames[2]);
         assert_eq!(rig.vc4.frames_produced(), 3);
+    }
+
+    #[test]
+    fn quiet_until_is_the_first_reply_due_in_a_published_queue() {
+        let cost = CostModel::default();
+        assert_eq!(Vc4Vchiq::new(cost.clone()).quiet_until_ns(), Some(u64::MAX), "no queue");
+        let mut rig = Rig::new();
+        assert_eq!(rig.vc4.quiet_until_ns(), Some(u64::MAX), "nothing queued");
+        rig.send(MmalMessage::new(MsgType::Connect, 0, vec![]));
+        let due = rig.now + cost.vchiq_msg_ns;
+        assert_eq!(rig.vc4.quiet_until_ns(), Some(due));
+        rig.tick(due - 1);
+        assert_eq!(rig.irqs.assert_count(), 0, "quiet means quiet");
+        rig.tick(due);
+        assert_eq!(rig.irqs.assert_count(), 1, "the reply is delivered");
+        assert_eq!(rig.vc4.quiet_until_ns(), Some(u64::MAX));
     }
 
     #[test]

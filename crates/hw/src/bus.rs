@@ -268,12 +268,14 @@ impl SystemBus {
         self.tick_all();
     }
 
-    /// The earliest scheduled event on this bus — an IRQ assertion deadline
-    /// or a device-internal completion deadline — if any. `wait_for_irq`
-    /// jumps straight to it instead of polling. (The serve layer's
-    /// event loop does *not* read this: its next-event times come from
-    /// queued arrival stamps and hold deadlines, because a lane's devices
-    /// only make progress while a replay drives them.)
+    /// The earliest exact-time event on this bus — an IRQ assertion
+    /// deadline or a device's [`MmioDevice::next_deadline_ns`] — if any.
+    /// `wait_for_irq` jumps straight to it when it falls inside the wait.
+    /// Devices without a deadline are sampled on the polling quantum and
+    /// do not show up here. (The serve layer's event loop does *not* read
+    /// this: its next-event times come from queued arrival stamps and hold
+    /// deadlines, because a lane's devices only make progress while a
+    /// replay drives them.)
     pub fn next_event_ns(&self) -> Option<u64> {
         let next_irq = self.irqs.earliest_deadline();
         let next_dev = self.devices.iter().filter_map(|d| d.next_deadline_ns()).min();
@@ -285,11 +287,21 @@ impl SystemBus {
 
     /// Wait for interrupt `line` to become pending, advancing virtual time.
     ///
+    /// Time moves in two ways. When an exact-time event
+    /// ([`SystemBus::next_event_ns`]) falls inside the wait, the bus jumps
+    /// to it. Otherwise it samples the devices once per polling quantum
+    /// (`CostModel::poll_delay_ns`), skipping in one step every quantum
+    /// before the first one at which the timeout expires or a device's
+    /// [`MmioDevice::quiet_until_ns`] says a tick could change it. Those
+    /// skipped samples would have been no-ops, so the result and the
+    /// virtual time are the same as stepping one quantum at a time.
+    ///
     /// Returns the number of virtual microseconds waited. Fails with
-    /// [`HwError::Timeout`] after `timeout_us`.
+    /// [`HwError::Timeout`] after `timeout_us` (saturating: a timeout
+    /// beyond the end of virtual time waits until the clock saturates).
     pub fn wait_for_irq(&mut self, line: u32, timeout_us: u64, _world: World) -> HwResult<u64> {
         let start = self.clock.now_ns();
-        let deadline = start + timeout_us * 1_000;
+        let deadline = self.clock.deadline_after_us(timeout_us);
         let quantum_ns = self.clock.cost().poll_delay_ns.max(1);
         loop {
             self.tick_all();
@@ -307,10 +319,26 @@ impl SystemBus {
                 });
             }
             // Jump straight to the next scheduled event when one exists,
-            // otherwise advance by the polling quantum.
-            match self.next_event_ns() {
+            // otherwise advance by whole polling quanta.
+            let next = self.next_event_ns();
+            match next {
                 Some(d) if d > now && d <= deadline => self.clock.advance_to(d),
-                _ => self.clock.advance_ns(quantum_ns),
+                _ => {
+                    // Every sample before the horizon would tick only no-op
+                    // devices and see no interrupt: an exact event inside
+                    // the wait was taken above, and one already due pins
+                    // the horizon to now.
+                    let first = next.map_or(deadline, |d| d.min(deadline));
+                    let horizon = self
+                        .devices
+                        .iter()
+                        .try_fold(first, |h, dev| dev.quiet_until_ns().map(|q| h.min(q)));
+                    let quanta = match horizon {
+                        Some(h) if h > now => (h - now).div_ceil(quantum_ns),
+                        _ => 1,
+                    };
+                    self.clock.advance_ns(quanta.saturating_mul(quantum_ns));
+                }
             }
         }
     }
@@ -594,5 +622,152 @@ mod tests {
         assert_eq!(w.base, 0x3f00_1000);
         assert_eq!(w.len, 0x100);
         assert!(p.bus.lock().device_window("nope").is_err());
+    }
+
+    /// A device sampled on the polling quantum: the first tick at or after
+    /// `due_ns` asserts `line` and records when it fired. It reports no
+    /// exact deadline, only how long it stays quiet, unless `hide_quiet`
+    /// makes it answer "unknown" so the bus steps one quantum at a time.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Sampled {
+        slot: usize,
+        line: u32,
+        due_ns: Option<u64>,
+        fired_ns: Option<u64>,
+        hide_quiet: bool,
+    }
+
+    const SAMPLED: &[Window] = &[
+        Window { name: "sampled0", base: 0x3f00_2000, len: 0x100, irq_line: None },
+        Window { name: "sampled1", base: 0x3f00_3000, len: 0x100, irq_line: None },
+    ];
+
+    impl MmioDevice for Sampled {
+        fn windows(&self) -> &'static [Window] {
+            &SAMPLED[self.slot..=self.slot]
+        }
+        fn read32(&mut self, _window: usize, _offset: u64, _ctx: &mut DeviceCtx<'_>) -> u32 {
+            0
+        }
+        fn write32(&mut self, _: usize, _: u64, _: u32, _: &mut DeviceCtx<'_>) {}
+        fn tick(&mut self, ctx: &mut DeviceCtx<'_>) {
+            if self.due_ns.is_some_and(|d| ctx.now_ns >= d) {
+                self.due_ns = None;
+                self.fired_ns = Some(ctx.now_ns);
+                ctx.irqs.assert_now(self.line);
+            }
+        }
+        fn soft_reset(&mut self, _window: usize, _ctx: &mut DeviceCtx<'_>) {}
+        fn quiet_until_ns(&self) -> Option<u64> {
+            (!self.hide_quiet).then(|| self.due_ns.unwrap_or(u64::MAX))
+        }
+    }
+
+    const WAITED: u32 = crate::irq::lines::USB;
+    const OTHER: u32 = crate::irq::lines::DMA;
+
+    /// One `wait_for_irq` scenario; times are absolute virtual ns.
+    #[derive(Debug)]
+    struct WaitCase {
+        quantum_ns: u64,
+        start_ns: u64,
+        devices: Vec<Sampled>,
+        /// An exact IRQ assertion deadline and its line.
+        exact: Option<(u64, u32)>,
+        timeout_us: u64,
+    }
+
+    /// What a wait leaves behind: its result, the clock, the sampled
+    /// devices and the interrupt controller.
+    type WaitOutcome = (HwResult<u64>, u64, Vec<Sampled>, String);
+
+    fn run_wait(case: &WaitCase, stepped: bool) -> WaitOutcome {
+        let cost = CostModel { poll_delay_ns: case.quantum_ns, ..CostModel::default() };
+        let mut bus = SystemBus::new(VirtualClock::new(cost), PhysMem::new(0, 4096));
+        for dev in &case.devices {
+            bus.attach(Box::new(Sampled { hide_quiet: stepped, ..dev.clone() })).unwrap();
+        }
+        bus.clock.advance_ns(case.start_ns);
+        if let Some((at, line)) = case.exact {
+            bus.irqs.assert_at(line, at);
+        }
+        let result = bus.wait_for_irq(WAITED, case.timeout_us, World::Secure);
+        let devices = bus
+            .devices
+            .iter()
+            .map(|d| {
+                let d = (d.as_ref() as &dyn Any).downcast_ref::<Sampled>().unwrap();
+                Sampled { hide_quiet: false, ..d.clone() }
+            })
+            .collect();
+        (result, bus.clock.now_ns(), devices, format!("{:?}", bus.irqs))
+    }
+
+    /// splitmix64: a seeded generator, so a failing case replays.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n.max(1)
+        }
+    }
+
+    fn random_case(rng: &mut Rng) -> WaitCase {
+        let quantum_ns = [7, 250, 1_000, 3_333, 10_000][rng.below(5) as usize];
+        let start_ns = rng.below(10 * quantum_ns);
+        // About 300 quanta of interesting time after the start.
+        let span_ns = (300 * quantum_ns).max(3_000);
+        let timeout_us = rng.below(span_ns / 1_000 + 1);
+        let timeout_end = start_ns + timeout_us * 1_000;
+        let line = |rng: &mut Rng| if rng.below(3) == 0 { OTHER } else { WAITED };
+        let devices = (0..1 + rng.below(2) as usize)
+            .map(|slot| Sampled {
+                slot,
+                line: line(rng),
+                // Idle, or due anywhere from before the start to past the
+                // timeout.
+                due_ns: (rng.below(4) != 0).then(|| rng.below(start_ns + span_ns * 5 / 4)),
+                fired_ns: None,
+                hide_quiet: false,
+            })
+            .collect();
+        let exact = match rng.below(3) {
+            0 => None,
+            1 => Some((start_ns + 1 + rng.below(span_ns), line(rng))),
+            _ => Some((timeout_end + 1 + rng.below(span_ns), line(rng))),
+        };
+        WaitCase { quantum_ns, start_ns, devices, exact, timeout_us }
+    }
+
+    #[test]
+    fn skipping_quiet_quanta_is_indistinguishable_from_stepping() {
+        let mut rng = Rng(0x5eed_0016);
+        let mut outcomes = [0u32; 2];
+        for i in 0..400 {
+            let case = random_case(&mut rng);
+            let skipped = run_wait(&case, false);
+            let stepped = run_wait(&case, true);
+            assert_eq!(skipped, stepped, "case {i}: {case:?}");
+            outcomes[usize::from(skipped.0.is_err())] += 1;
+        }
+        // Both outcomes are well represented.
+        assert!(outcomes.iter().all(|&n| n >= 50), "delivered/timed out: {outcomes:?}");
+    }
+
+    #[test]
+    fn an_unbounded_timeout_saturates_instead_of_overflowing() {
+        for timeout_us in [u64::MAX / 999, u64::MAX] {
+            let idle =
+                Sampled { slot: 0, line: WAITED, due_ns: None, fired_ns: None, hide_quiet: false };
+            let mut bus = SystemBus::new(VirtualClock::default(), PhysMem::new(0, 4096));
+            bus.attach(Box::new(idle)).unwrap();
+            let err = bus.wait_for_irq(WAITED, timeout_us, World::Secure).unwrap_err();
+            assert!(matches!(err, HwError::Timeout { .. }), "{err:?}");
+            assert_eq!(bus.clock.now_ns(), u64::MAX);
+        }
     }
 }

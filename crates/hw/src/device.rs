@@ -67,11 +67,27 @@ pub trait MmioDevice: Any + Send {
 
     /// The next virtual time at which this device will make progress on its
     /// own (an internal completion deadline such as media latency), if one
-    /// is known. The bus uses it to jump idle waits straight to the next
-    /// event instead of quantum-stepping, which keeps simulated waits off
-    /// the replay hot path. Returning `None` (the default) falls back to
-    /// quantum stepping and is always correct.
+    /// is known. [`crate::SystemBus::wait_for_irq`] jumps straight to it:
+    /// the device is ticked at exactly that time, not at the next polling
+    /// quantum, so reporting a deadline is part of the device's timing
+    /// model and moves virtual time. Returning `None` (the default) leaves
+    /// the device sampled on the polling quantum.
     fn next_deadline_ns(&self) -> Option<u64> {
+        None
+    }
+
+    /// The earliest virtual time at which [`MmioDevice::tick`] could change
+    /// this device: before it, every tick is a no-op and raises no
+    /// interrupt. `Some(u64::MAX)` means nothing is pending; a time at or
+    /// before now means the next tick may act. `None` (the default) means
+    /// unknown.
+    ///
+    /// Unlike [`MmioDevice::next_deadline_ns`] this does not change when the
+    /// device is sampled. [`crate::SystemBus::wait_for_irq`] uses it only to
+    /// skip polling quanta at which no tick could do anything, and still
+    /// lands on the quantum at which stepping would first have seen the
+    /// change, so virtual time is the same with or without it.
+    fn quiet_until_ns(&self) -> Option<u64> {
         None
     }
 }
