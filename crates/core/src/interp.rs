@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use dlt_hw::{DmaRegion, HwError};
-use dlt_tee::{SecureIo, TeeError};
+use dlt_tee::{HeldIo, TeeError};
 use dlt_template::{EvalEnv, Event, Iface, ReadSink, Template};
 
 use crate::replayer::{DivergenceEvent, ExecFailure, ReplayOutcome, ReplayStats};
@@ -33,7 +33,7 @@ fn missing_dma(alloc: usize) -> TeeError {
 }
 
 fn read_iface(
-    io: &mut SecureIo,
+    io: &mut HeldIo<'_>,
     iface: &Iface,
     allocations: &[DmaRegion],
 ) -> Result<u32, TeeError> {
@@ -48,7 +48,7 @@ fn read_iface(
 }
 
 fn write_iface(
-    io: &mut SecureIo,
+    io: &mut HeldIo<'_>,
     iface: &Iface,
     value: u32,
     allocations: &[DmaRegion],
@@ -65,13 +65,13 @@ fn write_iface(
 
 /// Execute one template attempt by walking the event tree.
 pub(crate) fn execute_once(
-    io: &mut SecureIo,
+    io: &mut HeldIo<'_>,
     stats: &mut ReplayStats,
     template: &Template,
     args: &HashMap<String, u64>,
     buf: &mut [u8],
 ) -> Result<ReplayOutcome, ExecFailure> {
-    let dispatch_ns = io.replay_dispatch_cost_ns();
+    let dispatch_ns = io.cost().replay_event_dispatch_ns;
     let mut env = EvalEnv::with_params(args.clone());
     let mut allocations: Vec<DmaRegion> = Vec::new();
     let mut payload_bytes = 0u64;
@@ -156,7 +156,7 @@ pub(crate) fn execute_once(
                 // Templates wait for every individual interrupt; the gold
                 // driver would have coalesced them (§8.3.2). Charge the
                 // per-IRQ handling overhead the native path avoids.
-                let irq_overhead = io.irq_wait_overhead_ns();
+                let irq_overhead = io.cost().irq_wait_overhead_ns;
                 io.charge_ns(irq_overhead);
                 if io.wait_for_irq(*line, *timeout_us).is_err() {
                     return Err(diverge(

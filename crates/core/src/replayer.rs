@@ -8,7 +8,8 @@
 //! against a reusable scratch arena — no template clone, no argument-map
 //! clone, no per-event allocation on the divergence-free path (payload
 //! copies land directly in the trustlet buffer and random bytes fill a
-//! pre-sized scratch buffer).
+//! pre-sized scratch buffer) — on one [`HeldIo`] view, so an invocation
+//! takes the platform's bus lock once, after template selection.
 //!
 //! The pre-compilation tree-walking interpreter survives as
 //! [`ReplayMode::Interpreted`] (the private `interp` module); both paths
@@ -19,7 +20,7 @@ use std::collections::HashMap;
 
 use dlt_hw::DmaRegion;
 use dlt_obs::trace::{EventKind, TraceHandle};
-use dlt_tee::{SecureIo, TeeError};
+use dlt_tee::{HeldIo, SecureIo, TeeError};
 use dlt_template::program::{CIface, CSink, EvalScratch, Op, ReplayProgram, NO_SLOT};
 use dlt_template::{compile, Driverlet, SignError, SourceSite};
 
@@ -450,8 +451,11 @@ impl Replayer {
         }
         let prog =
             selected.ok_or_else(|| ReplayError::OutOfCoverage { entry: entry.to_string() })?;
+        // One bus acquisition serves the whole invocation: resets, attempts
+        // and trace stamps all run on this view.
+        let mut io = this.io.hold();
         if let Some(t) = this.tracer.as_mut() {
-            t.emit(EventKind::ReplayStart, this.io.now_ns(), 0, 0, prog.ops.len() as u64);
+            t.emit(EventKind::ReplayStart, io.now_ns(), 0, 0, prog.ops.len() as u64);
         }
 
         // A mutator engages once per invocation and is then consulted on
@@ -468,8 +472,8 @@ impl Replayer {
             attempts += 1;
             this.stats.executions += 1;
             // Soft reset before every execution and between retries (§5).
-            this.io.soft_reset_device(&prog.device)?;
-            this.io.dma_release_all();
+            io.soft_reset_device(&prog.device)?;
+            io.dma_release_all();
             this.stats.resets += 1;
             // Re-bind: clears capture and DMA slots from the prior attempt.
             args.bind(prog, &mut this.scratch.regs, &mut this.scratch.bound);
@@ -479,8 +483,7 @@ impl Replayer {
             } else {
                 None
             };
-            match exec_program(&mut this.io, &mut this.stats, &mut this.scratch, prog, buf, mutator)
-            {
+            match exec_program(&mut io, &mut this.stats, &mut this.scratch, prog, buf, mutator) {
                 Ok(payload_bytes) => {
                     let mut captured = HashMap::new();
                     for (i, name) in prog.capture_names.iter().enumerate() {
@@ -491,7 +494,7 @@ impl Replayer {
                     }
                     this.stats.payload_bytes += payload_bytes;
                     if let Some(t) = this.tracer.as_mut() {
-                        t.emit(EventKind::ReplayEnd, this.io.now_ns(), 0, 0, u64::from(attempts));
+                        t.emit(EventKind::ReplayEnd, io.now_ns(), 0, 0, u64::from(attempts));
                     }
                     return Ok(ReplayOutcome {
                         payload_bytes,
@@ -509,7 +512,7 @@ impl Replayer {
         }
         let (failure, executed) = last_failure.expect("at least one attempt must have run");
         if let Some(t) = this.tracer.as_mut() {
-            t.emit(EventKind::ReplayEnd, this.io.now_ns(), 0, 0, u64::from(attempts));
+            t.emit(EventKind::ReplayEnd, io.now_ns(), 0, 0, u64::from(attempts));
         }
         Err(ReplayError::Diverged(Box::new(DivergenceReport {
             template: prog.name.clone(),
@@ -534,17 +537,17 @@ impl Replayer {
             .select(args)
             .ok_or_else(|| ReplayError::OutOfCoverage { entry: entry.to_string() })?
             .clone();
-        let device = template.device.clone();
+        let mut io = self.io.hold();
 
         let mut last_failure: Option<(DivergenceEvent, usize)> = None;
         let mut attempts = 0u32;
         while attempts < self.config.max_attempts {
             attempts += 1;
             self.stats.executions += 1;
-            self.io.soft_reset_device(&device)?;
-            self.io.dma_release_all();
+            io.soft_reset_device(&template.device)?;
+            io.dma_release_all();
             self.stats.resets += 1;
-            match crate::interp::execute_once(&mut self.io, &mut self.stats, &template, args, buf) {
+            match crate::interp::execute_once(&mut io, &mut self.stats, &template, args, buf) {
                 Ok(mut outcome) => {
                     outcome.recovered_divergence = last_failure.is_some();
                     self.stats.payload_bytes += outcome.payload_bytes;
@@ -602,7 +605,7 @@ fn missing_dma(alloc: u32) -> ExecFailure {
     }))
 }
 
-fn read_ciface(io: &mut SecureIo, iface: CIface, dma: &[DmaRegion]) -> Result<u32, ExecFailure> {
+fn read_ciface(io: &mut HeldIo<'_>, iface: CIface, dma: &[DmaRegion]) -> Result<u32, ExecFailure> {
     match iface {
         CIface::Reg(addr) => io.readl(addr).map_err(ExecFailure::Tee),
         CIface::Shm { alloc, offset } => {
@@ -615,14 +618,14 @@ fn read_ciface(io: &mut SecureIo, iface: CIface, dma: &[DmaRegion]) -> Result<u3
 /// Execute one attempt of a compiled program. The divergence-free path
 /// performs no heap allocation: all dynamic state lives in `scratch`.
 fn exec_program(
-    io: &mut SecureIo,
+    io: &mut HeldIo<'_>,
     stats: &mut ReplayStats,
     scratch: &mut Scratch,
     prog: &ReplayProgram,
     buf: &mut [u8],
     mut mutator: Option<&mut dyn ResponseMutator>,
 ) -> Result<u64, ExecFailure> {
-    let dispatch_ns = io.replay_dispatch_cost_ns();
+    let dispatch_ns = io.cost().replay_event_dispatch_ns;
     let mut payload_bytes = 0u64;
 
     for (op_idx, op) in prog.ops.iter().enumerate() {
@@ -720,7 +723,7 @@ fn exec_program(
                 // Templates wait for every individual interrupt; the gold
                 // driver would have coalesced them (§8.3.2). Charge the
                 // per-IRQ handling overhead the native path avoids.
-                let irq_overhead = io.irq_wait_overhead_ns();
+                let irq_overhead = io.cost().irq_wait_overhead_ns;
                 io.charge_ns(irq_overhead);
                 if io.wait_for_irq(line, timeout_us).is_err() {
                     return Err(diverge(

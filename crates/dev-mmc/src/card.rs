@@ -8,6 +8,8 @@
 
 use std::collections::HashMap;
 
+use dlt_hw::block::{BlockStore, BLOCK_BYTES};
+
 use crate::BLOCK_SIZE;
 
 /// SD card states (SD physical layer spec, simplified).
@@ -89,11 +91,10 @@ pub struct SdCard {
     rca: u32,
     app_cmd_armed: bool,
     block_len: usize,
-    total_blocks: u64,
     /// Pre-set block count from CMD23 for the next multi-block command.
     preset_block_count: Option<u32>,
-    /// Sparse block store: only blocks that were ever written occupy memory.
-    blocks: HashMap<u64, Vec<u8>>,
+    /// The medium: a sparse store of the card's blocks.
+    blocks: BlockStore,
     /// Physically removed (fault injection).
     removed: bool,
     /// Cumulative counters for validation and the Table 7 analysis.
@@ -151,9 +152,8 @@ impl SdCard {
             rca: 0,
             app_cmd_armed: false,
             block_len: BLOCK_SIZE,
-            total_blocks,
             preset_block_count: None,
-            blocks: HashMap::new(),
+            blocks: BlockStore::new(total_blocks),
             removed: false,
             cmd_counts: HashMap::new(),
             blocks_read: 0,
@@ -168,7 +168,7 @@ impl SdCard {
 
     /// Number of addressable blocks.
     pub fn total_blocks(&self) -> u64 {
-        self.total_blocks
+        self.blocks.total_blocks()
     }
 
     /// Whether the medium has been removed (fault injection).
@@ -210,15 +210,12 @@ impl SdCard {
     /// Direct block access for validation scripts (bypasses the bus; not part
     /// of the device interface).
     pub fn peek_block(&self, lba: u64) -> Vec<u8> {
-        self.blocks.get(&lba).cloned().unwrap_or_else(|| vec![0u8; BLOCK_SIZE])
+        self.blocks.block(lba).to_vec()
     }
 
     /// Direct block write for test-fixture preparation.
     pub fn poke_block(&mut self, lba: u64, data: &[u8]) {
-        let mut b = vec![0u8; BLOCK_SIZE];
-        let n = data.len().min(BLOCK_SIZE);
-        b[..n].copy_from_slice(&data[..n]);
-        self.blocks.insert(lba, b);
+        self.blocks.put(lba, data);
     }
 
     fn card_status(&self) -> u32 {
@@ -300,7 +297,7 @@ impl SdCard {
                 if self.state != CardState::Transfer {
                     return CmdResult::Timeout;
                 }
-                if u64::from(arg) >= self.total_blocks {
+                if u64::from(arg) >= self.total_blocks() {
                     return CmdResult::R1(self.card_status() | status::OUT_OF_RANGE);
                 }
                 self.state = CardState::SendingData;
@@ -310,7 +307,7 @@ impl SdCard {
                 if self.state != CardState::Transfer {
                     return CmdResult::Timeout;
                 }
-                if u64::from(arg) >= self.total_blocks {
+                if u64::from(arg) >= self.total_blocks() {
                     return CmdResult::R1(self.card_status() | status::OUT_OF_RANGE);
                 }
                 self.state = CardState::ReceiveData;
@@ -346,22 +343,21 @@ impl SdCard {
         }
     }
 
-    /// Read `count` blocks starting at `lba`. Returns the raw bytes.
+    /// Read `count` blocks starting at `lba`, lent in order from the store.
     ///
     /// The card must be in the sending-data state (a read command must have
     /// been accepted first).
-    pub fn read_blocks(&mut self, lba: u64, count: u32) -> Option<Vec<u8>> {
+    pub fn read_blocks(
+        &mut self,
+        lba: u64,
+        count: u32,
+    ) -> Option<impl Iterator<Item = &[u8; BLOCK_BYTES]>> {
         if self.removed || self.state != CardState::SendingData {
             return None;
         }
-        let mut out = Vec::with_capacity(count as usize * BLOCK_SIZE);
-        for i in 0..u64::from(count) {
-            let blk = self.blocks.get(&(lba + i)).cloned().unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
-            out.extend_from_slice(&blk);
-        }
         self.blocks_read += u64::from(count);
         self.state = CardState::Transfer;
-        Some(out)
+        Some(self.blocks.blocks(lba, u64::from(count)))
     }
 
     /// Write blocks starting at `lba`. `data` must be a whole number of
@@ -374,13 +370,10 @@ impl SdCard {
             return false;
         }
         let count = (data.len() / BLOCK_SIZE) as u64;
-        if lba + count > self.total_blocks {
+        if !self.blocks.contains(lba, count) {
             return false;
         }
-        for i in 0..count {
-            let start = (i as usize) * BLOCK_SIZE;
-            self.blocks.insert(lba + i, data[start..start + BLOCK_SIZE].to_vec());
-        }
+        self.blocks.put_blocks(lba, data);
         self.blocks_written += count;
         self.state = CardState::Transfer;
         true
@@ -409,7 +402,7 @@ impl SdCard {
 
     fn csd(&self) -> [u32; 4] {
         // CSD v2 (SDHC); C_SIZE encodes (total_blocks / 1024 - 1).
-        let c_size = (self.total_blocks / 1024).saturating_sub(1) as u32;
+        let c_size = (self.total_blocks() / 1024).saturating_sub(1) as u32;
         [0x400e_0032, 0x5b59_0000 | (c_size >> 16), (c_size << 16) | 0x7f80, 0x0a40_0000]
     }
 }
@@ -450,7 +443,7 @@ mod tests {
         assert!(c.write_blocks(7, &payload));
         assert_eq!(c.state(), CardState::Transfer);
         assert!(matches!(c.execute(cmd::READ_MULTIPLE, 7), CmdResult::R1(_)));
-        let back = c.read_blocks(7, 2).unwrap();
+        let back: Vec<u8> = c.read_blocks(7, 2).unwrap().flatten().copied().collect();
         assert_eq!(back, payload);
         assert_eq!(c.blocks_written(), 2);
         assert_eq!(c.blocks_read(), 2);
@@ -460,8 +453,8 @@ mod tests {
     fn unwritten_blocks_read_as_zero() {
         let mut c = init_card();
         assert!(matches!(c.execute(cmd::READ_SINGLE, 900), CmdResult::R1(_)));
-        let data = c.read_blocks(900, 1).unwrap();
-        assert_eq!(data, vec![0u8; BLOCK_SIZE]);
+        let data: Vec<&[u8; BLOCK_BYTES]> = c.read_blocks(900, 1).unwrap().collect();
+        assert_eq!(data, [&[0u8; BLOCK_SIZE]]);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl FifoLink {
 
     /// Queue bytes (card data on reads, DMA/PIO data on writes).
     pub fn push_bytes(&mut self, data: &[u8]) {
-        self.buf.extend(data.iter().copied());
+        self.buf.extend(data);
         self.bytes_moved += data.len() as u64;
     }
 
@@ -112,11 +112,12 @@ impl FifoLink {
         take
     }
 
-    /// Dequeue up to `n` bytes.
-    pub fn pop_bytes(&mut self, n: usize) -> Vec<u8> {
+    /// Dequeue up to `n` bytes, lending them to `f` as one contiguous slice
+    /// of the FIFO's own storage (the write commit's path into the card).
+    pub fn pop_contiguous<R>(&mut self, n: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         let take = n.min(self.buf.len());
-        let mut out = vec![0u8; take];
-        self.pop_into(&mut out);
+        let out = f(&self.buf.make_contiguous()[..take]);
+        self.buf.drain(..take);
         out
     }
 
@@ -169,11 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn pop_bytes_never_exceeds_level() {
+    fn pop_contiguous_never_exceeds_level() {
         let mut f = FifoLink::new();
         f.push_bytes(&[1, 2, 3]);
-        let got = f.pop_bytes(10);
-        assert_eq!(got, vec![1, 2, 3]);
+        assert_eq!(f.pop_contiguous(2, |d| d.to_vec()), vec![1, 2]);
+        assert_eq!(f.pop_contiguous(10, |d| d.to_vec()), vec![3]);
         assert_eq!(f.level(), 0);
     }
 
@@ -189,7 +190,7 @@ mod tests {
     fn statistics_accumulate() {
         let mut f = FifoLink::new();
         f.push_bytes(&[0; 100]);
-        f.pop_bytes(50);
+        f.pop_contiguous(50, |_| ());
         f.push_bytes(&[0; 28]);
         assert_eq!(f.bytes_moved(), 128);
     }

@@ -177,12 +177,13 @@ impl SdHost {
             let media_deadline_ns = now_ns + self.cost.sd_cmd_ns + media_ns;
 
             if is_read {
-                // Pull the data out of the card now; it becomes visible to the
-                // FIFO consumers only once the media deadline passes.
-                let data = self.card.read_blocks(u64::from(arg), blocks);
+                // Stream the data out of the card now; it becomes visible to
+                // the FIFO consumers only once the media deadline passes.
                 self.fifo.begin(FifoDir::CardToHost, media_deadline_ns);
-                if let Some(bytes) = data {
-                    self.fifo.push_bytes(&bytes);
+                if let Some(data) = self.card.read_blocks(u64::from(arg), blocks) {
+                    for block in data {
+                        self.fifo.push_bytes(block);
+                    }
                 }
                 self.set_fsm(sdedm::FSM_READDATA);
             } else {
@@ -240,8 +241,10 @@ impl SdHost {
                             .media_deadline_ns
                             .saturating_sub(u64::from(op.blocks) * self.cost.sd_write_block_ns)
                 {
-                    let data = self.fifo.pop_bytes(expected);
-                    let ok = self.card.write_blocks(u64::from(op.lba), &data);
+                    let lba = u64::from(op.lba);
+                    let ok = self
+                        .fifo
+                        .pop_contiguous(expected, |data| self.card.write_blocks(lba, data));
                     op.committed = true;
                     if !ok {
                         self.post_status(sdhsts::REW_TIME_OUT, ctx);

@@ -10,6 +10,8 @@
 
 use std::collections::HashMap;
 
+use dlt_hw::BlockStore;
+
 use crate::{USB_BLOCK_SIZE, USB_FTL_PAGE};
 
 /// SCSI operation codes understood by the disk.
@@ -136,8 +138,7 @@ pub mod sense {
 /// The flash disk behind the SCSI interface.
 #[derive(Debug, Clone)]
 pub struct ScsiDisk {
-    blocks: HashMap<u64, Vec<u8>>,
-    total_blocks: u64,
+    blocks: BlockStore,
     removed: bool,
     sense_key: u8,
     sense_asc: u8,
@@ -152,8 +153,7 @@ impl ScsiDisk {
     /// A blank disk with `total_blocks` 512-byte logical blocks.
     pub fn new(total_blocks: u64) -> Self {
         ScsiDisk {
-            blocks: HashMap::new(),
-            total_blocks,
+            blocks: BlockStore::new(total_blocks),
             removed: false,
             sense_key: sense::NO_SENSE,
             sense_asc: 0,
@@ -166,7 +166,7 @@ impl ScsiDisk {
 
     /// Number of logical blocks.
     pub fn total_blocks(&self) -> u64 {
-        self.total_blocks
+        self.blocks.total_blocks()
     }
 
     /// Whether the medium is removed.
@@ -207,15 +207,12 @@ impl ScsiDisk {
 
     /// Peek a block for validation (zero if never written).
     pub fn peek_block(&self, lba: u64) -> Vec<u8> {
-        self.blocks.get(&lba).cloned().unwrap_or_else(|| vec![0u8; USB_BLOCK_SIZE])
+        self.blocks.block(lba).to_vec()
     }
 
     /// Poke a block for fixtures.
     pub fn poke_block(&mut self, lba: u64, data: &[u8]) {
-        let mut b = vec![0u8; USB_BLOCK_SIZE];
-        let n = data.len().min(USB_BLOCK_SIZE);
-        b[..n].copy_from_slice(&data[..n]);
-        self.blocks.insert(lba, b);
+        self.blocks.put(lba, data);
     }
 
     fn set_sense(&mut self, key: u8, asc: u8) {
@@ -262,27 +259,27 @@ impl ScsiDisk {
                 ScsiResponse::DataIn(vec![3, 0, 0, 0])
             }
             opcode::READ_CAPACITY_10 => {
-                let last = (self.total_blocks - 1) as u32;
+                let last = (self.total_blocks() - 1) as u32;
                 let mut data = Vec::with_capacity(8);
                 data.extend_from_slice(&last.to_be_bytes());
                 data.extend_from_slice(&(USB_BLOCK_SIZE as u32).to_be_bytes());
                 ScsiResponse::DataIn(data)
             }
             opcode::READ_10 | opcode::READ_6 | opcode::READ_16 => {
-                if cdb.lba + u64::from(cdb.blocks) > self.total_blocks {
+                if !self.blocks.contains(cdb.lba, u64::from(cdb.blocks)) {
                     self.set_sense(sense::ILLEGAL_REQUEST, 0x21);
                     return ScsiResponse::CheckCondition { key: sense::ILLEGAL_REQUEST, asc: 0x21 };
                 }
                 let mut out = Vec::with_capacity(cdb.blocks as usize * USB_BLOCK_SIZE);
-                for i in 0..u64::from(cdb.blocks) {
-                    out.extend_from_slice(&self.peek_block(cdb.lba + i));
+                for block in self.blocks.blocks(cdb.lba, u64::from(cdb.blocks)) {
+                    out.extend_from_slice(block);
                 }
                 self.reads += u64::from(cdb.blocks);
                 self.set_sense(sense::NO_SENSE, 0);
                 ScsiResponse::DataIn(out)
             }
             opcode::WRITE_10 | opcode::WRITE_6 | opcode::WRITE_16 => {
-                if cdb.lba + u64::from(cdb.blocks) > self.total_blocks {
+                if !self.blocks.contains(cdb.lba, u64::from(cdb.blocks)) {
                     self.set_sense(sense::ILLEGAL_REQUEST, 0x21);
                     return ScsiResponse::CheckCondition { key: sense::ILLEGAL_REQUEST, asc: 0x21 };
                 }
@@ -302,13 +299,10 @@ impl ScsiDisk {
             return false;
         }
         let count = (data.len() / USB_BLOCK_SIZE) as u64;
-        if lba + count > self.total_blocks {
+        if !self.blocks.contains(lba, count) {
             return false;
         }
-        for i in 0..count {
-            let start = (i as usize) * USB_BLOCK_SIZE;
-            self.blocks.insert(lba + i, data[start..start + USB_BLOCK_SIZE].to_vec());
-        }
+        self.blocks.put_blocks(lba, data);
         self.writes += count;
         // FTL programs whole 4 KiB pages regardless of how few blocks change.
         let blocks_per_page = (USB_FTL_PAGE / USB_BLOCK_SIZE) as u64;
@@ -402,6 +396,24 @@ mod tests {
             ScsiResponse::DataIn(data) => assert_eq!(data[2], sense::ILLEGAL_REQUEST),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn lba_ranges_that_wrap_past_u64_are_out_of_range() {
+        let mut d = ScsiDisk::new(1024);
+        let mut raw16 = [0u8; 16];
+        raw16[0] = opcode::READ_16;
+        raw16[2..10].copy_from_slice(&(u64::MAX - 1).to_be_bytes());
+        raw16[10..14].copy_from_slice(&4u32.to_be_bytes());
+        let read = Cdb::parse(&raw16).unwrap();
+        let refused = ScsiResponse::CheckCondition { key: sense::ILLEGAL_REQUEST, asc: 0x21 };
+        assert!(d.execute(&read) == refused, "a READ(16) whose range wraps must be refused");
+        raw16[0] = opcode::WRITE_16;
+        let write = Cdb::parse(&raw16).unwrap();
+        assert!(d.execute(&write) == refused, "a WRITE(16) whose range wraps must be refused");
+        assert!(!d.write_data(u64::MAX - 1, &[0xee; 4 * USB_BLOCK_SIZE]));
+        assert_eq!(d.peek_block(0), vec![0u8; USB_BLOCK_SIZE], "block 0 is untouched");
+        assert_eq!(d.blocks_written(), 0);
     }
 
     #[test]

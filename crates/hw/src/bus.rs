@@ -167,7 +167,9 @@ impl SystemBus {
     }
 
     /// Check, charge and count one register access. Returns the serving
-    /// device, its window index and the offset into the window.
+    /// device, its window index and the offset into the window. A
+    /// misaligned access fails here, so devices only see word-aligned
+    /// offsets.
     fn route(&mut self, addr: u64, world: World, attr: MmioAttr) -> HwResult<(usize, usize, u64)> {
         if !addr.is_multiple_of(4) {
             return Err(HwError::Misaligned { addr, align: 4 });
@@ -380,7 +382,8 @@ impl SystemBus {
 pub struct Platform {
     /// The system bus, which owns the clock, memory, interrupt controller
     /// and devices. The platform, its `SecureIo` and a gold driver's `BusIo`
-    /// share it on one thread; each of their calls takes this one lock.
+    /// share it on one thread. Each of their calls takes this one lock, and
+    /// a replay takes it once per invocation and holds it throughout.
     pub bus: Shared<SystemBus>,
 }
 

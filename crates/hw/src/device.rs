@@ -92,29 +92,31 @@ pub trait MmioDevice: Any + Send {
     }
 }
 
-/// A tiny sparse register bank helper for device models.
+/// A dense register bank helper for device models.
 ///
 /// Most simulated devices keep their architectural registers here and overlay
 /// side effects in their `read32`/`write32` implementations.
 ///
 /// Register access sits on the replay hot path (every simulated MMIO access
-/// and most device state machines go through it), so the bank is a sorted
-/// vector with binary search rather than a tree map — a few dozen registers
-/// fit in one or two cache lines — and [`RegBank::reset`] restores in place
-/// without reallocating.
+/// and most device state machines go through it), so the bank is a vector
+/// indexed by `offset / 4` and a read is one indexed load. Offsets are word
+/// aligned: the bus rejects misaligned accesses before they reach a device.
+/// A reset image of the same length holds each defined register's reset
+/// value and 0 everywhere else, so [`RegBank::reset`] is one copy. An
+/// undefined register reads 0, keeps a written value until the next reset
+/// and reads 0 again after it.
 #[derive(Debug, Clone, Default)]
 pub struct RegBank {
-    /// `(offset, value)` sorted by offset.
-    regs: Vec<(u64, u32)>,
-    /// `(offset, reset value)` sorted by offset; only defined registers.
-    reset_values: Vec<(u64, u32)>,
+    /// Current values, indexed by `offset / 4`.
+    regs: Vec<u32>,
+    /// Reset values, as long as `regs`; 0 for undefined registers.
+    reset_image: Vec<u32>,
 }
 
-fn sorted_set(v: &mut Vec<(u64, u32)>, offset: u64, val: u32) {
-    match v.binary_search_by_key(&offset, |e| e.0) {
-        Ok(i) => v[i].1 = val,
-        Err(i) => v.insert(i, (offset, val)),
-    }
+/// The bank index of a word-aligned register offset.
+fn word_index(offset: u64) -> usize {
+    debug_assert!(offset.is_multiple_of(4), "misaligned register offset {offset:#x}");
+    (offset / 4) as usize
 }
 
 impl RegBank {
@@ -123,24 +125,34 @@ impl RegBank {
         Self::default()
     }
 
+    /// The index of `offset`, growing the bank on its first write past the
+    /// end.
+    fn slot(&mut self, offset: u64) -> usize {
+        let i = word_index(offset);
+        if i >= self.regs.len() {
+            self.regs.resize(i + 1, 0);
+            self.reset_image.resize(i + 1, 0);
+        }
+        i
+    }
+
     /// Define a register with a reset value.
     pub fn define(&mut self, offset: u64, reset_value: u32) {
-        sorted_set(&mut self.reset_values, offset, reset_value);
-        sorted_set(&mut self.regs, offset, reset_value);
+        let i = self.slot(offset);
+        self.reset_image[i] = reset_value;
+        self.regs[i] = reset_value;
     }
 
     /// Read a register (undefined registers read as zero, like reserved
     /// addresses on most SoCs).
     pub fn get(&self, offset: u64) -> u32 {
-        match self.regs.binary_search_by_key(&offset, |e| e.0) {
-            Ok(i) => self.regs[i].1,
-            Err(_) => 0,
-        }
+        self.regs.get(word_index(offset)).copied().unwrap_or(0)
     }
 
     /// Write a register.
     pub fn set(&mut self, offset: u64, val: u32) {
-        sorted_set(&mut self.regs, offset, val);
+        let i = self.slot(offset);
+        self.regs[i] = val;
     }
 
     /// Set bits in a register.
@@ -155,32 +167,18 @@ impl RegBank {
         self.set(offset, v);
     }
 
-    /// Whether all of `bits` are set.
-    pub fn has_bits(&self, offset: u64, bits: u32) -> bool {
-        self.get(offset) & bits == bits
-    }
-
-    /// Restore every defined register to its reset value and drop the rest.
-    /// Reuses the existing allocation (soft resets happen before every
-    /// template execution).
+    /// Restore every defined register to its reset value and every other
+    /// register to 0, in place (soft resets happen before every template
+    /// execution).
     pub fn reset(&mut self) {
-        self.regs.clone_from(&self.reset_values);
-    }
-
-    /// Number of defined (architected) registers.
-    pub fn defined_count(&self) -> usize {
-        self.reset_values.len()
-    }
-
-    /// Offsets of all registers that have ever been written or defined.
-    pub fn offsets(&self) -> Vec<u64> {
-        self.regs.iter().map(|e| e.0).collect()
+        self.regs.copy_from_slice(&self.reset_image);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn regbank_defaults_to_zero() {
@@ -196,10 +194,12 @@ mod tests {
         bank.set(0x0, 0xdead);
         bank.set(0x100, 0xbeef); // undefined scratch register
         assert_eq!(bank.get(0x0), 0xdead);
+        assert_eq!(bank.get(0x100), 0xbeef, "an undefined register keeps a write");
         bank.reset();
         assert_eq!(bank.get(0x0), 0x1234);
-        assert_eq!(bank.get(0x100), 0, "undefined registers are dropped on reset");
-        assert_eq!(bank.defined_count(), 2);
+        assert_eq!(bank.get(0x4), 0);
+        assert_eq!(bank.get(0x100), 0, "undefined registers read 0 again after reset");
+        assert_eq!(bank.get(0x2000), 0, "reads past the end read 0");
     }
 
     #[test]
@@ -207,19 +207,59 @@ mod tests {
         let mut bank = RegBank::new();
         bank.define(0x8, 0);
         bank.set_bits(0x8, 0b1010);
-        assert!(bank.has_bits(0x8, 0b1000));
-        assert!(!bank.has_bits(0x8, 0b0100));
+        assert_eq!(bank.get(0x8), 0b1010);
         bank.clear_bits(0x8, 0b0010);
         assert_eq!(bank.get(0x8), 0b1000);
     }
 
+    /// The bank against a map model of the old sparse semantics: defined
+    /// registers reset to their value, undefined ones are dropped on reset.
     #[test]
-    fn regbank_offsets_listing() {
-        let mut bank = RegBank::new();
-        bank.define(0x0, 0);
-        bank.define(0x8, 0);
-        bank.set(0x4, 7);
-        let offs = bank.offsets();
-        assert_eq!(offs, vec![0x0, 0x4, 0x8]);
+    fn regbank_matches_a_map_model_on_random_sequences() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for _ in 0..300 {
+            let mut bank = RegBank::new();
+            let mut regs = BTreeMap::new();
+            let mut resets = BTreeMap::new();
+            for _ in 0..64 {
+                // Offsets up to 0x200, past the defined ones at 0x100 and
+                // beyond; undefined offsets fall between them.
+                let off = 4 * next(0x80);
+                let val = next(1 << 32) as u32;
+                match next(6) {
+                    0 if off < 0x100 => {
+                        bank.define(off, val);
+                        resets.insert(off, val);
+                        regs.insert(off, val);
+                    }
+                    0 | 1 => {
+                        bank.set(off, val);
+                        regs.insert(off, val);
+                    }
+                    2 => {
+                        bank.set_bits(off, val);
+                        *regs.entry(off).or_insert(0) |= val;
+                    }
+                    3 => {
+                        bank.clear_bits(off, val);
+                        *regs.entry(off).or_insert(0) &= !val;
+                    }
+                    4 => {
+                        bank.reset();
+                        regs.clone_from(&resets);
+                    }
+                    _ => {}
+                }
+                let probe = 4 * next(0x90);
+                assert_eq!(bank.get(probe), regs.get(&probe).copied().unwrap_or(0));
+                assert_eq!(bank.get(off), regs.get(&off).copied().unwrap_or(0));
+            }
+        }
     }
 }

@@ -12,7 +12,9 @@
 //!   (MMC controller, USB host controller, VC4/VCHIQ accelerator), and
 //! * a [`bus::SystemBus`] that maps devices into the physical address space,
 //!   charges access costs, and enforces secure-world-only assignment the way
-//!   a TZASC does on a real TrustZone SoC.
+//!   a TZASC does on a real TrustZone SoC, and
+//! * a [`block::BlockStore`], the sparse medium behind the SD card and the
+//!   USB disk.
 //!
 //! Everything is single-threaded and deterministic: devices make progress when
 //! they are accessed, ticked, or when the bus advances virtual time while a
@@ -26,11 +28,13 @@
 //! device on every access, tick and reset, so no device holds a handle to
 //! anything. The only lock is around the bus itself ([`Shared`]), because a
 //! [`Platform`], the TEE's secure services and a gold driver's IO layer all
-//! reach the same bus.
+//! reach the same bus. A replay takes it once per invocation and holds the
+//! [`BusGuard`] while it runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod block;
 pub mod bus;
 pub mod clock;
 pub mod cost;
@@ -47,6 +51,11 @@ use std::sync::Arc;
 /// thread that drives it.
 pub type Shared<T> = Arc<parking_lot::Mutex<T>>;
 
+/// A held lock on a [`Shared`] bus. The lock is a spinlock: while a guard is
+/// alive, the same thread must not lock the bus again.
+pub type BusGuard<'a> = parking_lot::MutexGuard<'a, SystemBus>;
+
+pub use block::BlockStore;
 pub use bus::{Platform, SystemBus, World};
 pub use clock::{ClockCell, VirtualClock};
 pub use cost::CostModel;

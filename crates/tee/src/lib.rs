@@ -5,7 +5,8 @@
 //! * **World partitioning**: devices and the TEE's reserved RAM pool are
 //!   assigned to the secure world through the platform bus's TZASC emulation,
 //!   so the untrusted normal world faults when it touches them.
-//! * **Secure services** ([`SecureIo`]): uncached MMIO, interrupt waits,
+//! * **Secure services** ([`SecureIo`], or [`HeldIo`] with the bus lock
+//!   held for a whole replay): uncached MMIO, interrupt waits,
 //!   shared-memory access, a CMA-style contiguous DMA pool carved out of the
 //!   3 MB the paper reserves, a hardware RNG, timestamps obtained via an RPC
 //!   to the normal world (each RPC pays a world switch), and delays. These
@@ -23,7 +24,7 @@ use std::sync::Arc;
 
 use dlt_hw::bus::MmioAttr;
 use dlt_hw::mem::BumpDmaAllocator;
-use dlt_hw::{CostModel, DmaRegion, HwError, Platform, Shared, SystemBus, World};
+use dlt_hw::{BusGuard, CostModel, DmaRegion, HwError, Platform, Shared, SystemBus, World};
 use dlt_obs::metrics::SmcMetrics;
 use dlt_obs::trace::{EventKind, SmcKind, TraceHandle};
 
@@ -82,8 +83,10 @@ impl From<HwError> for TeeError {
 /// register access, poll/delay loops, contiguous DMA from the reserved pool,
 /// the platform RNG, and normal-world RPC for timestamps).
 ///
-/// Every method that touches the platform takes the bus lock once; cost
-/// lookups read a copy of the platform's cost model and take none.
+/// The services live on [`HeldIo`], a view that holds the bus lock;
+/// [`SecureIo::hold`] takes it. Each per-call method here takes the lock for
+/// that one call, and a replay holds one view for a whole invocation. Cost
+/// lookups read a copy of the platform's cost model and take no lock.
 pub struct SecureIo {
     bus: Shared<SystemBus>,
     /// The platform's cost model, copied at construction: it never changes
@@ -118,25 +121,36 @@ impl SecureIo {
         }
     }
 
+    /// Take the bus lock and return the services as a view that holds it
+    /// until dropped.
+    pub fn hold(&mut self) -> HeldIo<'_> {
+        HeldIo {
+            bus: self.bus.lock(),
+            cost: &self.cost,
+            pool: &mut self.pool,
+            rng_state: &mut self.rng_state,
+            world_switches: &mut self.world_switches,
+        }
+    }
+
     /// Uncached 32-bit register read.
     pub fn readl(&mut self, addr: u64) -> Result<u32, TeeError> {
-        Ok(self.bus.lock().mmio_read32(addr, World::Secure, MmioAttr::Uncached)?)
+        self.hold().readl(addr)
     }
 
     /// Uncached 32-bit register write.
     pub fn writel(&mut self, addr: u64, val: u32) -> Result<(), TeeError> {
-        Ok(self.bus.lock().mmio_write32(addr, val, World::Secure, MmioAttr::Uncached)?)
+        self.hold().writel(addr, val)
     }
 
-    /// Wait for an interrupt (the replayer's interrupt context trigger).
+    /// Wait for an interrupt (see [`HeldIo::wait_for_irq`]).
     pub fn wait_for_irq(&mut self, line: u32, timeout_us: u64) -> Result<u64, TeeError> {
-        Ok(self.bus.lock().wait_for_irq(line, timeout_us, World::Secure)?)
+        self.hold().wait_for_irq(line, timeout_us)
     }
 
     /// Read a word at `offset` into a secure DMA allocation.
     pub fn shm_read32(&mut self, region: DmaRegion, offset: u64) -> Result<u32, TeeError> {
-        let addr = dma_addr(region, offset, 4)?;
-        Ok(self.bus.lock().ram_read32(addr, World::Secure)?)
+        self.hold().shm_read32(region, offset)
     }
 
     /// Write a word at `offset` into a secure DMA allocation.
@@ -146,8 +160,7 @@ impl SecureIo {
         offset: u64,
         val: u32,
     ) -> Result<(), TeeError> {
-        let addr = dma_addr(region, offset, 4)?;
-        Ok(self.bus.lock().ram_write32(addr, val, World::Secure)?)
+        self.hold().shm_write32(region, offset, val)
     }
 
     /// Copy payload into a secure DMA allocation at `offset`.
@@ -157,34 +170,28 @@ impl SecureIo {
         offset: u64,
         data: &[u8],
     ) -> Result<(), TeeError> {
-        let addr = dma_addr(region, offset, data.len())?;
-        Ok(self.bus.lock().ram_write(addr, data, World::Secure)?)
+        self.hold().copy_to_dma(region, offset, data)
     }
 
-    /// Copy payload out of a secure DMA allocation at `offset`.
-    ///
-    /// This is the zero-copy path for device→trustlet payload: the replayer
-    /// hands a sub-slice of the trustlet buffer directly, so DMA contents
-    /// land in place without an intermediate heap buffer.
+    /// Copy payload out of a secure DMA allocation at `offset` (see
+    /// [`HeldIo::copy_from_dma`]).
     pub fn copy_from_dma(
         &mut self,
         region: DmaRegion,
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), TeeError> {
-        let addr = dma_addr(region, offset, out.len())?;
-        Ok(self.bus.lock().ram_read(addr, out, World::Secure)?)
+        self.hold().copy_from_dma(region, offset, out)
     }
 
-    /// Allocate from the TEE's contiguous pool (the stock OP-TEE allocator
-    /// already hands out contiguous pages, §6.2).
+    /// Allocate from the TEE's contiguous pool (see [`HeldIo::dma_alloc`]).
     pub fn dma_alloc(&mut self, len: usize) -> Result<DmaRegion, TeeError> {
-        self.pool.alloc(len).map_err(|_| TeeError::OutOfSecureMemory)
+        self.hold().dma_alloc(len)
     }
 
     /// Release all pool allocations (between template executions).
     pub fn dma_release_all(&mut self) {
-        self.pool.release_all();
+        self.hold().dma_release_all()
     }
 
     /// Peak pool usage in bytes.
@@ -200,7 +207,7 @@ impl SecureIo {
     /// Hardware RNG (OP-TEE exposes the SoC RNG to the TEE, §6.2).
     ///
     /// Allocates and transparently splits oversized requests into FIFO-sized
-    /// reads; replay hot paths use [`SecureIo::fill_rand_bytes`] (one FIFO
+    /// reads; replay hot paths use [`HeldIo::fill_rand_bytes`] (one FIFO
     /// request, fallible, no allocation) with a reusable scratch buffer.
     pub fn get_rand_bytes(&mut self, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
@@ -210,52 +217,24 @@ impl SecureIo {
         out
     }
 
-    /// Fill `out` from the hardware RNG without allocating.
-    ///
-    /// Fails when the request exceeds [`RNG_MAX_REQUEST`]: the SoC RNG FIFO
-    /// is small and OP-TEE's RNG PTA rejects oversized reads rather than
-    /// blocking the TEE for the refill time. Replay consumers must propagate
-    /// this instead of discarding it.
+    /// Fill `out` from the hardware RNG (see [`HeldIo::fill_rand_bytes`]).
     pub fn fill_rand_bytes(&mut self, out: &mut [u8]) -> Result<(), TeeError> {
-        if out.len() > RNG_MAX_REQUEST {
-            return Err(TeeError::Hw(HwError::DeviceError {
-                device: "rng".into(),
-                reason: format!(
-                    "request of {} bytes exceeds the {RNG_MAX_REQUEST}-byte FIFO",
-                    out.len()
-                ),
-            }));
-        }
-        for chunk in out.chunks_mut(8) {
-            self.rng_state ^= self.rng_state >> 12;
-            self.rng_state ^= self.rng_state << 25;
-            self.rng_state ^= self.rng_state >> 27;
-            let word = self.rng_state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes();
-            let n = chunk.len();
-            chunk.copy_from_slice(&word[..n]);
-        }
-        Ok(())
+        self.hold().fill_rand_bytes(out)
     }
 
-    /// Timestamp via RPC to the normal world (OP-TEE obtains wall-clock time
-    /// through an RPC, which costs a world switch each way).
+    /// Timestamp via RPC to the normal world (see [`HeldIo::get_ts_rpc`]).
     pub fn get_ts_rpc(&mut self) -> u64 {
-        self.world_switches += 2;
-        let mut bus = self.bus.lock();
-        bus.clock.charge_world_switch();
-        bus.clock.charge_world_switch();
-        bus.clock.now_ns()
+        self.hold().get_ts_rpc()
     }
 
     /// Busy-wait, advancing virtual time and ticking devices.
     pub fn delay_us(&mut self, us: u64) {
-        self.bus.lock().delay_us(us);
+        self.hold().delay_us(us)
     }
 
-    /// Charge CPU time spent inside the TEE (e.g. the replayer's per-event
-    /// dispatch cost) without ticking devices.
+    /// Charge CPU time spent inside the TEE without ticking devices.
     pub fn charge_ns(&mut self, ns: u64) {
-        self.bus.lock().clock.advance_ns(ns);
+        self.hold().charge_ns(ns)
     }
 
     /// The per-event dispatch cost from the platform cost model.
@@ -293,7 +272,7 @@ impl SecureIo {
 
     /// Soft-reset a device by bus name.
     pub fn soft_reset_device(&mut self, name: &str) -> Result<(), TeeError> {
-        Ok(self.bus.lock().soft_reset_device(name)?)
+        self.hold().soft_reset_device(name)
     }
 
     /// Register window of a device (for the replayer's bounds hardening).
@@ -320,6 +299,153 @@ impl SecureIo {
     /// Current virtual time.
     pub fn now_ns(&self) -> u64 {
         self.bus.lock().clock.now_ns()
+    }
+}
+
+/// The secure services with the bus lock held: every call goes straight to
+/// the bus. Built by [`SecureIo::hold`]; the lock is released on drop.
+///
+/// The lock is a spinlock, so while a view is alive nothing on its thread
+/// may call a [`Platform`] or [`SecureIo`] method, or lock the bus.
+pub struct HeldIo<'a> {
+    bus: BusGuard<'a>,
+    cost: &'a CostModel,
+    pool: &'a mut BumpDmaAllocator,
+    rng_state: &'a mut u64,
+    world_switches: &'a mut u64,
+}
+
+impl HeldIo<'_> {
+    /// Uncached 32-bit register read.
+    pub fn readl(&mut self, addr: u64) -> Result<u32, TeeError> {
+        Ok(self.bus.mmio_read32(addr, World::Secure, MmioAttr::Uncached)?)
+    }
+
+    /// Uncached 32-bit register write.
+    pub fn writel(&mut self, addr: u64, val: u32) -> Result<(), TeeError> {
+        Ok(self.bus.mmio_write32(addr, val, World::Secure, MmioAttr::Uncached)?)
+    }
+
+    /// Wait for an interrupt (the replayer's interrupt context trigger).
+    pub fn wait_for_irq(&mut self, line: u32, timeout_us: u64) -> Result<u64, TeeError> {
+        Ok(self.bus.wait_for_irq(line, timeout_us, World::Secure)?)
+    }
+
+    /// Read a word at `offset` into a secure DMA allocation.
+    pub fn shm_read32(&mut self, region: DmaRegion, offset: u64) -> Result<u32, TeeError> {
+        let addr = dma_addr(region, offset, 4)?;
+        Ok(self.bus.ram_read32(addr, World::Secure)?)
+    }
+
+    /// Write a word at `offset` into a secure DMA allocation.
+    pub fn shm_write32(
+        &mut self,
+        region: DmaRegion,
+        offset: u64,
+        val: u32,
+    ) -> Result<(), TeeError> {
+        let addr = dma_addr(region, offset, 4)?;
+        Ok(self.bus.ram_write32(addr, val, World::Secure)?)
+    }
+
+    /// Copy payload into a secure DMA allocation at `offset`.
+    pub fn copy_to_dma(
+        &mut self,
+        region: DmaRegion,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<(), TeeError> {
+        let addr = dma_addr(region, offset, data.len())?;
+        Ok(self.bus.ram_write(addr, data, World::Secure)?)
+    }
+
+    /// Copy payload out of a secure DMA allocation at `offset`.
+    ///
+    /// This is the zero-copy path for device→trustlet payload: the replayer
+    /// hands a sub-slice of the trustlet buffer directly, so DMA contents
+    /// land in place without an intermediate heap buffer.
+    pub fn copy_from_dma(
+        &mut self,
+        region: DmaRegion,
+        offset: u64,
+        out: &mut [u8],
+    ) -> Result<(), TeeError> {
+        let addr = dma_addr(region, offset, out.len())?;
+        Ok(self.bus.ram_read(addr, out, World::Secure)?)
+    }
+
+    /// Allocate from the TEE's contiguous pool (the stock OP-TEE allocator
+    /// already hands out contiguous pages, §6.2).
+    pub fn dma_alloc(&mut self, len: usize) -> Result<DmaRegion, TeeError> {
+        self.pool.alloc(len).map_err(|_| TeeError::OutOfSecureMemory)
+    }
+
+    /// Release all pool allocations (between template executions).
+    pub fn dma_release_all(&mut self) {
+        self.pool.release_all();
+    }
+
+    /// Fill `out` from the hardware RNG without allocating.
+    ///
+    /// Fails when the request exceeds [`RNG_MAX_REQUEST`]: the SoC RNG FIFO
+    /// is small and OP-TEE's RNG PTA rejects oversized reads rather than
+    /// blocking the TEE for the refill time. Replay consumers must propagate
+    /// this instead of discarding it.
+    pub fn fill_rand_bytes(&mut self, out: &mut [u8]) -> Result<(), TeeError> {
+        if out.len() > RNG_MAX_REQUEST {
+            return Err(TeeError::Hw(HwError::DeviceError {
+                device: "rng".into(),
+                reason: format!(
+                    "request of {} bytes exceeds the {RNG_MAX_REQUEST}-byte FIFO",
+                    out.len()
+                ),
+            }));
+        }
+        let rng = &mut *self.rng_state;
+        for chunk in out.chunks_mut(8) {
+            *rng ^= *rng >> 12;
+            *rng ^= *rng << 25;
+            *rng ^= *rng >> 27;
+            let word = rng.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes();
+            let n = chunk.len();
+            chunk.copy_from_slice(&word[..n]);
+        }
+        Ok(())
+    }
+
+    /// Timestamp via RPC to the normal world (OP-TEE obtains wall-clock time
+    /// through an RPC, which costs a world switch each way).
+    pub fn get_ts_rpc(&mut self) -> u64 {
+        *self.world_switches += 2;
+        self.bus.clock.charge_world_switch();
+        self.bus.clock.charge_world_switch();
+        self.bus.clock.now_ns()
+    }
+
+    /// Busy-wait, advancing virtual time and ticking devices.
+    pub fn delay_us(&mut self, us: u64) {
+        self.bus.delay_us(us);
+    }
+
+    /// Charge CPU time spent inside the TEE (e.g. the replayer's per-event
+    /// dispatch cost) without ticking devices.
+    pub fn charge_ns(&mut self, ns: u64) {
+        self.bus.clock.advance_ns(ns);
+    }
+
+    /// Soft-reset a device by bus name.
+    pub fn soft_reset_device(&mut self, name: &str) -> Result<(), TeeError> {
+        Ok(self.bus.soft_reset_device(name)?)
+    }
+
+    /// Current virtual time.
+    pub fn now_ns(&self) -> u64 {
+        self.bus.clock.now_ns()
+    }
+
+    /// The platform cost model (for replayer accounting).
+    pub fn cost(&self) -> &CostModel {
+        self.cost
     }
 }
 

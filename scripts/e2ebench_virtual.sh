@@ -4,11 +4,15 @@
 # and count metrics. They come from the benchmark's pass 0, so they depend
 # on the seed only, not on the host or on --seconds.
 #
-# CI diffs the seed-1 output against tests/data/e2ebench_virtual_seed1.txt.
-# A change that moves virtual time or a count refreshes that file, after a
-# release build of e2ebench, with
+# CI diffs the output for seeds 1-3 against
+# tests/data/e2ebench_virtual_seed{1,2,3}.txt. A change that moves virtual
+# time or a count refreshes those files, after a release build of e2ebench,
+# with
 #
-#   scripts/e2ebench_virtual.sh > tests/data/e2ebench_virtual_seed1.txt
+#   for s in 1 2 3; do
+#     scripts/e2ebench_virtual.sh e2ebench/target/release/e2ebench $s \
+#       > tests/data/e2ebench_virtual_seed$s.txt
+#   done
 #
 # Usage: scripts/e2ebench_virtual.sh [e2ebench-binary [seed]]
 set -euo pipefail

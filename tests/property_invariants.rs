@@ -86,7 +86,8 @@ proptest! {
         card.execute(dlt_dev_mmc::card::cmd::WRITE_MULTIPLE, lba as u32);
         prop_assert!(card.write_blocks(lba, &flat));
         card.execute(dlt_dev_mmc::card::cmd::READ_MULTIPLE, lba as u32);
-        let back = card.read_blocks(lba, blocks.len() as u32).unwrap();
+        let back: Vec<u8> =
+            card.read_blocks(lba, blocks.len() as u32).unwrap().flatten().copied().collect();
         prop_assert_eq!(back, flat);
     }
 
