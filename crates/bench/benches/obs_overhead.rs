@@ -12,14 +12,14 @@
 //! cargo bench -p dlt-bench --bench obs_overhead -- --quick # CI smoke
 //! ```
 //!
-//! Artifact paths default to `BENCH_obs.json` and `trace.json` in the
-//! working directory; override with the `BENCH_OBS_OUT` and `TRACE_OUT`
-//! environment variables.
+//! Artifact paths default to `BENCH_obs.json` (`BENCH_obs.quick.json`
+//! with `--quick`) and `trace.json` in the working directory; override
+//! with the `BENCH_OBS_OUT` and `TRACE_OUT` environment variables.
 
 use dlt_bench::obs_bench::{describe, emit_report, run_obs_bench, summary_line};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick") || std::env::var_os("QUICK").is_some();
+    let quick = std::env::args().any(|a| a == "--quick");
     println!("== obs_overhead: flight recorder + metrics plane (host wall-clock) ==");
     println!(
         "recording driverlets and driving the three arms ({} mode)...",
@@ -45,8 +45,9 @@ fn main() {
         panic!("acceptance: {why}");
     }
 
-    let out = std::env::var("BENCH_OBS_OUT").unwrap_or_else(|_| "BENCH_obs.json".into());
-    emit_report(report, &out).expect("write BENCH_obs.json");
+    let default = if quick { "BENCH_obs.quick.json" } else { "BENCH_obs.json" };
+    let out = std::env::var("BENCH_OBS_OUT").unwrap_or_else(|_| default.into());
+    emit_report(report, &out).expect("write the obs artifact");
     println!("wrote {out}");
     let trace_out = std::env::var("TRACE_OUT").unwrap_or_else(|_| "trace.json".into());
     std::fs::write(&trace_out, &run.chrome_trace).expect("write trace.json");

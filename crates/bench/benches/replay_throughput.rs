@@ -8,9 +8,9 @@
 //! cargo bench -p dlt-bench --bench replay_throughput -- --quick # CI smoke
 //! ```
 //!
-//! The artifact path defaults to `BENCH_replay.json` in the working
-//! directory and can be overridden with the `BENCH_REPLAY_OUT` environment
-//! variable.
+//! The artifact path defaults to `BENCH_replay.json` (`BENCH_replay.quick.json`
+//! with `--quick`) in the working directory and can be overridden with the
+//! `BENCH_REPLAY_OUT` environment variable.
 
 use dlt_bench::replay_bench::{describe, emit_report, run_replay_bench, summary_line};
 use dlt_recorder::campaign::{
@@ -19,7 +19,7 @@ use dlt_recorder::campaign::{
 };
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick") || std::env::var_os("QUICK").is_some();
+    let quick = std::env::args().any(|a| a == "--quick");
     let (granularity, invocations) = if quick { (8, 300) } else { (8, 2_000) };
 
     println!("== replay_throughput: compiled vs interpreted engine ==");
@@ -46,7 +46,8 @@ fn main() {
     print!("{}", describe(&report));
     println!("{}", summary_line(&report));
 
-    let out = std::env::var("BENCH_REPLAY_OUT").unwrap_or_else(|_| "BENCH_replay.json".into());
-    emit_report(&report, &out).expect("write BENCH_replay.json");
+    let default = if quick { "BENCH_replay.quick.json" } else { "BENCH_replay.json" };
+    let out = std::env::var("BENCH_REPLAY_OUT").unwrap_or_else(|_| default.into());
+    emit_report(&report, &out).expect("write the replay artifact");
     println!("wrote {out}");
 }

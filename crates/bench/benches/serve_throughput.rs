@@ -1,13 +1,9 @@
-//! Service-layer throughput: coalesced scheduler vs serial uncoalesced
-//! issue, mixed MMC+USB+VCHIQ traffic racing a LongBurst capture,
-//! 1→3-device weak scaling, the anticipatory-hold sweep, the
-//! ring-vs-legacy submission comparison, the sequential-vs-threaded
-//! wall-clock lane-parallelism curve, the routed replica-fleet
-//! weak-scaling + spill experiments, and the adversarial-isolation
-//! section (admission QoS, replica failover, lane quarantine, session
-//! churn); persisted to `BENCH_serve.json`.
-//! CI runs this with `--quick` and fails on any of the acceptance
-//! assertions below.
+//! Service-layer host time: the sequential-vs-threaded wall-clock
+//! lane-parallelism curve and the routed replica-fleet weak-scaling curve;
+//! persisted to `BENCH_serve.json` (`BENCH_serve.quick.json` with
+//! `--quick`). CI runs this with `--quick` and fails on any of the
+//! acceptance assertions below. The virtual-time serve gates live in
+//! `tests/serve_gates.rs`.
 //!
 //! Run with:
 //!
@@ -16,15 +12,14 @@
 //! cargo bench -p dlt-bench --bench serve_throughput -- --quick # CI smoke
 //! ```
 //!
-//! The artifact path defaults to `BENCH_serve.json` in the working
-//! directory and can be overridden with the `BENCH_SERVE_OUT` environment
-//! variable. All reported numbers are deterministic virtual time.
+//! The artifact lands in the working directory; the `BENCH_SERVE_OUT`
+//! environment variable overrides its path.
 
 use dlt_bench::serve_bench::{describe, emit_report, run_serve_bench, summary_line};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick") || std::env::var_os("QUICK").is_some();
-    println!("== serve_throughput: multi-session service layer ==");
+    let quick = std::env::args().any(|a| a == "--quick");
+    println!("== serve_throughput: multi-session service layer (host time) ==");
     println!(
         "recording driverlets and serving traffic ({} mode)...",
         if quick { "quick" } else { "full" }
@@ -32,70 +27,12 @@ fn main() {
     let report = run_serve_bench(quick);
     print!("{}", describe(&report));
     println!("{}", summary_line(&report));
-    assert!(
-        report.coalescing.speedup >= 2.0,
-        "acceptance: 8 coalesced sessions must reach >= 2x the serial request rate"
-    );
-    assert!(
-        report.scaling.ratio_3v1 >= 1.8,
-        "acceptance: 3 device lanes must scale mixed throughput >= 1.8x over 1 lane, got {:.2}x",
-        report.scaling.ratio_3v1
-    );
-    // The third lane's evidence is makespan invariance: its ~2.3 s capture
-    // must ride *inside* the block lanes' makespan. A regression that
-    // re-serialised the camera lane against the block lanes would add the
-    // capture to the elapsed time and trip this even though ratio_3v1
-    // (dominated by the block lanes) would not move.
-    let (two, three) = (&report.scaling.points[1], &report.scaling.points[2]);
-    assert!(
-        three.elapsed_ms <= two.elapsed_ms * 1.05,
-        "acceptance: the camera capture must overlap the block lanes ({:.1} ms at 3 devices vs \
-         {:.1} ms at 2)",
-        three.elapsed_ms,
-        two.elapsed_ms
-    );
-    assert!(
-        report.mixed.block_p99_us < 1_000_000,
-        "acceptance: block-read p99 must stay under 1 s beside a LongBurst capture, got {} us",
-        report.mixed.block_p99_us
-    );
-    let baseline = report.hold_sweep.iter().find(|h| h.hold_budget_us == 0).expect("no-hold point");
-    let default = report.hold_sweep.iter().find(|h| h.is_default).expect("default-budget point");
-    assert!(
-        default.latency.p50_us as f64 <= baseline.latency.p50_us as f64 * 1.10,
-        "acceptance: default hold budget must keep p50 within 10% of no-hold ({} vs {} us)",
-        default.latency.p50_us,
-        baseline.latency.p50_us
-    );
-    // The ring-submission gates: one doorbell amortised over 16 staged
-    // entries must cut world switches below 0.25 per request and lift the
-    // mixed-workload request rate at least 1.5x over one-SMC-per-call,
-    // without taxing the batch-1 closed-loop client.
-    assert!(
-        report.ring.ring.smcs_per_request <= 0.25,
-        "acceptance: ring mode must spend <= 0.25 SMCs/request at doorbell batch {}, got {:.3}",
-        report.ring.doorbell_batch,
-        report.ring.ring.smcs_per_request
-    );
-    assert!(
-        report.ring.speedup >= 1.5,
-        "acceptance: ring mode must reach >= 1.5x the legacy request rate on the mixed \
-         workload, got {:.2}x ({:.0} vs {:.0} req/s)",
-        report.ring.speedup,
-        report.ring.ring.rps,
-        report.ring.legacy.rps
-    );
-    assert!(
-        report.ring.batch1.ring_p50_us <= report.ring.batch1.legacy_p50_us,
-        "acceptance: batch-1 ring p50 ({} us) must be no worse than per-call p50 ({} us)",
-        report.ring.batch1.ring_p50_us,
-        report.ring.batch1.legacy_p50_us
-    );
+
     // The wall-clock lane-parallelism gate. Structure holds anywhere:
     // both arms finish every request at every lane count. The ≥ 2x
-    // speedup bar is host time and needs real hardware parallelism, so it
-    // only applies when the measuring host has at least 4 cores (CI
-    // does; a 1-core dev container records the curve without gating it).
+    // speedup bar needs real hardware parallelism, so it only applies
+    // when the measuring host has at least 4 cores (CI does; a 1-core dev
+    // container records the curve without gating it).
     let wc = &report.wall_clock;
     for p in &wc.points {
         assert!(
@@ -123,12 +60,9 @@ fn main() {
         );
     }
 
-    // The routed replica-fleet gates. Determinism and structure hold
-    // anywhere: every point completes its whole schedule through the
-    // router, the skewed spill arm sheds load without rejections, and
-    // spill keeps the hot shard's virtual-time p99 within 2x the balanced
-    // baseline. The ≥ 1.7x weak-scaling bar at 8 vs 4 lanes is host time
-    // and needs 8 hardware threads; smaller hosts record the curve
+    // The routed weak-scaling gates. Every point completes its whole
+    // schedule through the router anywhere; the ≥ 1.7x bar at 8 vs 4
+    // lanes needs 8 hardware threads, so smaller hosts record the curve
     // without gating it.
     let rt = &report.routed;
     for p in &rt.points {
@@ -138,22 +72,6 @@ fn main() {
             p.lanes
         );
     }
-    assert!(
-        rt.spill.spills > 0,
-        "acceptance: the skewed spill arm must shed clean reads to sibling replicas"
-    );
-    assert_eq!(
-        rt.spill.rejections, 0,
-        "acceptance: spill admission must absorb the skewed load without fleet-wide rejections"
-    );
-    assert!(
-        rt.spill.p99_ratio <= 2.0,
-        "acceptance: replica-aware spill must keep the saturated shard's p99 within 2x the \
-         balanced baseline, got {:.2}x ({} us vs {} us)",
-        rt.spill.p99_ratio,
-        rt.spill.skewed_p99_us,
-        rt.spill.balanced_p99_us
-    );
     if wc.host_cores >= 8 {
         assert!(
             rt.ratio_8v4 >= 1.7,
@@ -170,56 +88,8 @@ fn main() {
         );
     }
 
-    // The robustness-plane SLO gates. All four are deterministic virtual
-    // time, so they hold on any host: admission QoS must keep the
-    // flooder's blast radius off the victims' tail, failover must carry
-    // clean reads past a faulted replica, the watchdog must quarantine
-    // and restore the sick lane, and session churn must leak nothing.
-    let iso = &report.isolation;
-    assert_eq!(
-        iso.victim_rejections, 0,
-        "acceptance: admission QoS must never reject a victim while the flooder attacks"
-    );
-    assert!(
-        iso.flooder_throttled > 0,
-        "acceptance: the admission gate must visibly throttle the flooder"
-    );
-    assert!(
-        iso.p99_ratio <= 2.0,
-        "acceptance: victim p99 under attack must stay within 2x the flooder-free baseline, \
-         got {:.2}x ({} us vs {} us)",
-        iso.p99_ratio,
-        iso.attack_p99_us,
-        iso.baseline_p99_us
-    );
-    assert!(
-        iso.failover.completion_rate >= 0.99,
-        "acceptance: failover must complete >= 99% of clean reads past the sticky fault, \
-         got {:.3} ({} of {})",
-        iso.failover.completion_rate,
-        iso.failover.completed_ok,
-        iso.failover.clean_reads
-    );
-    assert_eq!(iso.failover.lost, 0, "acceptance: no read may be lost during the fault storm");
-    assert!(
-        iso.failover.failovers >= 1,
-        "acceptance: reads homed on the faulted shard must retry on a sibling"
-    );
-    assert!(
-        iso.failover.quarantines >= 1,
-        "acceptance: the watchdog must quarantine the diverging lane"
-    );
-    assert!(
-        iso.failover.lane_restored,
-        "acceptance: the quarantined lane must serve its probation back to Healthy"
-    );
-    assert_eq!(
-        iso.churn.leaked_series, 0,
-        "acceptance: {} churn cycles must leak zero metrics series",
-        iso.churn.cycles
-    );
-
-    let out = std::env::var("BENCH_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-    emit_report(&report, &out).expect("write BENCH_serve.json");
+    let default = if quick { "BENCH_serve.quick.json" } else { "BENCH_serve.json" };
+    let out = std::env::var("BENCH_SERVE_OUT").unwrap_or_else(|_| default.into());
+    emit_report(&report, &out).expect("write the serve artifact");
     println!("wrote {out}");
 }

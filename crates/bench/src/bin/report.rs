@@ -8,11 +8,11 @@
 //! ```
 //!
 //! Artifacts: table3 table4 table5 table6 table7 table8 table9 fig5 fig6 fig7
-//! memory replay serve explore. Numbers are virtual-time measurements of the simulated
-//! platform (`replay` additionally reports wall-clock engine throughput);
-//! EXPERIMENTS.md records a reference run next to the paper's numbers.
-
-use std::collections::HashMap;
+//! memory replay serve explore obs. Numbers are virtual-time measurements of
+//! the simulated platform, except `replay`, `serve` and `obs`, which report
+//! host wall-clock; EXPERIMENTS.md records a reference run next to the
+//! paper's numbers. `serve` and `obs` read the bench artifacts
+//! (`BENCH_<name>.json`, or `BENCH_<name>.quick.json` with `--quick`).
 
 use dlt_bench::{breakdown_table, constraints_table, figure5_panel, memory_report};
 use dlt_gold_drivers::stats::{measured_table7, measured_table8, paper_table7, paper_table8};
@@ -24,6 +24,20 @@ use dlt_workloads::suite::{run_benchmark, SqliteBenchmark};
 
 fn want(selected: &str, name: &str) -> bool {
     selected == "all" || selected == name
+}
+
+/// A persisted artifact: the path in the `env` variable if it is set, else
+/// `name` in the working directory (a bench writes it in the package root;
+/// `cargo run` keeps the invocation directory, so try both). `None` when it
+/// is missing or from an older schema.
+fn load<T>(env: &str, name: &str, parse: impl Fn(&str) -> Result<T, String>) -> Option<T> {
+    let candidates =
+        [std::env::var(env).unwrap_or_else(|_| name.into()), format!("crates/bench/{name}")];
+    candidates.iter().find_map(|path| {
+        let report = parse(&std::fs::read_to_string(path).ok()?).ok()?;
+        println!("(loaded from {path})");
+        Some(report)
+    })
 }
 
 fn main() {
@@ -235,130 +249,27 @@ fn main() {
     }
 
     if want(&selected, "serve") {
-        println!("\n--- Service-layer throughput (multi-core lanes, scheduling, coalescing) ---");
-        // Prefer the persisted artifact (the serve_throughput bench writes
-        // it with the package root as its working directory; `cargo run`
-        // keeps the invocation directory, so try both); regenerate when it
-        // is missing or from an older schema.
-        let candidates = [
-            std::env::var("BENCH_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into()),
-            "crates/bench/BENCH_serve.json".into(),
-        ];
-        let report = candidates
-            .iter()
-            .find_map(|path| {
-                let json = std::fs::read_to_string(path).ok()?;
-                let r = dlt_bench::serve_bench::parse_report(&json).ok()?;
-                println!("(loaded from {path})");
-                Some(r)
-            })
+        println!(
+            "\n--- Service layer, host time (wall-clock lane parallelism, routed scaling) ---"
+        );
+        let name = if quick { "BENCH_serve.quick.json" } else { "BENCH_serve.json" };
+        let report = load("BENCH_SERVE_OUT", name, dlt_bench::serve_bench::parse_report)
             .unwrap_or_else(|| {
-                println!("(BENCH_serve.json missing or stale: rerunning the serve bench)");
+                println!("({name} missing or stale: rerunning the serve bench)");
                 dlt_bench::serve_bench::run_serve_bench(quick)
             });
         print!("{}", dlt_bench::serve_bench::describe(&report));
-        let ring = &report.ring;
         println!(
-            "ring submission: {:.3} SMCs/request (vs {:.3} per-call), mean doorbell batch \
-             {:.1}, SQ occupancy {:.2} -> {:.2}x request rate at batch {}",
-            ring.ring.smcs_per_request,
-            ring.legacy.smcs_per_request,
-            ring.ring.mean_doorbell_batch,
-            ring.ring.sq_occupancy,
-            ring.speedup,
-            ring.doorbell_batch
-        );
-        let wc = &report.wall_clock;
-        println!(
-            "wall-clock lane scaling (host time, recorded on a {}-core host, {} reads/lane):",
-            wc.host_cores, wc.requests_per_lane
-        );
-        for p in &wc.points {
-            // One bar character per 0.25x threaded-over-sequential speedup
-            // so the curve's shape is visible at a glance.
-            let bar = "#".repeat(((p.speedup * 4.0).round() as usize).clamp(1, 64));
-            println!(
-                "  {:>2} lane(s) {bar:<32} {:.2}x (seq {:.1} ms, thr {:.1} ms)",
-                p.lanes, p.speedup, p.sequential_ms, p.threaded_ms
-            );
-        }
-        let rt = &report.routed;
-        println!(
-            "routed replica-fleet scaling ({} placement, host time, {} requests/session):",
-            rt.policy, rt.requests_per_session
-        );
-        let base_rps = rt.points.first().map(|p| p.rps).unwrap_or(0.0).max(1e-9);
-        for p in &rt.points {
-            // One bar character per 0.25x rps-over-one-lane so the weak
-            // scaling curve's shape is visible at a glance.
-            let ratio = p.rps / base_rps;
-            let bar = "#".repeat(((ratio * 4.0).round() as usize).clamp(1, 64));
-            println!(
-                "  {:>2} lane(s) {bar:<64} {ratio:.2}x ({:.0} req/s, {} spills, {} fan-outs)",
-                p.lanes, p.rps, p.spills, p.stripe_fanouts
-            );
-        }
-        println!(
-            "routed 8-vs-4-lane ratio {:.2}x; spill experiment: skewed p99 {:.2}x balanced \
-             ({} spills, {} rejections over {} reads/arm on {} replicas)",
-            rt.ratio_8v4,
-            rt.spill.p99_ratio,
-            rt.spill.spills,
-            rt.spill.rejections,
-            rt.spill.requests,
-            rt.spill.replicas
-        );
-        let iso = &report.isolation;
-        println!(
-            "adversarial isolation (virtual time): victim p99 {} us baseline -> {} us under \
-             attack ({:.2}x, gate <= 2.0x), {} victim rejections (gate 0), flooder throttled \
-             {} / completed {}",
-            iso.baseline_p99_us,
-            iso.attack_p99_us,
-            iso.p99_ratio,
-            iso.victim_rejections,
-            iso.flooder_throttled,
-            iso.flooder_completed
-        );
-        println!(
-            "failover storm: {}/{} clean reads completed ({:.1}%, gate >= 99%), {} lost, \
-             {} failovers, {} quarantine(s), lane restored: {}; churn: {} cycles, {} leaked \
-             series (gate 0)",
-            iso.failover.completed_ok,
-            iso.failover.clean_reads,
-            iso.failover.completion_rate * 100.0,
-            iso.failover.lost,
-            iso.failover.failovers,
-            iso.failover.quarantines,
-            iso.failover.lane_restored,
-            iso.churn.cycles,
-            iso.churn.leaked_series
-        );
-        println!(
-            "per-device p50/p99, the 1->3 device scaling ratio ({:.2}x), the ring-vs-legacy \
-             table, the wall-clock curve, the routed fleet section and the isolation SLOs come \
-             from BENCH_serve.json; refresh it with the serve_throughput bench",
-            report.scaling.ratio_3v1
+            "refresh {name} with the serve_throughput bench; the virtual-time serve gates are \
+             pinned in crates/bench/tests/serve_gates.rs"
         );
     }
 
     if want(&selected, "explore") {
         println!("\n--- Divergence-robustness coverage (concolic constraint flipping) ---");
-        // Prefer the persisted ledger (the dlt-explore binary writes it,
-        // honouring BENCH_EXPLORE_OUT); regenerate with the quick campaign
-        // when it is missing or from an older schema.
-        let candidates = [
-            std::env::var("BENCH_EXPLORE_OUT").unwrap_or_else(|_| "BENCH_explore.json".into()),
-            "crates/bench/BENCH_explore.json".into(),
-        ];
-        let report = candidates
-            .iter()
-            .find_map(|path| {
-                let json = std::fs::read_to_string(path).ok()?;
-                let r = dlt_explore::parse_report(&json).ok()?;
-                println!("(loaded from {path})");
-                Some(r)
-            })
+        // The dlt-explore binary writes the ledger; regenerate with the
+        // quick campaign when it is missing or from an older schema.
+        let report = load("BENCH_EXPLORE_OUT", "BENCH_explore.json", dlt_explore::parse_report)
             .unwrap_or_else(|| {
                 println!("(BENCH_explore.json missing or stale: rerunning the quick campaign)");
                 dlt_explore::run_explore(true)
@@ -374,30 +285,15 @@ fn main() {
 
     if want(&selected, "obs") {
         println!("\n--- Observability overhead (flight recorder + metrics plane, host time) ---");
-        // Prefer the persisted artifact (the obs_overhead bench writes it,
-        // honouring BENCH_OBS_OUT); regenerate a quick run when it is
-        // missing or from an older schema.
-        let candidates = [
-            std::env::var("BENCH_OBS_OUT").unwrap_or_else(|_| "BENCH_obs.json".into()),
-            "crates/bench/BENCH_obs.json".into(),
-        ];
-        let report = candidates
-            .iter()
-            .find_map(|path| {
-                let json = std::fs::read_to_string(path).ok()?;
-                let r = dlt_bench::obs_bench::parse_report(&json).ok()?;
-                println!("(loaded from {path})");
-                Some(r)
-            })
+        let name = if quick { "BENCH_obs.quick.json" } else { "BENCH_obs.json" };
+        let report = load("BENCH_OBS_OUT", name, dlt_bench::obs_bench::parse_report)
             .unwrap_or_else(|| {
-                println!("(BENCH_obs.json missing or stale: rerunning the quick obs bench)");
+                println!("({name} missing or stale: rerunning the quick obs bench)");
                 dlt_bench::obs_bench::run_obs_bench(true).report
             });
         print!("{}", dlt_bench::obs_bench::describe(&report));
         println!(
-            "per-lane latency histograms, SMC-by-kind and the overhead ratios come from \
-             BENCH_obs.json; refresh it (and trace.json, the Perfetto timeline) with the \
-             obs_overhead bench"
+            "refresh {name} (and trace.json, the Perfetto timeline) with the obs_overhead bench"
         );
     }
 
@@ -411,6 +307,5 @@ fn main() {
         eprintln!("unknown artifact `{selected}`; known: {known:?}");
         std::process::exit(2);
     }
-    let _unused: HashMap<(), ()> = HashMap::new();
     println!("\nreport complete ({selected}).");
 }

@@ -7,10 +7,11 @@
 
 use std::collections::HashMap;
 
+use dlt_core::SecureBlockIo;
 use dlt_workloads::block::BlockDev;
 
 use crate::service::{DriverletService, ServeConfig};
-use crate::{Device, Payload, Request, ServeError, SessionId};
+use crate::{Device, ServeError, SessionId};
 
 /// A block device served through one session of a [`DriverletService`].
 pub struct ServedBlockDev {
@@ -32,37 +33,23 @@ impl ServedBlockDev {
     pub fn service_mut(&mut self) -> &mut DriverletService {
         &mut self.service
     }
-
-    fn roundtrip(&mut self, req: Request) -> Result<Payload, String> {
-        let id = self.service.submit(self.session, req).map_err(|e| e.to_string())?;
-        self.service.drain_all();
-        self.service
-            .take_completions(self.session)
-            .into_iter()
-            .find(|c| c.id == id)
-            .ok_or_else(|| "completion lost".to_string())?
-            .result
-            .map_err(|e| e.to_string())
-    }
 }
 
+/// Block IO through [`DriverletService::session_io`], the handle trustlets
+/// hold, so the suite and the trustlets share one round-trip path.
 impl BlockDev for ServedBlockDev {
     fn read_blocks(&mut self, blkid: u32, blkcnt: u32, buf: &mut [u8]) -> Result<(), String> {
-        if buf.len() < blkcnt as usize * crate::BLOCK {
-            return Err("buffer smaller than the requested blocks".into());
-        }
-        match self.roundtrip(Request::Read { device: self.device, blkid, blkcnt })? {
-            Payload::Read(bytes) => {
-                buf[..bytes.len()].copy_from_slice(&bytes);
-                Ok(())
-            }
-            other => Err(format!("unexpected payload {other:?}")),
-        }
+        self.service
+            .session_io(self.session, self.device)
+            .read_blocks(blkid, blkcnt, buf)
+            .map_err(|e| e.to_string())
     }
 
     fn write_blocks(&mut self, blkid: u32, data: &[u8]) -> Result<(), String> {
-        self.roundtrip(Request::Write { device: self.device, blkid, data: data.to_vec() })
-            .map(|_| ())
+        self.service
+            .session_io(self.session, self.device)
+            .write_blocks(blkid, data)
+            .map_err(|e| e.to_string())
     }
 
     fn flush(&mut self) -> Result<(), String> {

@@ -1,13 +1,14 @@
 //! Trustlet end-to-end tests (Figure 8) and reduced-scale versions of the
 //! §8.2.1 stress/vetting validation.
 
-use dlt_core::{replay_mmc, Replayer};
+use dlt_core::{replay_mmc, Replayer, SecureBlockIo};
 use dlt_dev_mmc::{MmcController, MmcSubsystem, SdCard};
 use dlt_dev_vchiq::VchiqSubsystem;
 use dlt_hw::Platform;
 use dlt_recorder::campaign::{
     pattern_buf, record_camera_driverlet_subset, record_mmc_driverlet_subset, DEV_KEY,
 };
+use dlt_serve::{Device, DriverletService, ServeConfig, SubmitMode};
 use dlt_tee::{SecureIo, TeeKernel};
 use dlt_trustlets::{CredentialStore, SurveillanceTrustlet};
 
@@ -50,7 +51,7 @@ fn credential_store_round_trips_and_detects_corruption() {
     MmcSubsystem::attach(&platform).unwrap();
     TeeKernel::install(&platform, &["sdhost", "dma"]).unwrap();
     let mut replayer = Replayer::new(SecureIo::new(platform.bus.clone()));
-    replayer.load_driverlet(driverlet, DEV_KEY).unwrap();
+    replayer.load_driverlet(driverlet.clone(), DEV_KEY).unwrap();
 
     let store = CredentialStore::new(100, 8);
     store.store(&mut replayer, 3, b"totp-seed-123456").unwrap();
@@ -62,6 +63,29 @@ fn credential_store_round_trips_and_detects_corruption() {
     raw[20] ^= 0xff;
     card(&platform, |c| c.poke_block(103, &raw));
     assert!(matches!(store.load(&mut replayer, 3), Err(dlt_trustlets::TrustletError::Corrupt(_))));
+
+    // The same trustlet runs unchanged over the shared service, through the
+    // session handles `session_io` lends, in both submit modes.
+    for submit_mode in [SubmitMode::PerCall, SubmitMode::Ring] {
+        let config = ServeConfig { submit_mode, ..ServeConfig::default() };
+        let mut service =
+            DriverletService::with_driverlets(&[(Device::Mmc, driverlet.clone())], config).unwrap();
+        let (writer, reader) = (service.open_session().unwrap(), service.open_session().unwrap());
+        store.store(&mut service.session_io(writer, Device::Mmc), 3, b"totp-seed-123456").unwrap();
+        let mut io = service.session_io(reader, Device::Mmc);
+        assert_eq!(
+            store.load(&mut io, 3).unwrap(),
+            b"totp-seed-123456".to_vec(),
+            "{submit_mode:?}"
+        );
+        assert!(matches!(store.load(&mut io, 4), Err(dlt_trustlets::TrustletError::NotFound)));
+        // A raw write through a session handle flips one stored byte.
+        let mut raw = vec![0u8; 512];
+        io.read_blocks(103, 1, &mut raw).unwrap();
+        raw[20] ^= 0xff;
+        io.write_blocks(103, &raw).unwrap();
+        assert!(matches!(store.load(&mut io, 3), Err(dlt_trustlets::TrustletError::Corrupt(_))));
+    }
 }
 
 #[test]
