@@ -1,9 +1,10 @@
 //! Observability overhead: the same ring-mode threaded workload under
 //! `ObsConfig::Off`, `MetricsOnly` and `Full`, measured in host
-//! wall-clock (best of N trials per arm); persisted to `BENCH_obs.json`
-//! with the Full arm's Chrome trace next to it as `trace.json`. CI runs
-//! this with `--quick` and fails the build when `Full` keeps less than
-//! 0.9x of the `Off` request rate.
+//! wall-clock (interleaved rounds of one trial per arm); persisted to
+//! `BENCH_obs.json` with the Full arm's Chrome trace next to it as
+//! `trace.json`. CI runs this with `--quick` and fails the build when
+//! `Full` keeps less than 0.9x of the `Off` request rate in the median
+//! round.
 //!
 //! Run with:
 //!

@@ -7,11 +7,16 @@
 //! Unlike the rest of the bench suite these numbers are **host
 //! wall-clock**: the whole point is what the flight recorder and the
 //! metrics registry cost on the real hot path, and virtual time cannot
-//! see an atomic `fetch_add` or an SPSC push. Each arm runs several
-//! trials and reports its best (least-noise) makespan.
+//! see an atomic `fetch_add` or an SPSC push. The arms run interleaved,
+//! one trial of each per round, and each arm also reports its best
+//! (least-noise) makespan.
 //!
 //! The CI acceptance gate: `Full` must retain ≥ 0.9x the `Off` request
-//! rate — observability may tax the service at most 10%.
+//! rate — observability may tax the service at most 10%. It is judged on
+//! the median of the per-round `off_ms / full_ms` ratios: a round's two
+//! trials ran back to back under the same host conditions, and no single
+//! lucky or unlucky trial decides the median of nine such ratios, as one
+//! decides the ratio of two best-of-nine minimums.
 //!
 //! The `Full` arm additionally harvests the artifacts the `report -- obs`
 //! pretty-printer consumes: the frozen [`MetricsSnapshot`] (per-lane log₂
@@ -58,8 +63,16 @@ pub struct ObsBenchReport {
     pub full: ObsArmSample,
     /// `metrics_only.rate_rps / off.rate_rps`.
     pub metrics_vs_off: f64,
-    /// `full.rate_rps / off.rate_rps` — the CI gate demands ≥ 0.9.
+    /// `full.rate_rps / off.rate_rps`, the ratio of the best trials.
     pub full_vs_off: f64,
+    /// Median of the per-round `off_ms / full_ms` ratios — the CI gate
+    /// demands ≥ 0.9.
+    pub full_vs_off_median: f64,
+    /// First quartile of the per-round ratios.
+    pub full_vs_off_q1: f64,
+    /// Third quartile of the per-round ratios: with the first, their
+    /// interquartile range.
+    pub full_vs_off_q3: f64,
     /// Trace events drained from the `Full` arm's final trial.
     pub trace_events: u64,
     /// Events the flight recorder dropped on ring overflow (counted,
@@ -82,15 +95,15 @@ pub struct ObsBenchRun {
 
 impl ObsBenchReport {
     /// The acceptance check: observability must keep ≥ 90% of the
-    /// baseline request rate.
+    /// baseline request rate, in the median round.
     pub fn gate(&self) -> Result<(), String> {
-        if self.full_vs_off >= 0.9 {
+        if self.full_vs_off_median >= 0.9 {
             Ok(())
         } else {
             Err(format!(
-                "ObsConfig::Full retains only {:.2}x of the Off request rate ({:.0} vs {:.0} \
-                 req/s); the budget is >= 0.9x",
-                self.full_vs_off, self.full.rate_rps, self.off.rate_rps
+                "ObsConfig::Full retains only {:.2}x of the Off request rate in the median \
+                 round (IQR {:.2}-{:.2}, best-of {:.2}x); the budget is >= 0.9x",
+                self.full_vs_off_median, self.full_vs_off_q1, self.full_vs_off_q3, self.full_vs_off
             ))
         }
     }
@@ -205,8 +218,8 @@ pub fn run_obs_bench(quick: bool) -> ObsBenchRun {
     // cannot move the ratio by 10%, and the arms are interleaved
     // round-robin rather than run in blocks so slow drift (CPU frequency,
     // a neighbouring build) taxes every arm equally instead of whichever
-    // arm happened to run during the bad stretch. Best-of-N then picks
-    // each arm's least-disturbed trial.
+    // arm happened to run during the bad stretch. The gate then compares
+    // the arms within each round and takes the median round.
     let (requests, trials) = if quick { (2_000u64, 9usize) } else { (4_000, 9) };
     let bundles = vec![
         (Device::Mmc, record_mmc_driverlet_subset(&[1, 8]).expect("record mmc")),
@@ -234,6 +247,7 @@ pub fn run_obs_bench(quick: bool) -> ObsBenchRun {
     let metrics_only = sample_from(ObsConfig::MetricsOnly, requests, metrics_ms);
     let full = sample_from(ObsConfig::Full, requests, full_ms);
     let service = full_service.expect("at least one Full trial ran");
+    let [q1, q2, q3] = round_ratio_quartiles(&full, &off);
 
     // Harvest the Full arm's artifacts from its final trial: one drain
     // feeds both the event count and the Chrome export.
@@ -246,11 +260,14 @@ pub fn run_obs_bench(quick: bool) -> ObsBenchRun {
         workload: format!(
             "obs overhead (host wall-clock): {requests} uncoalesced ring-mode requests (80% \
              mixed 1/8-block reads, 20% 1-block writes) over MMC+USB lane threads, 2 sessions, \
-             doorbell batch 16, best of {trials} interleaved trials per arm"
+             doorbell batch 16, {trials} interleaved rounds of one trial per arm"
         ),
         host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         metrics_vs_off: full_ratio(&metrics_only, &off),
         full_vs_off: full_ratio(&full, &off),
+        full_vs_off_median: q2,
+        full_vs_off_q1: q1,
+        full_vs_off_q3: q3,
         off,
         metrics_only,
         full,
@@ -263,6 +280,19 @@ pub fn run_obs_bench(quick: bool) -> ObsBenchRun {
 
 fn full_ratio(arm: &ObsArmSample, off: &ObsArmSample) -> f64 {
     arm.rate_rps / off.rate_rps.max(1e-12)
+}
+
+/// Quartiles `[q1, median, q3]` of the per-round `off_ms / arm_ms` rate
+/// ratios (linear interpolation between order statistics).
+fn round_ratio_quartiles(arm: &ObsArmSample, off: &ObsArmSample) -> [f64; 3] {
+    let mut ratios: Vec<f64> =
+        off.trials_ms.iter().zip(&arm.trials_ms).map(|(o, a)| o / a.max(1e-12)).collect();
+    ratios.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|p| {
+        let k = (ratios.len() - 1) as f64 * p;
+        let (lo, hi) = (k.floor() as usize, k.ceil() as usize);
+        ratios[lo] + (ratios[hi] - ratios[lo]) * (k - lo as f64)
+    })
 }
 
 /// Serialise the report as pretty JSON.
@@ -330,9 +360,13 @@ pub fn describe(report: &ObsBenchReport) -> String {
         ));
     }
     out.push_str(&format!(
-        "overhead gate (full >= 0.9x off): {}\n",
+        "full/off per round: median {:.2}x, IQR {:.2}-{:.2}x (best-of {:.2}x)\n",
+        report.full_vs_off_median, report.full_vs_off_q1, report.full_vs_off_q3, report.full_vs_off
+    ));
+    out.push_str(&format!(
+        "overhead gate (median round full >= 0.9x off): {}\n",
         match report.gate() {
-            Ok(()) => format!("PASS ({:.2}x)", report.full_vs_off),
+            Ok(()) => format!("PASS ({:.2}x)", report.full_vs_off_median),
             Err(why) => format!("FAIL — {why}"),
         }
     ));
@@ -384,12 +418,15 @@ pub fn describe(report: &ObsBenchReport) -> String {
 pub fn summary_line(report: &ObsBenchReport) -> String {
     format!(
         "obs_overhead off={:.0} metrics={:.0} full={:.0} metrics_vs_off={:.2} full_vs_off={:.2} \
-         events={} dropped={} cores={}",
+         full_vs_off_median={:.2} full_vs_off_iqr={:.2}-{:.2} events={} dropped={} cores={}",
         report.off.rate_rps,
         report.metrics_only.rate_rps,
         report.full.rate_rps,
         report.metrics_vs_off,
         report.full_vs_off,
+        report.full_vs_off_median,
+        report.full_vs_off_q1,
+        report.full_vs_off_q3,
         report.trace_events,
         report.dropped_events,
         report.host_cores
@@ -404,7 +441,7 @@ mod tests {
     fn obs_bench_report_is_complete_and_round_trips() {
         // A tiny run: no ratio assertion (host wall-clock on a loaded CI
         // box is noisy at this size — the gate lives in the obs_overhead
-        // bench, which runs best-of-N at real sizes), but the structure
+        // bench, which runs nine rounds at real sizes), but the structure
         // must be complete: both arms finish, the Full arm traces and
         // snapshots, and the JSON round-trips.
         let run = {
@@ -417,12 +454,16 @@ mod tests {
             let events = service.trace_events();
             let chrome = chrome_trace_json(&events, &service.recorder().track_names());
             let snapshot = service.metrics_snapshot();
+            let [q1, q2, q3] = round_ratio_quartiles(&full, &off);
             ObsBenchRun {
                 report: ObsBenchReport {
                     workload: "test".into(),
                     host_cores: 1,
                     metrics_vs_off: 1.0,
                     full_vs_off: full_ratio(&full, &off),
+                    full_vs_off_median: q2,
+                    full_vs_off_q1: q1,
+                    full_vs_off_q3: q3,
                     metrics_only: off.clone(),
                     off,
                     full,

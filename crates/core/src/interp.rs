@@ -114,7 +114,7 @@ pub(crate) fn execute_once(
                     }
                     ReadSink::UserData { offset } => {
                         let off = *offset as usize;
-                        if off + 4 > buf.len() {
+                        if off.checked_add(4).is_none_or(|end| end > buf.len()) {
                             return Err(diverge(
                                 idx,
                                 re,
@@ -210,7 +210,7 @@ pub(crate) fn execute_once(
                     diverge(idx, re, None, "copy length references an unbound symbol".into())
                 })? as usize;
                 let uo = *user_offset as usize;
-                if uo + n > buf.len() {
+                if uo.checked_add(n).is_none_or(|end| end > buf.len()) {
                     return Err(diverge(
                         idx,
                         re,
@@ -229,7 +229,7 @@ pub(crate) fn execute_once(
                     diverge(idx, re, None, "copy length references an unbound symbol".into())
                 })? as usize;
                 let uo = *user_offset as usize;
-                if uo + n > buf.len() {
+                if uo.checked_add(n).is_none_or(|end| end > buf.len()) {
                     return Err(diverge(
                         idx,
                         re,

@@ -667,7 +667,7 @@ fn exec_program(
                     }
                     CSink::UserData(offset) => {
                         let off = offset as usize;
-                        if off + 4 > buf.len() {
+                        if off.checked_add(4).is_none_or(|end| end > buf.len()) {
                             return Err(diverge(
                                 prog,
                                 op_idx,
@@ -792,7 +792,7 @@ fn exec_program(
                     .ok_or_else(|| unbound(prog, op_idx, "copy length"))?
                     as usize;
                 let uo = user_offset as usize;
-                if uo + n > buf.len() {
+                if uo.checked_add(n).is_none_or(|end| end > buf.len()) {
                     return Err(diverge(
                         prog,
                         op_idx,
@@ -810,7 +810,7 @@ fn exec_program(
                     .ok_or_else(|| unbound(prog, op_idx, "copy length"))?
                     as usize;
                 let uo = user_offset as usize;
-                if uo + n > buf.len() {
+                if uo.checked_add(n).is_none_or(|end| end > buf.len()) {
                     return Err(diverge(
                         prog,
                         op_idx,
@@ -1273,6 +1273,73 @@ mod tests {
             other => panic!("expected divergence, got {other:?}"),
         }
         assert_eq!(r.stats().divergences, 3);
+    }
+
+    /// Signed rig bundles whose trustlet-buffer ranges wrap a `usize`: a
+    /// copy of `u64::MAX` bytes from user offset 1, in both directions,
+    /// and a 4-byte user-data sink at offset `u64::MAX - 1`. Each loads,
+    /// and each must replay to a typed divergence at that event.
+    fn wrapping_user_range_driverlets() -> Vec<(&'static str, Driverlet, usize)> {
+        let wrap = SymExpr::Const(u64::MAX);
+        let cases: [(&str, usize, Event); 3] = [
+            (
+                "copy to user",
+                10,
+                Event::CopyDmaToUser { alloc: 0, offset: 0x10, user_offset: 1, len: wrap.clone() },
+            ),
+            (
+                "copy from user",
+                10,
+                Event::CopyUserToDma { alloc: 0, offset: 0x10, user_offset: 1, len: wrap },
+            ),
+            (
+                "user-data sink",
+                7,
+                Event::Read {
+                    iface: reg("STATUS", 0x0),
+                    constraint: Constraint::Any,
+                    len: 4,
+                    sink: ReadSink::UserData { offset: u64::MAX - 1 },
+                },
+            ),
+        ];
+        cases
+            .into_iter()
+            .map(|(what, index, event)| {
+                let mut t = rig_template(8);
+                t.events[index].event = event;
+                let mut d = Driverlet::new("rig", "replay_rig", vec![t]);
+                d.sign(b"rigkey");
+                (what, d, index)
+            })
+            .collect()
+    }
+
+    fn wrapping_user_ranges_diverge(mode: ReplayMode) {
+        for (what, d, index) in wrapping_user_range_driverlets() {
+            let platform = rig_platform();
+            let io = SecureIo::new(platform.bus.clone());
+            let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
+            r.load_driverlet(d, b"rigkey").unwrap();
+            let mut buf = [0u8; 8];
+            match r.invoke("replay_rig", &rig_args(3), &mut buf) {
+                Err(ReplayError::Diverged(report)) => {
+                    assert_eq!(report.failure.event_index, index, "{what}");
+                    assert!(report.failure.reason.contains("trustlet buffer"), "{what}");
+                }
+                other => panic!("{what}: expected a typed divergence, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_engine_diverges_on_wrapping_user_buffer_ranges() {
+        wrapping_user_ranges_diverge(ReplayMode::Compiled);
+    }
+
+    #[test]
+    fn interpreted_engine_diverges_on_wrapping_user_buffer_ranges() {
+        wrapping_user_ranges_diverge(ReplayMode::Interpreted);
     }
 
     // -----------------------------------------------------------------------

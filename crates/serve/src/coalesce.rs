@@ -16,6 +16,7 @@
 //! executing the batch serially in queue order — the invariant the
 //! differential property test in `tests/serial_equivalence.rs` checks.
 
+use crate::sched::Pending;
 use crate::{Request, SessionId, BLOCK};
 
 /// One executable unit of a planned batch. Member indices point into the
@@ -56,31 +57,16 @@ impl ExecPlan {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Read,
-    Write,
-    Other,
-}
-
-fn kind(req: &Request) -> Kind {
-    match req {
-        Request::Read { .. } => Kind::Read,
-        Request::Write { .. } => Kind::Write,
-        Request::Capture { .. } => Kind::Other,
-    }
-}
-
 /// Merge a run of read requests (batch indices) into maximal contiguous
 /// spans.
-fn plan_read_run(batch: &[Request], run: &[usize], out: &mut Vec<ExecPlan>) {
+fn plan_read_run(batch: &[Pending], run: &[usize], out: &mut Vec<ExecPlan>) {
     // Sort members by start block; sweep to build spans over the union.
     let mut members: Vec<usize> = run.to_vec();
-    members.sort_by_key(|&i| match &batch[i] {
+    members.sort_by_key(|&i| match &batch[i].req {
         Request::Read { blkid, .. } => *blkid,
         _ => unreachable!("read run holds only reads"),
     });
-    let extent = |i: usize| match &batch[i] {
+    let extent = |i: usize| match &batch[i].req {
         Request::Read { blkid, blkcnt, .. } => (*blkid, *blkid + *blkcnt),
         _ => unreachable!("read run holds only reads"),
     };
@@ -108,8 +94,8 @@ fn plan_read_run(batch: &[Request], run: &[usize], out: &mut Vec<ExecPlan>) {
 }
 
 /// Chain strictly adjacent writes of a run; overlaps break the chain.
-fn plan_write_run(batch: &[Request], run: &[usize], out: &mut Vec<ExecPlan>) {
-    let extent = |i: usize| match &batch[i] {
+fn plan_write_run(batch: &[Pending], run: &[usize], out: &mut Vec<ExecPlan>) {
+    let extent = |i: usize| match &batch[i].req {
         Request::Write { blkid, data, .. } => (*blkid, *blkid + (data.len() / BLOCK) as u32),
         _ => unreachable!("write run holds only writes"),
     };
@@ -130,26 +116,28 @@ fn plan_write_run(batch: &[Request], run: &[usize], out: &mut Vec<ExecPlan>) {
     out.push(ExecPlan::BatchedWrite { blkid: lo, members: chain });
 }
 
-/// Plan a drained batch. With `coalesce` off, every request is a
-/// [`ExecPlan::Single`] in queue order (the uncoalesced baseline).
-pub fn plan(batch: &[Request], coalesce: bool) -> Vec<ExecPlan> {
+/// Plan a drained batch, borrowing it: the plans name members by index,
+/// so the batch's payloads never move or copy here. With `coalesce` off,
+/// every request is a [`ExecPlan::Single`] in queue order (the
+/// uncoalesced baseline).
+pub fn plan(batch: &[Pending], coalesce: bool) -> Vec<ExecPlan> {
     if !coalesce {
         return (0..batch.len()).map(ExecPlan::Single).collect();
     }
     let mut out = Vec::new();
     let mut i = 0;
     while i < batch.len() {
-        let k = kind(&batch[i]);
+        let k = direction(&batch[i].req);
         let mut run = vec![i];
         let mut j = i + 1;
-        while j < batch.len() && kind(&batch[j]) == k {
+        while j < batch.len() && direction(&batch[j].req) == k {
             run.push(j);
             j += 1;
         }
         match k {
-            Kind::Read => plan_read_run(batch, &run, &mut out),
-            Kind::Write => plan_write_run(batch, &run, &mut out),
-            Kind::Other => out.extend(run.into_iter().map(ExecPlan::Single)),
+            Direction::Read => plan_read_run(batch, &run, &mut out),
+            Direction::Write => plan_write_run(batch, &run, &mut out),
+            Direction::Other => out.extend(run.into_iter().map(ExecPlan::Single)),
         }
         i = j;
     }
@@ -316,17 +304,25 @@ mod tests {
     use super::*;
     use crate::Device;
 
-    fn rd(blkid: u32, blkcnt: u32) -> Request {
-        Request::Read { device: Device::Mmc, blkid, blkcnt }
+    fn pending(req: Request) -> Pending {
+        Pending { id: 0, session: 1, req, submitted_ns: 0, arrived_ns: 0 }
     }
 
-    fn wr(blkid: u32, blocks: u32) -> Request {
-        Request::Write { device: Device::Mmc, blkid, data: vec![0u8; blocks as usize * BLOCK] }
+    fn rd(blkid: u32, blkcnt: u32) -> Pending {
+        pending(Request::Read { device: Device::Mmc, blkid, blkcnt })
+    }
+
+    fn wr(blkid: u32, blocks: u32) -> Pending {
+        pending(Request::Write {
+            device: Device::Mmc,
+            blkid,
+            data: vec![0u8; blocks as usize * BLOCK],
+        })
     }
 
     #[test]
     fn adjacent_reads_from_many_sessions_merge_into_one_span() {
-        let batch: Vec<Request> = (0..8).map(|i| rd(100 + i, 1)).collect();
+        let batch: Vec<Pending> = (0..8).map(|i| rd(100 + i, 1)).collect();
         let plans = plan(&batch, true);
         assert_eq!(
             plans,
@@ -376,7 +372,7 @@ mod tests {
 
     #[test]
     fn disabled_coalescing_is_all_singles() {
-        let batch: Vec<Request> = (0..4).map(|i| rd(i, 1)).collect();
+        let batch: Vec<Pending> = (0..4).map(|i| rd(i, 1)).collect();
         let plans = plan(&batch, false);
         assert_eq!(plans, (0..4).map(ExecPlan::Single).collect::<Vec<_>>());
     }

@@ -12,9 +12,9 @@
 //! * **Threaded** — the worker is moved onto its own OS thread (one host
 //!   thread per TEE core, the paper's one-core-per-lane model made
 //!   physical). The front-end talks to it only through lock-free SPSC
-//!   rings ([`crate::spsc`]) and a control mailbox; the worker parks when
-//!   idle and is unparked by doorbells, per-call admissions, control
-//!   messages and shutdown.
+//!   rings ([`crate::spsc`]) and a control mailbox. A worker that runs
+//!   dry polls for [`IDLE_POLL`] before it parks, and is unparked by
+//!   doorbells, per-call admissions, control messages and shutdown.
 //!
 //! # Channels and counters
 //!
@@ -37,14 +37,17 @@
 //!
 //! [`LaneShared::inflight`] counts admitted-but-not-yet-posted requests;
 //! the quiescence protocol (`drain_all`) is "every lane's `inflight` and
-//! `cq_backlog` are zero, then reap the rings". The worker publishes its
-//! clock through the lock-free [`ClockCell`], so the front-end's
-//! pointwise-max `now_ns()` join never takes a lane lock.
+//! `cq_backlog` are zero, then reap the rings". A worker wakes a parked
+//! drain through [`DrainSignal`] only on the edges that predicate waits
+//! for (see [`LaneWorker::run`]). The worker publishes its clock through
+//! the lock-free [`ClockCell`], so the front-end's pointwise-max
+//! `now_ns()` join never takes a lane lock.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use dlt_core::{replay_cam, ReplayError, Replayer, ResponseMutator};
@@ -67,34 +70,63 @@ pub(crate) fn block_args(rw: u64, blkcnt: u32, blkid: u32) -> [(&'static str, u6
     [("rw", rw), ("blkcnt", u64::from(blkcnt)), ("blkid", u64::from(blkid)), ("flag", 0)]
 }
 
-/// The epoch/condvar pair `drain_all` sleeps on while lane threads chew:
-/// workers bump it whenever they make progress (a batch executed, spill
-/// flushed, control handled), so the front-end wakes promptly instead of
-/// spinning — important on single-core hosts, where a spinning front-end
-/// would starve the very lane threads it waits for.
-#[derive(Debug, Default)]
-pub(crate) struct Quiesce {
-    epoch: Mutex<u64>,
-    cv: Condvar,
+/// The payload of a batched-write member.
+fn write_data(req: &mut Request) -> &mut [u8] {
+    let Request::Write { data, .. } = req else {
+        unreachable!("batched write members are writes");
+    };
+    data
 }
 
-impl Quiesce {
-    pub fn bump(&self) {
-        let mut epoch = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        *epoch += 1;
-        drop(epoch);
-        self.cv.notify_all();
+/// How long a threaded lane that ran dry, or a threaded drain still
+/// waiting for its lanes, keeps polling before it parks. In a closed loop
+/// the next admission (or the last completion) usually lands well inside
+/// it, so neither side pays a futex sleep and wake per round; each poll
+/// yields the CPU, so on one core the peer thread still runs.
+pub(crate) const IDLE_POLL: Duration = Duration::from_micros(300);
+
+/// Liveness floor on every park: the unpark-token protocol already makes
+/// each wait race-free, so this only bounds the damage of a missed edge.
+pub(crate) const PARK_FLOOR: Duration = Duration::from_millis(1);
+
+/// The line lane workers wake a parked threaded drain on. The drain
+/// [`registers`](DrainSignal::register) its thread before it first checks
+/// quiescence; a worker [`notify`](DrainSignal::notify)s only on the edges
+/// that check waits for — its `inflight` count reaching zero, its cq spill
+/// starting or emptying — never per batch. A notify that lands between the
+/// drain's check and its park pre-pays the thread's unpark token, so the
+/// park returns at once and no edge is lost.
+#[derive(Debug, Default)]
+pub(crate) struct DrainSignal {
+    /// The thread of the most recent drain. Each update is one store, so a
+    /// poisoned lock still holds a valid handle.
+    waiter: Mutex<Option<Thread>>,
+    /// Edges signalled so far.
+    sent: AtomicU64,
+}
+
+impl DrainSignal {
+    /// Make the calling thread the one [`DrainSignal::notify`] wakes.
+    pub fn register(&self) {
+        let me = std::thread::current();
+        let mut waiter = self.waiter.lock().unwrap_or_else(PoisonError::into_inner);
+        if waiter.as_ref().map(Thread::id) != Some(me.id()) {
+            *waiter = Some(me);
+        }
     }
 
-    /// Wait until a worker signals progress or `timeout` passes (the
-    /// timeout makes the wait robust to missed wakeups: the caller
-    /// re-checks its quiescence predicate either way).
-    pub fn wait_for_progress(&self, timeout: Duration) {
-        let epoch = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        match self.cv.wait_timeout(epoch, timeout) {
-            Ok((guard, _timed_out)) => drop(guard),
-            Err(poisoned) => drop(poisoned.into_inner()),
+    /// Wake the registered drain, or pre-pay its unpark token.
+    pub fn notify(&self) {
+        self.sent.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = self.waiter.lock().unwrap_or_else(PoisonError::into_inner).as_ref() {
+            t.unpark();
         }
+    }
+
+    /// How many edges the lanes have signalled.
+    #[cfg(test)]
+    pub fn sent(&self) -> u64 {
+        self.sent.load(Ordering::Relaxed)
     }
 }
 
@@ -124,8 +156,8 @@ pub(crate) struct LaneShared {
     /// only); [`LaneShared::unpark`] is a no-op before it is set and in
     /// sequential mode.
     pub thread: OnceLock<std::thread::Thread>,
-    /// Service-wide progress signal.
-    pub quiesce: Arc<Quiesce>,
+    /// The service's drain wake-up line.
+    pub drain: Arc<DrainSignal>,
     /// The metrics plane's per-lane series: every lane counter the service
     /// reports ([`LaneHealth`], `ServeStats`, the `QueueFull` high water)
     /// is read from here.
@@ -140,7 +172,7 @@ impl LaneShared {
         device: Device,
         capacity: usize,
         clock: Arc<ClockCell>,
-        quiesce: Arc<Quiesce>,
+        drain: Arc<DrainSignal>,
         metrics: Arc<LaneMetrics>,
         obs_epoch: Instant,
     ) -> Self {
@@ -153,7 +185,7 @@ impl LaneShared {
             cq_backlog: AtomicUsize::new(0),
             clock,
             thread: OnceLock::new(),
-            quiesce,
+            drain,
             metrics,
             obs_epoch,
         }
@@ -168,6 +200,14 @@ impl LaneShared {
     pub fn unpark(&self) {
         if let Some(t) = self.thread.get() {
             t.unpark();
+        }
+    }
+
+    /// Signal a drain edge (no-op inline/sequential, where the drain runs
+    /// the worker itself and never parks).
+    fn signal_drain(&self) {
+        if self.thread.get().is_some() {
+            self.drain.notify();
         }
     }
 
@@ -300,7 +340,7 @@ impl LaneWorker {
         let mut moved = 0;
         while let Some(p) = self.admit_rx.try_pop() {
             moved += 1;
-            if let Err(err) = self.lane.push(p.clone(), self.device) {
+            if let Err((p, err)) = self.lane.push(p, self.device) {
                 debug_assert!(false, "reservation should bound the lane queue: {err}");
                 let completion = Completion {
                     id: p.id,
@@ -341,7 +381,7 @@ impl LaneWorker {
         // (arrival or plug deadline)...
         self.platform.bus.lock().clock.advance_idle_to(dispatch.at_ns);
         // ...then unplugs and batches everything that arrived by then.
-        let batch =
+        let mut batch =
             self.lane.next_batch(self.config.policy, self.config.coalesce_window, dispatch.at_ns);
         self.publish_queue_depth();
         if batch.is_empty() {
@@ -388,7 +428,7 @@ impl LaneWorker {
                 );
             }
         }
-        let completions = self.execute_batch(&batch);
+        let completions = self.execute_batch(&mut batch);
         let n = completions.len();
         for c in completions {
             self.post(c);
@@ -399,7 +439,8 @@ impl LaneWorker {
     /// Post one completion towards the front-end: cq ring first, spill on
     /// a full ring (never dropped, never blocking), then release the
     /// in-flight reservation with `Release` so quiescence observers see
-    /// the completion before the count.
+    /// the completion before the count. Signals the drain when the spill
+    /// starts or the lane's last in-flight request completes.
     fn post(&mut self, completion: Completion) {
         // Terminal metrics classification — deliberately at a different
         // site than admission (the front-end's reserve), so the snapshot
@@ -449,18 +490,21 @@ impl LaneWorker {
                 self.shared.metrics.on_fail(host_ns);
             }
         }
-        match self.cq_tx.try_push(completion) {
-            Ok(_) => {}
-            Err((completion, _)) => {
-                self.cq_spill.push_back(completion);
-                self.shared.cq_backlog.store(self.cq_spill.len(), Ordering::Release);
+        if let Err((completion, _)) = self.cq_tx.try_push(completion) {
+            self.cq_spill.push_back(completion);
+            self.shared.cq_backlog.store(self.cq_spill.len(), Ordering::Release);
+            if self.cq_spill.len() == 1 {
+                self.shared.signal_drain();
             }
         }
-        self.shared.inflight.fetch_sub(1, Ordering::Release);
+        if self.shared.inflight.fetch_sub(1, Ordering::Release) == 1 {
+            self.shared.signal_drain();
+        }
     }
 
     /// Move spilled completions into the cq ring as space frees up.
-    /// Returns how many moved.
+    /// Returns how many moved, and signals the drain when the spill
+    /// empties.
     pub fn flush_cq_spill(&mut self) -> usize {
         let mut moved = 0;
         while let Some(c) = self.cq_spill.pop_front() {
@@ -474,6 +518,9 @@ impl LaneWorker {
         }
         if moved > 0 {
             self.shared.cq_backlog.store(self.cq_spill.len(), Ordering::Release);
+            if self.cq_spill.is_empty() {
+                self.shared.signal_drain();
+            }
         }
         moved
     }
@@ -514,90 +561,106 @@ impl LaneWorker {
         keep_running
     }
 
-    /// The lane thread's event loop (threaded mode). Parks when there is
-    /// no admitted work, no spill to flush and no control traffic; every
-    /// producer unparks it after making new work visible.
+    /// The lane thread's event loop (threaded mode).
+    ///
+    /// The worker never signals per batch. It notifies the front-end's
+    /// [`DrainSignal`] on three edges only, which are exactly what a
+    /// parked drain waits for: its `inflight` count reaching zero (every
+    /// completion is visible), a completion spilling past a full cq ring
+    /// (the front-end must reap to make room) and the spill emptying
+    /// (`cq_backlog` is zero again).
+    ///
+    /// A worker with no admitted work, no spill to flush and no control
+    /// traffic polls all three for [`IDLE_POLL`], yielding the CPU between
+    /// polls so that on one core the producer it waits for still runs,
+    /// then parks. In a closed loop the next round's first admission lands
+    /// inside the window, so the front-end's unpark is one atomic swap
+    /// rather than a futex wake. The park is race-free through the unpark
+    /// token: any producer that pushed after the checks above also unparks
+    /// the worker, which either wakes the park or pre-pays its token.
     pub fn run(mut self) {
         // Park/unpark are traced per idle *episode*, not per timed-out
         // park, so an idle lane does not fill its trace ring.
         let mut parked = false;
+        // When the worker last ran dry (`None` while it has work).
+        let mut dry_since: Option<Instant> = None;
         loop {
             let mut progress = 0usize;
             while let Ok(msg) = self.ctrl_rx.try_recv() {
-                let keep_running = self.handle_ctrl(msg);
-                self.shared.quiesce.bump();
-                if !keep_running {
+                if !self.handle_ctrl(msg) {
                     return;
                 }
                 progress += 1;
             }
             progress += self.flush_cq_spill();
             progress += self.pump_admissions();
-            if parked && progress > 0 {
-                parked = false;
-                let now = self.now_ns();
-                obs_event!(self.tracer, EventKind::Unpark, now, 0, 0, 0);
+            let dispatch = self.next_dispatch();
+            if progress > 0 || dispatch.is_some() {
+                dry_since = None;
+                if parked {
+                    parked = false;
+                    let now = self.now_ns();
+                    obs_event!(self.tracer, EventKind::Unpark, now, 0, 0, 0);
+                }
             }
-            match self.next_dispatch() {
-                Some(dispatch) => {
-                    if parked {
-                        parked = false;
-                        let now = self.now_ns();
-                        obs_event!(self.tracer, EventKind::Unpark, now, 0, 0, 0);
-                    }
-                    // An empty batch still advanced DRR deficits; loop and
-                    // re-plan (terminates exactly as in sequential mode).
-                    self.run_one_batch(dispatch);
-                    self.shared.quiesce.bump();
-                }
-                None => {
-                    if progress > 0 {
-                        self.shared.quiesce.bump();
-                        continue;
-                    }
-                    if !parked {
-                        parked = true;
-                        let now = self.now_ns();
-                        obs_event!(self.tracer, EventKind::Park, now, 0, 0, 0);
-                    }
-                    if !self.cq_spill.is_empty() {
-                        // The cq ring is full and the front-end has not
-                        // reaped yet: retry shortly rather than spin.
-                        std::thread::park_timeout(Duration::from_micros(50));
-                    } else if self.admit_rx.is_empty() {
-                        // Idle. The unpark token protocol makes this
-                        // race-free: any producer that pushed after the
-                        // checks above also unparks us, which either wakes
-                        // the park below or pre-pays its token. The
-                        // timeout is a belt-and-braces liveness floor.
-                        std::thread::park_timeout(Duration::from_millis(1));
-                    }
-                }
+            if let Some(dispatch) = dispatch {
+                // An empty batch still advanced DRR deficits; loop and
+                // re-plan (terminates exactly as in sequential mode).
+                self.run_one_batch(dispatch);
+                continue;
+            }
+            if progress > 0 {
+                continue;
+            }
+            if dry_since.get_or_insert_with(Instant::now).elapsed() < IDLE_POLL {
+                std::thread::yield_now();
+                continue;
+            }
+            if !parked {
+                parked = true;
+                let now = self.now_ns();
+                obs_event!(self.tracer, EventKind::Park, now, 0, 0, 0);
+            }
+            if !self.cq_spill.is_empty() {
+                // The cq ring is full and the front-end has not reaped
+                // yet: retry shortly rather than spin.
+                std::thread::park_timeout(Duration::from_micros(50));
+            } else if self.admit_rx.is_empty() {
+                std::thread::park_timeout(PARK_FLOOR);
             }
         }
     }
 
-    fn execute_batch(&mut self, batch: &[Pending]) -> Vec<Completion> {
-        let reqs: Vec<Request> = batch.iter().map(|p| p.req.clone()).collect();
+    /// Execute a planned batch. A request's payload moves through the
+    /// lane: a one-member span reads into the buffer the completion
+    /// returns, and a one-member write replays from the request's own
+    /// buffer; only a merged span copies (its fan-out or concatenation).
+    fn execute_batch(&mut self, batch: &mut [Pending]) -> Vec<Completion> {
         let coalesce = self.config.coalesce && self.device != Device::Vchiq;
-        let plans = coalesce::plan(&reqs, coalesce);
-        let mut out = Vec::new();
-        for plan in &plans {
+        let plans = coalesce::plan(batch, coalesce);
+        let mut out = Vec::with_capacity(batch.len());
+        for plan in plans {
+            let coalesced = plan.is_coalesced();
             match plan {
                 ExecPlan::Single(i) => {
                     self.shared.metrics.on_replay(1);
-                    let result = self.execute_single(&batch[*i].req);
-                    out.push(self.complete(&batch[*i], result, false));
+                    let result = self.execute_single(&mut batch[i].req);
+                    out.push(self.complete(&batch[i], result, false));
                 }
                 ExecPlan::MergedRead { blkid, blkcnt, members } => {
-                    let coalesced = plan.is_coalesced();
                     self.shared.metrics.on_replay(members.len() as u64);
-                    match self.execute_read(*blkid, *blkcnt) {
+                    match self.execute_read(blkid, blkcnt) {
+                        Ok(bytes) if !coalesced => {
+                            // The span is the member's own extent.
+                            out.push(self.complete(
+                                &batch[members[0]],
+                                Ok(Payload::Read(bytes)),
+                                false,
+                            ));
+                        }
                         Ok(bytes) => {
-                            if coalesced {
-                                self.shared.metrics.on_merged(members.len() as u64);
-                            }
-                            for &m in members {
+                            self.shared.metrics.on_merged(members.len() as u64);
+                            for &m in &members {
                                 let p = &batch[m];
                                 let Request::Read { blkid: rb, blkcnt: rc, .. } = p.req else {
                                     unreachable!("merged read members are reads");
@@ -605,7 +668,7 @@ impl LaneWorker {
                                 let off = (rb - blkid) as usize * BLOCK;
                                 let payload =
                                     Payload::Read(bytes[off..off + rc as usize * BLOCK].to_vec());
-                                out.push(self.complete(p, Ok(payload), coalesced));
+                                out.push(self.complete(p, Ok(payload), true));
                             }
                         }
                         Err(_) if coalesced => {
@@ -614,8 +677,8 @@ impl LaneWorker {
                             // by-member execution so every request gets
                             // exactly the outcome the serial order would
                             // have produced.
-                            for &m in members {
-                                let result = self.execute_single(&batch[m].req);
+                            for &m in &members {
+                                let result = self.execute_single(&mut batch[m].req);
                                 out.push(self.complete(&batch[m], result, false));
                             }
                         }
@@ -625,21 +688,22 @@ impl LaneWorker {
                     }
                 }
                 ExecPlan::BatchedWrite { blkid, members } => {
-                    let coalesced = plan.is_coalesced();
                     self.shared.metrics.on_replay(members.len() as u64);
-                    let mut data = Vec::new();
-                    for &m in members {
-                        let Request::Write { data: d, .. } = &batch[m].req else {
-                            unreachable!("batched write members are writes");
-                        };
-                        data.extend_from_slice(d);
-                    }
-                    match self.execute_write(*blkid, &mut data) {
+                    let result = if coalesced {
+                        let mut data = Vec::new();
+                        for &m in &members {
+                            data.extend_from_slice(write_data(&mut batch[m].req));
+                        }
+                        self.execute_write(blkid, &mut data)
+                    } else {
+                        self.execute_write(blkid, write_data(&mut batch[members[0]].req))
+                    };
+                    match result {
                         Ok(()) => {
                             if coalesced {
                                 self.shared.metrics.on_merged(members.len() as u64);
                             }
-                            for &m in members {
+                            for &m in &members {
                                 let p = &batch[m];
                                 let Request::Write { data: d, .. } = &p.req else {
                                     unreachable!("batched write members are writes");
@@ -657,9 +721,10 @@ impl LaneWorker {
                             // reads. A partially-executed batched write is
                             // re-issued per member in order, which matches
                             // the serial outcome because writes are
-                            // idempotent per extent.
-                            for &m in members {
-                                let result = self.execute_single(&batch[m].req);
+                            // idempotent per extent. The members' buffers
+                            // are intact: the failed replay ran on a copy.
+                            for &m in &members {
+                                let result = self.execute_single(&mut batch[m].req);
                                 out.push(self.complete(&batch[m], result, false));
                             }
                         }
@@ -693,15 +758,16 @@ impl LaneWorker {
         }
     }
 
-    fn execute_single(&mut self, req: &Request) -> Result<Payload, ServeError> {
+    /// Execute one request as-is. A write replays from the request's own
+    /// buffer: the request is spent once it executes.
+    fn execute_single(&mut self, req: &mut Request) -> Result<Payload, ServeError> {
         match req {
             Request::Read { blkid, blkcnt, .. } => {
                 self.execute_read(*blkid, *blkcnt).map(Payload::Read)
             }
             Request::Write { blkid, data, .. } => {
-                let mut scratch = data.clone();
-                self.execute_write(*blkid, &mut scratch)
-                    .map(|()| Payload::Written { blocks: (data.len() / BLOCK) as u32 })
+                let blocks = (data.len() / BLOCK) as u32;
+                self.execute_write(*blkid, data).map(|()| Payload::Written { blocks })
             }
             Request::Capture { frames, resolution } => {
                 let mut buf = vec![0u8; 2 << 20];
@@ -732,7 +798,7 @@ impl LaneWorker {
         Ok(buf)
     }
 
-    /// One (possibly batched) write span.
+    /// One (possibly batched) write span, replayed from `data`.
     fn execute_write(&mut self, blkid: u32, data: &mut [u8]) -> Result<(), ServeError> {
         let blkcnt = (data.len() / BLOCK) as u32;
         let mut done = 0u32;

@@ -221,7 +221,7 @@ pub enum Policy {
 }
 
 /// One queued request.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Pending {
     /// Request id (unique per service).
     pub id: RequestId,
@@ -321,16 +321,19 @@ impl Lane {
         }
     }
 
-    /// Enqueue, or reject with [`ServeError::QueueFull`] (backpressure).
-    pub fn push(&mut self, p: Pending, device: crate::Device) -> Result<(), ServeError> {
+    /// Enqueue, or reject with [`ServeError::QueueFull`] (backpressure),
+    /// handing the rejected request back so the caller can still complete
+    /// it.
+    pub fn push(&mut self, p: Pending, device: crate::Device) -> Result<(), (Pending, ServeError)> {
         if self.queue.len() >= self.capacity {
-            return Err(ServeError::QueueFull {
+            let err = ServeError::QueueFull {
                 device,
                 depth: self.queue.len(),
                 capacity: self.capacity,
                 high_water: self.high_water.max(self.queue.len()),
                 fleet: Vec::new(),
-            });
+            };
+            return Err((p, err));
         }
         if !self.rr_order.contains(&p.session) {
             self.rr_order.push(p.session);
@@ -465,7 +468,7 @@ mod tests {
         }
         assert!(matches!(
             lane.push(rd(1, 9, 9, 1), Device::Mmc),
-            Err(ServeError::QueueFull { depth: 3, capacity: 3, .. })
+            Err((Pending { id: 9, .. }, ServeError::QueueFull { depth: 3, capacity: 3, .. }))
         ));
         let batch = lane.next_batch(Policy::Fifo, 10, u64::MAX);
         assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 1, 2]);

@@ -71,14 +71,15 @@
 //!   sequential loop would have seen first, so batching (not payloads,
 //!   not per-session order) can differ. `drain`, `drain_all` and
 //!   `drain_device` all run to quiescence in this mode: unpark the lane
-//!   threads, then sleep on a progress condvar until every selected
-//!   lane's in-flight count and completion backlog are zero.
+//!   threads, then reap until every selected lane's in-flight count and
+//!   completion backlog are zero, polling briefly before parking until a
+//!   lane signals that it went quiet.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 use dlt_core::{
     ConstraintFlipper, FaultPlan, FlipOutcome, ReplayConfig, ReplayError, ReplayMode, Replayer,
@@ -100,7 +101,10 @@ use dlt_recorder::campaign::{
 use dlt_tee::{secure_core, SecureIo, TeeError, TeeKernel, Trustlet};
 
 use crate::coalesce::Dispatch;
-use crate::lane::{CtrlMsg, CtrlReply, CtrlReq, LaneConfig, LaneShared, LaneWorker, Quiesce};
+use crate::lane::{
+    CtrlMsg, CtrlReply, CtrlReq, DrainSignal, LaneConfig, LaneShared, LaneWorker, IDLE_POLL,
+    PARK_FLOOR,
+};
 use crate::ring::{CompletionRing, SqEntry, SubmissionRing};
 use crate::route::{
     least_loaded_sibling, LaneId, LaneLoad, RouteConfig, RoutePart, RouteReject, Router, Target,
@@ -684,7 +688,8 @@ pub struct DriverletService {
     /// reaped from each lane's cq ring — which is per-lane execution
     /// order; cross-lane interleaving in threaded mode follows reap order.
     exec_log: Vec<RequestId>,
-    quiesce: Arc<Quiesce>,
+    /// What a threaded drain parks on; lane workers signal it.
+    drain_signal: Arc<DrainSignal>,
     /// The flight recorder (disabled unless [`ObsConfig::Full`]); lane
     /// workers, replayers, the TEE kernel and the front-end all emit into
     /// their own lock-free rings registered here.
@@ -749,11 +754,11 @@ impl DriverletService {
         let control_cell = control.bus.lock().clock.cell();
         let mut tee = TeeKernel::install(&control, &[])?;
         tee.load_trustlet(Box::new(ServeGate));
-        let quiesce = Arc::new(Quiesce::default());
+        let drain_signal = Arc::new(DrainSignal::default());
         // One host epoch for both observability planes: trace stamps and
         // `last_event_host_ns` live in the same domain, so hot paths that
         // already computed a metrics stamp can hand it to `emit_at`.
-        let obs_epoch = std::time::Instant::now();
+        let obs_epoch = Instant::now();
         let metrics =
             Arc::new(MetricsRegistry::with_epoch(config.obs.histograms_enabled(), obs_epoch));
         let recorder = Arc::new(if config.obs.tracing_enabled() {
@@ -815,7 +820,7 @@ impl DriverletService {
                 *device,
                 config.queue_capacity,
                 platform.bus.lock().clock.cell(),
-                Arc::clone(&quiesce),
+                Arc::clone(&drain_signal),
                 metrics.register_lane(device.to_string()),
                 metrics.epoch(),
             ));
@@ -894,7 +899,7 @@ impl DriverletService {
             supervision,
             next_request: Arc::new(AtomicU64::new(1)),
             exec_log: Vec::new(),
-            quiesce,
+            drain_signal,
             recorder,
             metrics,
             tracer,
@@ -1830,25 +1835,38 @@ impl DriverletService {
         })
     }
 
-    /// Threaded-mode drain: unpark the selected lane threads, then
-    /// alternate reaping with sleeping on the progress condvar until they
-    /// are quiescent. The timeout on each wait makes the loop robust to
-    /// missed wakeups; the condvar keeps the front-end off-CPU while lanes
-    /// execute (essential on single-core hosts).
+    /// Threaded-mode drain: unpark the selected lane threads, then reap
+    /// until they are quiescent.
+    ///
+    /// Like a lane that ran dry, the drain first polls: it reaps, checks
+    /// quiescence and yields the CPU, for [`IDLE_POLL`]. In a closed loop
+    /// the lanes finish inside that window, so the front-end never sleeps.
+    /// Past it, the drain parks until a lane signals one of the edges
+    /// quiescence waits for (see [`LaneWorker::run`]), leaving the CPU to
+    /// the lanes through a long drain; the completions wait in the cq
+    /// rings. No signal can be lost: the drain registers its thread before
+    /// its first check, and a signal that lands between a check and the
+    /// park pre-pays the unpark token, so the park returns at once.
     fn drain_threaded(&mut self, filter: Option<Device>) -> Vec<Completion> {
         let mut all = Vec::new();
+        self.drain_signal.register();
         for lane in &self.lanes {
             if filter.is_some_and(|d| lane.device != d) {
                 continue;
             }
             lane.shared.unpark();
         }
+        let start = Instant::now();
         loop {
             self.reap_lanes(filter, true, &mut all);
             if self.lanes_quiescent(filter) {
                 break;
             }
-            self.quiesce.wait_for_progress(Duration::from_micros(200));
+            if start.elapsed() < IDLE_POLL {
+                std::thread::yield_now();
+            } else {
+                std::thread::park_timeout(PARK_FLOOR);
+            }
         }
         // Completions may have landed between the last reap and the
         // quiescence check; the counters' release/acquire ordering
@@ -2336,6 +2354,8 @@ impl SecureBlockIo for SessionBlockIo<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::route::RoutePolicy;
 
@@ -2777,6 +2797,101 @@ mod tests {
         assert_eq!(step1.len(), 1, "the first arrival dispatches alone");
         assert_eq!(step2.len(), 2, "arrivals during service batch together");
         assert!(step3.is_empty(), "an empty vector signals quiescence");
+    }
+
+    #[test]
+    fn a_threaded_drain_is_signalled_per_edge_not_per_request() {
+        // One request per batch, and a cq ring as deep as the queue, so
+        // the only edge a drain can see is the lane's in-flight count
+        // reaching zero.
+        let mut s = mmc_service(ServeConfig {
+            exec_mode: ExecMode::Threaded,
+            queue_capacity: 64,
+            coalesce_window: 1,
+            hold_budget_ns: 0,
+            block_granularities: vec![1],
+            ..ServeConfig::default()
+        });
+        let sess = s.open_session().unwrap();
+        for i in 0..64u32 {
+            s.submit(sess, Request::Read { device: Device::Mmc, blkid: 2 * i, blkcnt: 1 }).unwrap();
+        }
+        let before = s.drain_signal.sent();
+        assert_eq!(s.drain_all().len(), 64);
+        let during = s.drain_signal.sent() - before;
+        assert!(during <= 1, "the drain was signalled {during} times, not once at quiescence");
+        // Before the drain, the lane signals only when it catches up with
+        // the submitter, never once per request.
+        let total = s.drain_signal.sent();
+        assert!(total <= 16, "64 requests raised {total} drain signals");
+    }
+
+    #[test]
+    fn an_idle_polling_lane_serves_control_and_shutdown_from_the_poll() {
+        // Right after a drain the lane thread is inside its idle poll. A
+        // health check or a shutdown sent then must be served at the next
+        // poll, not after the window: at best it costs no more than the
+        // same call on a lane that already parked and must be woken. On a
+        // busy host a polling lane can wait a scheduler slice for the CPU
+        // that a woken one gets at once, so the best times accumulate over
+        // up to three rounds of eight tries; a lane that waits out the
+        // window is slower on every try and fails all three.
+        let bundle = record_mmc_driverlet_subset(&[1]).expect("record bundle");
+        let config = ServeConfig {
+            exec_mode: ExecMode::Threaded,
+            block_granularities: vec![1],
+            ..ServeConfig::default()
+        };
+        let read = |blkid| Request::Read { device: Device::Mmc, blkid, blkcnt: 1 };
+        // One try of each kind: [polling, parked] times of a health check
+        // and of a shutdown.
+        let try_once = |slot: usize| {
+            let settle = || {
+                if slot == 1 {
+                    std::thread::sleep(4 * IDLE_POLL);
+                }
+            };
+            let mut s =
+                DriverletService::with_driverlets(&[(Device::Mmc, bundle.clone())], config.clone())
+                    .expect("build service");
+            let sess = s.open_session().unwrap();
+            s.submit(sess, read(7)).unwrap();
+            assert_eq!(s.drain_all().len(), 1);
+            settle();
+            let t = Instant::now();
+            s.lane_health_check(Device::Mmc).expect("health check");
+            let check = t.elapsed();
+            s.submit(sess, read(9)).unwrap();
+            assert_eq!(s.drain_all().len(), 1);
+            settle();
+            let t = Instant::now();
+            drop(s);
+            (check, t.elapsed())
+        };
+        let mut check = [Duration::MAX; 2];
+        let mut shutdown = [Duration::MAX; 2];
+        let served_from_the_poll = |check: [Duration; 2], shutdown: [Duration; 2]| {
+            [check, shutdown].iter().all(|&[polling, parked]| polling < parked + IDLE_POLL / 2)
+        };
+        for _round in 0..3 {
+            for _ in 0..8 {
+                for slot in 0..2 {
+                    let (c, d) = try_once(slot);
+                    check[slot] = check[slot].min(c);
+                    shutdown[slot] = shutdown[slot].min(d);
+                }
+            }
+            if served_from_the_poll(check, shutdown) {
+                return;
+            }
+        }
+        for (what, [polling, parked]) in [("health check", check), ("shutdown", shutdown)] {
+            assert!(
+                polling < parked + IDLE_POLL / 2,
+                "{what} on an idle-polling lane took {polling:?} against {parked:?} on a parked \
+                 one: it waited out the {IDLE_POLL:?} poll window"
+            );
+        }
     }
 
     #[test]
