@@ -142,8 +142,10 @@ pub(crate) fn execute_once(
                 allocations.push(region);
             }
             Event::GetRandBytes { len, .. } => {
-                let mut tmp = vec![0u8; *len as usize];
-                io.fill_rand_bytes(&mut tmp).map_err(ExecFailure::Tee)?;
+                // Refuse an oversized request before sizing a buffer for it.
+                dlt_tee::check_rng_request(*len as usize).map_err(ExecFailure::Tee)?;
+                let mut tmp = [0u8; dlt_tee::RNG_MAX_REQUEST];
+                io.fill_rand_bytes(&mut tmp[..*len as usize]).map_err(ExecFailure::Tee)?;
             }
             Event::GetTs { sink, .. } => {
                 let v = io.get_ts_rpc();

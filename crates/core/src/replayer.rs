@@ -229,8 +229,11 @@ impl Scratch {
         if self.dma.capacity() < prog.num_dma as usize {
             self.dma.reserve(prog.num_dma as usize);
         }
-        if self.rand.len() < prog.max_rand_len {
-            self.rand.resize(prog.max_rand_len, 0);
+        // A larger request fails before it reaches this buffer, so a
+        // hostile bundle cannot size it past the RNG FIFO.
+        let rand_len = prog.max_rand_len.min(dlt_tee::RNG_MAX_REQUEST);
+        if self.rand.len() < rand_len {
+            self.rand.resize(rand_len, 0);
         }
     }
 }
@@ -709,6 +712,7 @@ fn exec_program(
                 // Propagate RNG failures instead of discarding them: an
                 // entropy shortfall is a TEE service failure, not a
                 // divergence.
+                dlt_tee::check_rng_request(len as usize).map_err(ExecFailure::Tee)?;
                 io.fill_rand_bytes(&mut scratch.rand[..len as usize]).map_err(ExecFailure::Tee)?;
             }
             Op::GetTs { slot } => {
@@ -1144,6 +1148,30 @@ mod tests {
             r2.invoke("replay_rig", &rig_args(7), &mut buf),
             Err(ReplayError::Tee(_))
         ));
+    }
+
+    #[test]
+    fn hostile_rng_lengths_fail_typed_without_a_buffer_of_that_size() {
+        // A validly signed bundle asking for u32::MAX random bytes used to
+        // size the compiled engine's RNG buffer at 4 GiB on load, and made
+        // the interpreter allocate 4 GiB on every invocation.
+        for mode in [ReplayMode::Compiled, ReplayMode::Interpreted] {
+            let platform = rig_platform();
+            let io = SecureIo::new(platform.bus.clone());
+            let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
+            r.load_driverlet(rig_driverlet(u32::MAX), b"rigkey").unwrap();
+            assert!(r.scratch.rand.len() <= dlt_tee::RNG_MAX_REQUEST, "{mode:?}");
+            let mut buf = [0u8; 8];
+            for _ in 0..2 {
+                match r.invoke("replay_rig", &rig_args(7), &mut buf) {
+                    Err(ReplayError::Tee(e)) => assert!(
+                        e.to_string().contains("request of 4294967295 bytes exceeds"),
+                        "{mode:?}: unexpected tee error: {e}"
+                    ),
+                    other => panic!("{mode:?}: expected a TEE error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

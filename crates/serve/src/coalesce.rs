@@ -16,147 +16,137 @@
 //! executing the batch serially in queue order — the invariant the
 //! differential property test in `tests/serial_equivalence.rs` checks.
 
+use std::ops::Range;
+
 use crate::sched::Pending;
 use crate::{Request, SessionId, BLOCK};
 
-/// One executable unit of a planned batch. Member indices point into the
-/// batch the plan was computed from.
+/// One executable unit of a planned batch. Member ranges select a slice
+/// of [`Plan::members`]; the slice holds indices into the batch the plan
+/// was computed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecPlan {
-    /// Execute the request at this batch index as-is.
+    /// Execute the request at this batch index as-is (a request nothing
+    /// merged with, or one that never merges).
     Single(usize),
-    /// One read replay covering `blkid..blkid+blkcnt`, fanned out to every
-    /// member afterwards.
+    /// One read replay covering `blkid..blkid+blkcnt`, fanned out to its
+    /// two or more members afterwards.
     MergedRead {
         /// First block of the merged span.
         blkid: u32,
         /// Length of the merged span in blocks.
         blkcnt: u32,
-        /// Batch indices served by this span.
-        members: Vec<usize>,
+        /// The members served by this span.
+        members: Range<usize>,
     },
-    /// One write replay of the concatenated member payloads (strictly
-    /// adjacent extents, in order).
+    /// One write replay of the concatenated payloads of two or more
+    /// members (strictly adjacent extents, in order).
     BatchedWrite {
         /// First block of the batched write.
         blkid: u32,
-        /// Batch indices folded into this write, in submission order.
-        members: Vec<usize>,
+        /// The members folded into this write, in submission order.
+        members: Range<usize>,
     },
 }
 
 impl ExecPlan {
     /// Whether this plan actually merged more than one request.
     pub fn is_coalesced(&self) -> bool {
-        match self {
-            ExecPlan::Single(_) => false,
-            ExecPlan::MergedRead { members, .. } | ExecPlan::BatchedWrite { members, .. } => {
-                members.len() > 1
+        !matches!(self, ExecPlan::Single(_))
+    }
+}
+
+/// A planned batch: its executable units in order plus the batch indices
+/// their member ranges select. Its owner rebuilds it for every batch, so
+/// once warm, planning allocates nothing.
+#[derive(Debug, Default)]
+pub struct Plan {
+    /// The executable units, in execution order.
+    pub steps: Vec<ExecPlan>,
+    members: Vec<usize>,
+}
+
+impl Plan {
+    /// The batch indices a unit's member range selects.
+    pub fn members(&self, range: &Range<usize>) -> &[usize] {
+        &self.members[range.clone()]
+    }
+
+    /// Plan a drained batch, borrowing it: the units name members by
+    /// index, so the batch's payloads never move or copy here. With
+    /// `coalesce` off, every request is a [`ExecPlan::Single`] in queue
+    /// order (the uncoalesced baseline).
+    pub fn build(&mut self, batch: &[Pending], coalesce: bool) {
+        self.steps.clear();
+        self.members.clear();
+        let mut i = 0;
+        while i < batch.len() {
+            let k = direction(&batch[i].req);
+            let j = (i + 1..batch.len())
+                .find(|&j| !coalesce || direction(&batch[j].req) != k)
+                .unwrap_or(batch.len());
+            match k {
+                Direction::Other => self.steps.extend((i..j).map(ExecPlan::Single)),
+                _ => self.plan_run(batch, i..j, k == Direction::Read),
+            }
+            i = j;
+        }
+    }
+
+    /// Plan a run of same-direction requests (batch indices): reads merge
+    /// into maximal spans over adjacent or overlapping extents (they
+    /// commute, so they are swept in block order); writes chain only over
+    /// strictly adjacent extents, in queue order.
+    fn plan_run(&mut self, batch: &[Pending], run: Range<usize>, read: bool) {
+        let extent = |i: usize| match &batch[i].req {
+            Request::Read { blkid, blkcnt, .. } => (*blkid, *blkid + *blkcnt),
+            Request::Write { blkid, data, .. } => (*blkid, *blkid + (data.len() / BLOCK) as u32),
+            Request::Capture { .. } => unreachable!("captures never merge"),
+        };
+        let start = self.members.len();
+        self.members.extend(run);
+        if read {
+            // Ties keep queue order.
+            self.members[start..].sort_unstable_by_key(|&i| (extent(i).0, i));
+        }
+        let (mut first, (mut lo, mut hi)) = (start, extent(self.members[start]));
+        for pos in start + 1..=self.members.len() {
+            let next = self.members.get(pos).map(|&i| extent(i));
+            match next {
+                Some((s, e))
+                    if (if read { s <= hi } else { s == hi })
+                        && hi.max(e) - lo <= crate::MAX_REQUEST_BLOCKS =>
+                {
+                    hi = hi.max(e);
+                }
+                _ => {
+                    let members = first..pos;
+                    self.steps.push(match () {
+                        _ if members.len() == 1 => ExecPlan::Single(self.members[first]),
+                        _ if read => ExecPlan::MergedRead { blkid: lo, blkcnt: hi - lo, members },
+                        _ => ExecPlan::BatchedWrite { blkid: lo, members },
+                    });
+                    if let Some((s, e)) = next {
+                        (first, lo, hi) = (pos, s, e);
+                    }
+                }
             }
         }
     }
 }
 
-/// Merge a run of read requests (batch indices) into maximal contiguous
-/// spans.
-fn plan_read_run(batch: &[Pending], run: &[usize], out: &mut Vec<ExecPlan>) {
-    // Sort members by start block; sweep to build spans over the union.
-    let mut members: Vec<usize> = run.to_vec();
-    members.sort_by_key(|&i| match &batch[i].req {
-        Request::Read { blkid, .. } => *blkid,
-        _ => unreachable!("read run holds only reads"),
-    });
-    let extent = |i: usize| match &batch[i].req {
-        Request::Read { blkid, blkcnt, .. } => (*blkid, *blkid + *blkcnt),
-        _ => unreachable!("read run holds only reads"),
-    };
-    let mut span_members = vec![members[0]];
-    let (mut lo, mut hi) = extent(members[0]);
-    for &i in &members[1..] {
-        let (s, e) = extent(i);
-        if s <= hi && hi.max(e) - lo <= crate::MAX_REQUEST_BLOCKS {
-            // Adjacent or overlapping (and still within the span bound):
-            // extend the span.
-            hi = hi.max(e);
-            span_members.push(i);
-        } else {
-            out.push(ExecPlan::MergedRead {
-                blkid: lo,
-                blkcnt: hi - lo,
-                members: std::mem::take(&mut span_members),
-            });
-            lo = s;
-            hi = e;
-            span_members.push(i);
-        }
-    }
-    out.push(ExecPlan::MergedRead { blkid: lo, blkcnt: hi - lo, members: span_members });
-}
-
-/// Chain strictly adjacent writes of a run; overlaps break the chain.
-fn plan_write_run(batch: &[Pending], run: &[usize], out: &mut Vec<ExecPlan>) {
-    let extent = |i: usize| match &batch[i].req {
-        Request::Write { blkid, data, .. } => (*blkid, *blkid + (data.len() / BLOCK) as u32),
-        _ => unreachable!("write run holds only writes"),
-    };
-    let mut chain: Vec<usize> = vec![run[0]];
-    let (mut lo, mut end) = extent(run[0]);
-    for &i in &run[1..] {
-        let (s, e) = extent(i);
-        if s == end && e - lo <= crate::MAX_REQUEST_BLOCKS {
-            end = e;
-            chain.push(i);
-        } else {
-            out.push(ExecPlan::BatchedWrite { blkid: lo, members: std::mem::take(&mut chain) });
-            lo = s;
-            end = e;
-            chain.push(i);
-        }
-    }
-    out.push(ExecPlan::BatchedWrite { blkid: lo, members: chain });
-}
-
-/// Plan a drained batch, borrowing it: the plans name members by index,
-/// so the batch's payloads never move or copy here. With `coalesce` off,
-/// every request is a [`ExecPlan::Single`] in queue order (the
-/// uncoalesced baseline).
-pub fn plan(batch: &[Pending], coalesce: bool) -> Vec<ExecPlan> {
-    if !coalesce {
-        return (0..batch.len()).map(ExecPlan::Single).collect();
-    }
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < batch.len() {
-        let k = direction(&batch[i].req);
-        let mut run = vec![i];
-        let mut j = i + 1;
-        while j < batch.len() && direction(&batch[j].req) == k {
-            run.push(j);
-            j += 1;
-        }
-        match k {
-            Direction::Read => plan_read_run(batch, &run, &mut out),
-            Direction::Write => plan_write_run(batch, &run, &mut out),
-            Direction::Other => out.extend(run.into_iter().map(ExecPlan::Single)),
-        }
-        i = j;
-    }
-    out
-}
-
 /// Decompose an arbitrary block count into the recorded granularities
 /// (largest first) — the replayer "must access the data in ways specified
-/// by the recorded paths" (§3.3). `granularities` must contain 1.
-pub fn decompose(mut blkcnt: u32, granularities: &[u32]) -> Vec<u32> {
-    let mut sorted = granularities.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut parts = Vec::new();
-    while blkcnt > 0 {
-        let g = sorted.iter().copied().find(|g| *g <= blkcnt).unwrap_or(1);
-        parts.push(g);
-        blkcnt -= g;
-    }
-    parts
+/// by the recorded paths" (§3.3). `granularities` must be sorted largest
+/// first and contain 1.
+pub fn decompose(mut blkcnt: u32, granularities: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    std::iter::from_fn(move || {
+        (blkcnt > 0).then(|| {
+            let g = granularities.iter().copied().find(|g| *g <= blkcnt).unwrap_or(1);
+            blkcnt -= g;
+            g
+        })
+    })
 }
 
 /// Transfer direction of a pending request, as the plug state machine and
@@ -320,19 +310,33 @@ mod tests {
         })
     }
 
+    /// Plan `batch` and pair each unit with the batch indices it serves.
+    fn plan(batch: &[Pending], coalesce: bool) -> Vec<(ExecPlan, Vec<usize>)> {
+        let mut plan = Plan::default();
+        plan.build(batch, coalesce);
+        // Plan twice: a reused plan must not carry the last batch over.
+        plan.build(batch, coalesce);
+        let members = |p: &ExecPlan| match p {
+            ExecPlan::Single(i) => vec![*i],
+            ExecPlan::MergedRead { members, .. } | ExecPlan::BatchedWrite { members, .. } => {
+                plan.members(members).to_vec()
+            }
+        };
+        plan.steps.iter().map(|p| (p.clone(), members(p))).collect()
+    }
+
     #[test]
     fn adjacent_reads_from_many_sessions_merge_into_one_span() {
         let batch: Vec<Pending> = (0..8).map(|i| rd(100 + i, 1)).collect();
         let plans = plan(&batch, true);
         assert_eq!(
             plans,
-            vec![ExecPlan::MergedRead {
-                blkid: 100,
-                blkcnt: 8,
-                members: (0..8).collect::<Vec<_>>()
-            }]
+            vec![(
+                ExecPlan::MergedRead { blkid: 100, blkcnt: 8, members: 0..8 },
+                (0..8).collect::<Vec<_>>()
+            )]
         );
-        assert!(plans[0].is_coalesced());
+        assert!(plans[0].0.is_coalesced());
     }
 
     #[test]
@@ -340,9 +344,12 @@ mod tests {
         let batch = vec![rd(10, 4), rd(12, 4), rd(30, 2)];
         let plans = plan(&batch, true);
         assert_eq!(plans.len(), 2);
-        assert_eq!(plans[0], ExecPlan::MergedRead { blkid: 10, blkcnt: 6, members: vec![0, 1] });
-        assert_eq!(plans[1], ExecPlan::MergedRead { blkid: 30, blkcnt: 2, members: vec![2] });
-        assert!(!plans[1].is_coalesced());
+        assert_eq!(
+            plans[0],
+            (ExecPlan::MergedRead { blkid: 10, blkcnt: 6, members: 0..2 }, vec![0, 1])
+        );
+        assert_eq!(plans[1], (ExecPlan::Single(2), vec![2]));
+        assert!(!plans[1].0.is_coalesced());
     }
 
     #[test]
@@ -354,9 +361,9 @@ mod tests {
         assert_eq!(
             plans,
             vec![
-                ExecPlan::BatchedWrite { blkid: 0, members: vec![0, 1] },
-                ExecPlan::BatchedWrite { blkid: 8, members: vec![2] },
-                ExecPlan::BatchedWrite { blkid: 24, members: vec![3] },
+                (ExecPlan::BatchedWrite { blkid: 0, members: 0..2 }, vec![0, 1]),
+                (ExecPlan::Single(2), vec![2]),
+                (ExecPlan::Single(3), vec![3]),
             ]
         );
     }
@@ -367,14 +374,14 @@ mod tests {
         let batch = vec![rd(8, 1), wr(8, 1), rd(8, 1)];
         let plans = plan(&batch, true);
         assert_eq!(plans.len(), 3);
-        assert!(plans.iter().all(|p| !p.is_coalesced()));
+        assert!(plans.iter().all(|p| !p.0.is_coalesced()));
     }
 
     #[test]
     fn disabled_coalescing_is_all_singles() {
         let batch: Vec<Pending> = (0..4).map(|i| rd(i, 1)).collect();
         let plans = plan(&batch, false);
-        assert_eq!(plans, (0..4).map(ExecPlan::Single).collect::<Vec<_>>());
+        assert_eq!(plans, (0..4).map(|i| (ExecPlan::Single(i), vec![i])).collect::<Vec<_>>());
     }
 
     fn arr(session: SessionId, arrival_ns: u64, direction: Direction) -> Arrival {
@@ -467,9 +474,9 @@ mod tests {
 
     #[test]
     fn decompose_prefers_large_recorded_granularities() {
-        let g = [1, 8, 32, 128, 256];
-        assert_eq!(decompose(300, &g), vec![256, 32, 8, 1, 1, 1, 1]);
-        assert_eq!(decompose(300, &g).iter().sum::<u32>(), 300);
-        assert_eq!(decompose(40, &[1, 8]), vec![8, 8, 8, 8, 8]);
+        let g = [256, 128, 32, 8, 1];
+        assert_eq!(decompose(300, &g).collect::<Vec<_>>(), vec![256, 32, 8, 1, 1, 1, 1]);
+        assert_eq!(decompose(300, &g).sum::<u32>(), 300);
+        assert_eq!(decompose(40, &[8, 1]).collect::<Vec<_>>(), vec![8, 8, 8, 8, 8]);
     }
 }

@@ -56,7 +56,7 @@ use dlt_obs::metrics::LaneMetrics;
 use dlt_obs::trace::{EventKind, TraceHandle};
 use dlt_obs::{obs_event, obs_event_at};
 
-use crate::coalesce::{self, plan_dispatch, Dispatch, DispatchReason, ExecPlan};
+use crate::coalesce::{self, plan_dispatch, Dispatch, DispatchReason, ExecPlan, Plan};
 use crate::sched::{Lane, Pending, Policy};
 use crate::spsc::{SpscConsumer, SpscProducer};
 use crate::{Completion, Device, LaneHealth, Payload, Request, ServeError, SessionId, BLOCK};
@@ -66,16 +66,13 @@ use crate::{Completion, Device, LaneHealth, Payload, Request, ServeError, Sessio
 /// address).
 pub(crate) const HEALTH_PROBE_BLKID: u32 = 1024;
 
+/// The `rw` argument of a block replay that reads.
+pub(crate) const READ: u64 = 0x1;
+/// The `rw` argument of a block replay that writes.
+pub(crate) const WRITE: u64 = 0x10;
+
 pub(crate) fn block_args(rw: u64, blkcnt: u32, blkid: u32) -> [(&'static str, u64); 4] {
     [("rw", rw), ("blkcnt", u64::from(blkcnt)), ("blkid", u64::from(blkid)), ("flag", 0)]
-}
-
-/// The payload of a batched-write member.
-fn write_data(req: &mut Request) -> &mut [u8] {
-    let Request::Write { data, .. } = req else {
-        unreachable!("batched write members are writes");
-    };
-    data
 }
 
 /// How long a threaded lane that ran dry, or a threaded drain still
@@ -88,6 +85,37 @@ pub(crate) const IDLE_POLL: Duration = Duration::from_micros(300);
 /// Liveness floor on every park: the unpark-token protocol already makes
 /// each wait race-free, so this only bounds the damage of a missed edge.
 pub(crate) const PARK_FLOOR: Duration = Duration::from_millis(1);
+
+/// Whether an idle poll dry for `dry_for`, whose last `yield_now` took
+/// `last_yield`, polls again: not past [`IDLE_POLL`], and not once a
+/// yield returned late (after more than half the window). A yield that
+/// late means other threads hold the CPU, so each further poll waits a
+/// scheduler slice, while a parked thread is woken by its unpark at once.
+pub(crate) fn keep_polling(dry_for: Duration, last_yield: Duration) -> bool {
+    dry_for < IDLE_POLL && last_yield <= IDLE_POLL / 2
+}
+
+/// One idle-poll episode of a lane worker or a threaded drain: when it
+/// started, and how long its last yield took.
+pub(crate) struct IdlePoll(Instant, Duration);
+
+impl IdlePoll {
+    pub fn new() -> IdlePoll {
+        IdlePoll(Instant::now(), Duration::ZERO)
+    }
+
+    /// Yield the CPU once and return `true`, or return `false` when the
+    /// caller should park instead (see [`keep_polling`]).
+    pub fn yield_once(&mut self) -> bool {
+        let now = Instant::now();
+        if !keep_polling(now - self.0, self.1) {
+            return false;
+        }
+        std::thread::yield_now();
+        self.1 = now.elapsed();
+        true
+    }
+}
 
 /// The line lane workers wake a parked threaded drain on. The drain
 /// [`registers`](DrainSignal::register) its thread before it first checks
@@ -215,8 +243,9 @@ impl LaneShared {
     /// [`ServeError::QueueFull`]: the reported depth is the one atomic
     /// load the rejection decision was made on — never a second racy
     /// re-read — so a rejection raced against a draining worker still
-    /// reports `depth <= capacity` consistently.
-    pub fn reserve(&self) -> Result<(), ServeError> {
+    /// reports `depth <= capacity` consistently. `host_ns` is the
+    /// admitting doorbell's host stamp.
+    pub fn reserve(&self, host_ns: u64) -> Result<(), ServeError> {
         let depth = self.inflight.load(Ordering::Acquire);
         if depth >= self.capacity as u64 {
             return Err(ServeError::QueueFull {
@@ -230,7 +259,7 @@ impl LaneShared {
         // Only the front-end thread reserves, so load-then-add cannot
         // overshoot: concurrent worker decrements only free slots.
         self.inflight.fetch_add(1, Ordering::AcqRel);
-        self.metrics.on_admit(depth + 1, self.host_now_ns());
+        self.metrics.on_admit(depth + 1, host_ns);
         Ok(())
     }
 
@@ -248,6 +277,7 @@ pub(crate) struct LaneConfig {
     pub coalesce: bool,
     pub coalesce_window: usize,
     pub hold_budget_ns: u64,
+    /// Sorted largest first, as [`coalesce::decompose`] takes them.
     pub block_granularities: Vec<u32>,
     pub camera_bursts: Vec<u32>,
 }
@@ -306,13 +336,27 @@ pub(crate) struct LaneWorker {
     /// Flight-recorder channel for this lane thread (`None` unless
     /// [`dlt_obs::ObsConfig::Full`]).
     pub tracer: Option<TraceHandle>,
+    /// Buffers reused by every batch: the drained requests, their plan,
+    /// their completions and a merged span's bytes.
+    pub bufs: BatchBufs,
+}
+
+/// A lane worker's per-batch scratch, emptied and refilled each batch so
+/// a warm lane allocates only the payloads it hands back.
+#[derive(Default)]
+pub(crate) struct BatchBufs {
+    batch: Vec<Pending>,
+    plan: Plan,
+    done: Vec<Completion>,
+    span: Vec<u8>,
 }
 
 impl LaneWorker {
-    /// Lane-local time, read through the replayer: the replayer executes
-    /// against its own core's clock, so both views are the same timeline.
+    /// Lane-local time. The lane clock publishes every advance to its
+    /// cell, and only this worker advances it, so the lock-free read is
+    /// exact.
     pub fn now_ns(&self) -> u64 {
-        self.replayer.now_ns()
+        self.shared.clock.now_ns()
     }
 
     /// The anticipatory-hold budget effective for this lane (holding is an
@@ -351,7 +395,7 @@ impl LaneWorker {
                     completed_ns: self.now_ns(),
                     coalesced: false,
                 };
-                self.post(completion);
+                self.post(completion, self.shared.host_now_ns());
             }
         }
         if moved > 0 {
@@ -381,10 +425,13 @@ impl LaneWorker {
         // (arrival or plug deadline)...
         self.platform.bus.lock().clock.advance_idle_to(dispatch.at_ns);
         // ...then unplugs and batches everything that arrived by then.
-        let mut batch =
-            self.lane.next_batch(self.config.policy, self.config.coalesce_window, dispatch.at_ns);
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let (policy, window) = (self.config.policy, self.config.coalesce_window);
+        self.lane.next_batch(policy, window, dispatch.at_ns, &mut bufs.batch);
         self.publish_queue_depth();
+        let batch = &bufs.batch;
         if batch.is_empty() {
+            self.bufs = bufs;
             return 0;
         }
         // One host stamp covers the whole dispatch cluster (plug marks plus
@@ -416,7 +463,7 @@ impl LaneWorker {
             }
         }
         if let Some(host_ns) = host_ns {
-            for p in &batch {
+            for p in batch {
                 obs_event_at!(
                     self.tracer,
                     host_ns,
@@ -428,11 +475,17 @@ impl LaneWorker {
                 );
             }
         }
-        let completions = self.execute_batch(&mut batch);
-        let n = completions.len();
-        for c in completions {
-            self.post(c);
+        self.execute_batch(&mut bufs);
+        bufs.batch.clear();
+        // One host stamp for the batch's completions: the metrics stamp
+        // and the recorder share one epoch (see
+        // `DriverletService::with_driverlets`), so it serves both planes.
+        let host_ns = self.shared.host_now_ns();
+        let n = bufs.done.len();
+        for c in bufs.done.drain(..) {
+            self.post(c, host_ns);
         }
+        self.bufs = bufs;
         n
     }
 
@@ -441,15 +494,10 @@ impl LaneWorker {
     /// in-flight reservation with `Release` so quiescence observers see
     /// the completion before the count. Signals the drain when the spill
     /// starts or the lane's last in-flight request completes.
-    fn post(&mut self, completion: Completion) {
+    fn post(&mut self, completion: Completion, host_ns: u64) {
         // Terminal metrics classification — deliberately at a different
         // site than admission (the front-end's reserve), so the snapshot
         // reconciliation invariant checks real instrumentation consistency.
-        // The metrics stamp and the recorder share one epoch (see
-        // `DriverletService::with_driverlets`), so the same read serves
-        // both planes — the terminal trace event rides the metrics stamp
-        // instead of paying a second clock read.
-        let host_ns = self.shared.host_now_ns();
         match &completion.result {
             Ok(_) => {
                 obs_event_at!(
@@ -573,7 +621,8 @@ impl LaneWorker {
     /// A worker with no admitted work, no spill to flush and no control
     /// traffic polls all three for [`IDLE_POLL`], yielding the CPU between
     /// polls so that on one core the producer it waits for still runs,
-    /// then parks. In a closed loop the next round's first admission lands
+    /// then parks; it parks at once when a yield returns late (see
+    /// [`keep_polling`]). In a closed loop the next round's first admission lands
     /// inside the window, so the front-end's unpark is one atomic swap
     /// rather than a futex wake. The park is race-free through the unpark
     /// token: any producer that pushed after the checks above also unparks
@@ -582,8 +631,9 @@ impl LaneWorker {
         // Park/unpark are traced per idle *episode*, not per timed-out
         // park, so an idle lane does not fill its trace ring.
         let mut parked = false;
-        // When the worker last ran dry (`None` while it has work).
-        let mut dry_since: Option<Instant> = None;
+        // The idle poll since the worker last ran dry (`None` while it has
+        // work).
+        let mut idle: Option<IdlePoll> = None;
         loop {
             let mut progress = 0usize;
             while let Ok(msg) = self.ctrl_rx.try_recv() {
@@ -596,7 +646,7 @@ impl LaneWorker {
             progress += self.pump_admissions();
             let dispatch = self.next_dispatch();
             if progress > 0 || dispatch.is_some() {
-                dry_since = None;
+                idle = None;
                 if parked {
                     parked = false;
                     let now = self.now_ns();
@@ -612,8 +662,7 @@ impl LaneWorker {
             if progress > 0 {
                 continue;
             }
-            if dry_since.get_or_insert_with(Instant::now).elapsed() < IDLE_POLL {
-                std::thread::yield_now();
+            if idle.get_or_insert_with(IdlePoll::new).yield_once() {
                 continue;
             }
             if !parked {
@@ -631,115 +680,74 @@ impl LaneWorker {
         }
     }
 
-    /// Execute a planned batch. A request's payload moves through the
-    /// lane: a one-member span reads into the buffer the completion
-    /// returns, and a one-member write replays from the request's own
-    /// buffer; only a merged span copies (its fan-out or concatenation).
-    fn execute_batch(&mut self, batch: &mut [Pending]) -> Vec<Completion> {
-        let coalesce = self.config.coalesce && self.device != Device::Vchiq;
-        let plans = coalesce::plan(batch, coalesce);
-        let mut out = Vec::with_capacity(batch.len());
-        for plan in plans {
-            let coalesced = plan.is_coalesced();
-            match plan {
+    /// Execute the planned batch in `bufs.batch`, pushing one completion
+    /// per request to `bufs.done`. A request's payload moves through the
+    /// lane: a single read replays into the buffer its completion returns,
+    /// and a single write replays from the request's own buffer; a merged
+    /// span goes through `bufs.span` and copies out (its fan-out or
+    /// concatenation).
+    fn execute_batch(&mut self, bufs: &mut BatchBufs) {
+        let BatchBufs { batch, plan, done, span } = bufs;
+        plan.build(batch, self.config.coalesce && self.device != Device::Vchiq);
+        for step in &plan.steps {
+            let (blkid, members, rw) = match step {
                 ExecPlan::Single(i) => {
                     self.shared.metrics.on_replay(1);
-                    let result = self.execute_single(&mut batch[i].req);
-                    out.push(self.complete(&batch[i], result, false));
+                    let result = self.execute_single(&mut batch[*i].req);
+                    done.push(self.complete(&batch[*i], result, false));
+                    continue;
                 }
                 ExecPlan::MergedRead { blkid, blkcnt, members } => {
-                    self.shared.metrics.on_replay(members.len() as u64);
-                    match self.execute_read(blkid, blkcnt) {
-                        Ok(bytes) if !coalesced => {
-                            // The span is the member's own extent.
-                            out.push(self.complete(
-                                &batch[members[0]],
-                                Ok(Payload::Read(bytes)),
-                                false,
-                            ));
-                        }
-                        Ok(bytes) => {
-                            self.shared.metrics.on_merged(members.len() as u64);
-                            for &m in &members {
-                                let p = &batch[m];
-                                let Request::Read { blkid: rb, blkcnt: rc, .. } = p.req else {
-                                    unreachable!("merged read members are reads");
-                                };
-                                let off = (rb - blkid) as usize * BLOCK;
-                                let payload =
-                                    Payload::Read(bytes[off..off + rc as usize * BLOCK].to_vec());
-                                out.push(self.complete(p, Ok(payload), true));
-                            }
-                        }
-                        Err(_) if coalesced => {
-                            // The merged span failed (e.g. one member is out
-                            // of recorded coverage). Fall back to member-
-                            // by-member execution so every request gets
-                            // exactly the outcome the serial order would
-                            // have produced.
-                            for &m in &members {
-                                let result = self.execute_single(&mut batch[m].req);
-                                out.push(self.complete(&batch[m], result, false));
-                            }
-                        }
-                        Err(e) => {
-                            out.push(self.complete(&batch[members[0]], Err(e), false));
-                        }
-                    }
+                    span.clear();
+                    span.resize(*blkcnt as usize * BLOCK, 0);
+                    (*blkid, plan.members(members), READ)
                 }
                 ExecPlan::BatchedWrite { blkid, members } => {
-                    self.shared.metrics.on_replay(members.len() as u64);
-                    let result = if coalesced {
-                        let mut data = Vec::new();
-                        for &m in &members {
-                            data.extend_from_slice(write_data(&mut batch[m].req));
-                        }
-                        self.execute_write(blkid, &mut data)
-                    } else {
-                        self.execute_write(blkid, write_data(&mut batch[members[0]].req))
-                    };
-                    match result {
-                        Ok(()) => {
-                            if coalesced {
-                                self.shared.metrics.on_merged(members.len() as u64);
-                            }
-                            for &m in &members {
-                                let p = &batch[m];
-                                let Request::Write { data: d, .. } = &p.req else {
-                                    unreachable!("batched write members are writes");
-                                };
-                                let blocks = (d.len() / BLOCK) as u32;
-                                out.push(self.complete(
-                                    p,
-                                    Ok(Payload::Written { blocks }),
-                                    coalesced,
-                                ));
-                            }
-                        }
-                        Err(_) if coalesced => {
-                            // Same serial-equivalence fallback as merged
-                            // reads. A partially-executed batched write is
-                            // re-issued per member in order, which matches
-                            // the serial outcome because writes are
-                            // idempotent per extent. The members' buffers
-                            // are intact: the failed replay ran on a copy.
-                            for &m in &members {
-                                let result = self.execute_single(&mut batch[m].req);
-                                out.push(self.complete(&batch[m], result, false));
-                            }
-                        }
-                        Err(e) => {
-                            out.push(self.complete(&batch[members[0]], Err(e), false));
-                        }
+                    span.clear();
+                    for &m in plan.members(members) {
+                        let Request::Write { data, .. } = &batch[m].req else {
+                            unreachable!("batched write members are writes");
+                        };
+                        span.extend_from_slice(data);
                     }
+                    (*blkid, plan.members(members), WRITE)
                 }
+            };
+            self.shared.metrics.on_replay(members.len() as u64);
+            if self.replay_span(rw, blkid, span).is_err() {
+                // The merged span failed (e.g. one member is out of
+                // recorded coverage). Fall back to member-by-member
+                // execution so every request gets exactly the outcome the
+                // serial order would have produced: a partially executed
+                // batched write is re-issued per member in order, which
+                // matches the serial outcome because writes are idempotent
+                // per extent, from the members' own intact buffers.
+                for &m in members {
+                    let result = self.execute_single(&mut batch[m].req);
+                    done.push(self.complete(&batch[m], result, false));
+                }
+                continue;
+            }
+            self.shared.metrics.on_merged(members.len() as u64);
+            for &m in members {
+                let p = &batch[m];
+                let payload = match p.req {
+                    Request::Read { blkid: rb, blkcnt: rc, .. } => {
+                        let off = (rb - blkid) as usize * BLOCK;
+                        Payload::Read(span[off..off + rc as usize * BLOCK].to_vec())
+                    }
+                    Request::Write { ref data, .. } => {
+                        Payload::Written { blocks: (data.len() / BLOCK) as u32 }
+                    }
+                    Request::Capture { .. } => unreachable!("captures never merge"),
+                };
+                done.push(self.complete(p, Ok(payload), true));
             }
         }
-        out
     }
 
     fn complete(
-        &mut self,
+        &self,
         p: &Pending,
         result: Result<Payload, ServeError>,
         coalesced: bool,
@@ -758,16 +766,18 @@ impl LaneWorker {
         }
     }
 
-    /// Execute one request as-is. A write replays from the request's own
-    /// buffer: the request is spent once it executes.
+    /// Execute one request as-is. A read replays into the buffer its
+    /// payload returns; a write replays from the request's own buffer:
+    /// the request is spent once it executes.
     fn execute_single(&mut self, req: &mut Request) -> Result<Payload, ServeError> {
         match req {
             Request::Read { blkid, blkcnt, .. } => {
-                self.execute_read(*blkid, *blkcnt).map(Payload::Read)
+                let mut buf = vec![0u8; *blkcnt as usize * BLOCK];
+                self.replay_span(READ, *blkid, &mut buf).map(|()| Payload::Read(buf))
             }
             Request::Write { blkid, data, .. } => {
                 let blocks = (data.len() / BLOCK) as u32;
-                self.execute_write(*blkid, data).map(|()| Payload::Written { blocks })
+                self.replay_span(WRITE, *blkid, data).map(|()| Payload::Written { blocks })
             }
             Request::Capture { frames, resolution } => {
                 let mut buf = vec![0u8; 2 << 20];
@@ -779,36 +789,20 @@ impl LaneWorker {
         }
     }
 
-    /// One (possibly merged) read span, decomposed over the recorded
-    /// granularities.
-    fn execute_read(&mut self, blkid: u32, blkcnt: u32) -> Result<Vec<u8>, ServeError> {
-        let mut buf = vec![0u8; blkcnt as usize * BLOCK];
+    /// One (possibly merged or batched) block span in direction `rw`
+    /// ([`READ`] into `buf`, [`WRITE`] from it), decomposed over the
+    /// recorded granularities.
+    fn replay_span(&mut self, rw: u64, blkid: u32, buf: &mut [u8]) -> Result<(), ServeError> {
         let mut done = 0u32;
-        for part in coalesce::decompose(blkcnt, &self.config.block_granularities) {
+        for part in
+            coalesce::decompose((buf.len() / BLOCK) as u32, &self.config.block_granularities)
+        {
             let start = done as usize * BLOCK;
             let end = (done + part) as usize * BLOCK;
             self.replayer.invoke_args(
                 self.entry,
-                &block_args(0x1, part, blkid + done),
+                &block_args(rw, part, blkid + done),
                 &mut buf[start..end],
-            )?;
-            self.shared.metrics.on_invocation(u64::from(part));
-            done += part;
-        }
-        Ok(buf)
-    }
-
-    /// One (possibly batched) write span, replayed from `data`.
-    fn execute_write(&mut self, blkid: u32, data: &mut [u8]) -> Result<(), ServeError> {
-        let blkcnt = (data.len() / BLOCK) as u32;
-        let mut done = 0u32;
-        for part in coalesce::decompose(blkcnt, &self.config.block_granularities) {
-            let start = done as usize * BLOCK;
-            let end = (done + part) as usize * BLOCK;
-            self.replayer.invoke_args(
-                self.entry,
-                &block_args(0x10, part, blkid + done),
-                &mut data[start..end],
             )?;
             self.shared.metrics.on_invocation(u64::from(part));
             done += part;
@@ -830,13 +824,13 @@ impl LaneWorker {
                 let mut buf = pattern.clone();
                 self.replayer.invoke_args(
                     self.entry,
-                    &block_args(0x10, gran, HEALTH_PROBE_BLKID),
+                    &block_args(WRITE, gran, HEALTH_PROBE_BLKID),
                     &mut buf,
                 )?;
                 let mut readback = vec![0u8; gran as usize * BLOCK];
                 self.replayer.invoke_args(
                     self.entry,
-                    &block_args(0x1, gran, HEALTH_PROBE_BLKID),
+                    &block_args(READ, gran, HEALTH_PROBE_BLKID),
                     &mut readback,
                 )?;
                 if readback != pattern {
@@ -868,5 +862,24 @@ impl LaneWorker {
             diverged: metrics.diverged(),
             last_event_host_ns: metrics.last_event_host_ns(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_idle_poll_parks_at_the_window_or_after_one_late_yield() {
+        let us = Duration::from_micros;
+        // Yields that return promptly keep the poll going for the window.
+        assert!(keep_polling(Duration::ZERO, Duration::ZERO));
+        assert!(keep_polling(us(299), us(2)));
+        assert!(!keep_polling(IDLE_POLL, us(2)));
+        // One yield that lost the CPU for more than half the window parks
+        // the poll at once, however early in the window.
+        assert!(keep_polling(us(10), IDLE_POLL / 2));
+        assert!(!keep_polling(us(10), IDLE_POLL / 2 + us(1)));
+        assert!(!keep_polling(us(10), Duration::from_millis(3)));
     }
 }

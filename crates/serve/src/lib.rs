@@ -94,6 +94,9 @@ pub use service::{
     SessionBlockIo, SubmitMode, SuperviseConfig, HEALTH_PROBE_BLKID,
 };
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
 use dlt_core::ReplayError;
 use dlt_tee::TeeError;
 
@@ -106,6 +109,43 @@ pub enum Device {
     Usb,
     /// The VC4 camera behind the VCHIQ transport.
     Vchiq,
+}
+
+impl Device {
+    /// Number of device classes: the size of a per-device table.
+    pub(crate) const COUNT: usize = 3;
+
+    /// Dense index of the device class, for per-device tables.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// A hash map keyed by an id the service assigns (session and request
+/// ids), hashed with one multiply instead of SipHash: such ids are not
+/// client-chosen, so collision resistance buys nothing. Keys derived from
+/// client input (the router's dirty-chunk set) keep SipHash.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHash>>;
+/// The set form of [`IdMap`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHash>>;
+
+/// Fibonacci hashing of an integer id: the [`IdMap`] hasher.
+#[derive(Default)]
+pub(crate) struct IdHash(u64);
+
+impl Hasher for IdHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u32(&mut self, id: u32) {
+        self.write_u64(u64::from(id));
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
 }
 
 impl std::fmt::Display for Device {

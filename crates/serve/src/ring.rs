@@ -116,19 +116,11 @@ impl SubmissionRing {
         producer.try_push(entry).map(|_| ())
     }
 
-    /// Consume up to `n` staged entries in enqueue order (the gate's drain
-    /// at doorbell time). The bound matters under a concurrent producer:
-    /// the doorbell charges for the staged count it snapshotted, so it
-    /// must admit exactly that many even if more entries land mid-drain.
-    pub fn take_staged(&mut self, n: usize) -> Vec<SqEntry> {
-        let mut out = Vec::with_capacity(n.min(self.len()));
-        for _ in 0..n {
-            match self.consumer.try_pop() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out
+    /// Consume the oldest staged entry. The doorbell pops exactly the
+    /// count it snapshotted: under a concurrent producer it charges for
+    /// that count, so entries that land mid-drain wait for the next one.
+    pub fn pop(&mut self) -> Option<SqEntry> {
+        self.consumer.try_pop()
     }
 
     /// Consume every currently staged entry in enqueue order. Besides
@@ -137,8 +129,7 @@ impl SubmissionRing {
     /// off here and re-staged on available sibling rings, so they are
     /// not admitted onto the sick lane by the next doorbell.
     pub fn drain_staged(&mut self) -> Vec<SqEntry> {
-        let visible = self.len();
-        self.take_staged(visible)
+        (0..self.len()).map_while(|_| self.pop()).collect()
     }
 }
 
@@ -240,12 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn sq_take_staged_respects_the_doorbell_snapshot_bound() {
+    fn sq_pop_respects_the_doorbell_snapshot_bound() {
         let mut sq = SubmissionRing::new(8);
         for id in 1..=5 {
             sq.try_push(entry(id)).unwrap();
         }
-        let first = sq.take_staged(3);
+        let first: Vec<SqEntry> = (0..3).map_while(|_| sq.pop()).collect();
         assert_eq!(first.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(sq.len(), 2, "entries beyond the snapshot wait for the next doorbell");
         assert_eq!(sq.drain_staged().len(), 2);

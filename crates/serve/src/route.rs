@@ -290,18 +290,18 @@ impl Router {
         Router { policy: config.policy, spill: config.spill, dirty: HashSet::new() }
     }
 
-    /// Plan `req` across a fleet of `loads.len()` replicas. Returns the
-    /// parts to submit (all-or-nothing: on `Err` nothing was planned and
-    /// no chunk was dirtied), accounting for the parts' own occupancy so
-    /// a fan-out cannot overcommit one lane.
+    /// Plan `req` across a fleet of `loads.len()` replicas into `parts`
+    /// (emptied first; the caller reuses it). All-or-nothing: on `Err` no
+    /// chunk was dirtied. Each placed part counts towards its lane's
+    /// `depth` in `loads`, so a fan-out cannot overcommit one lane.
     pub(crate) fn plan(
         &mut self,
         session: SessionId,
         req: &Request,
-        loads: &[LaneLoad],
-    ) -> Result<Vec<RoutePart>, RouteReject> {
-        // Parts placed by this plan count towards their lane's depth.
-        let mut loads = loads.to_vec();
+        loads: &mut [LaneLoad],
+        parts: &mut Vec<RoutePart>,
+    ) -> Result<(), RouteReject> {
+        parts.clear();
         let n = loads.len().max(1);
         let device = req.device();
         let (blkid, blkcnt, is_write) = match req {
@@ -314,15 +314,15 @@ impl Router {
                 // spilled: frame content may depend on that history.
                 let replica = (splitmix64(u64::from(session)) % n as u64) as usize;
                 if !loads[replica].fits() {
-                    return Err(RouteReject::at(replica, &loads, true));
+                    return Err(RouteReject::at(replica, loads, true));
                 }
-                return Ok(vec![RoutePart { replica, blkid: 0, blkcnt: 0, spilled: false }]);
+                parts.push(RoutePart { replica, blkid: 0, blkcnt: 0, spilled: false });
+                return Ok(());
             }
         };
 
         // Split the span at chunk boundaries, merging adjacent chunks
         // that share a home into one part.
-        let mut parts: Vec<RoutePart> = Vec::with_capacity(1);
         let end = u64::from(blkid) + u64::from(blkcnt.max(1)) - 1;
         match self.policy.chunk_blocks() {
             None => {
@@ -355,11 +355,11 @@ impl Router {
         // to the least-loaded *available* sibling with room (d-choices
         // over the whole fleet — at ≤16 replicas the scan is cheaper
         // than sampling).
-        for part in &mut parts {
+        for part in parts.iter_mut() {
             let spillable = self.spill && !is_write && n > 1 && self.part_is_clean(device, part);
             let home_fits = loads[part.replica].fits();
             if !home_fits || (!loads[part.replica].available && spillable) {
-                match least_loaded_sibling(&loads, part.replica).filter(|_| spillable) {
+                match least_loaded_sibling(loads, part.replica).filter(|_| spillable) {
                     Some(alt) => {
                         part.spilled = true;
                         part.replica = alt;
@@ -369,7 +369,7 @@ impl Router {
                     // the problem — a quarantined lane still executes, and
                     // the failover path covers what diverges there.
                     None if home_fits => {}
-                    None => return Err(RouteReject::at(part.replica, &loads, true)),
+                    None => return Err(RouteReject::at(part.replica, loads, true)),
                 }
             }
             loads[part.replica].depth += 1;
@@ -383,7 +383,7 @@ impl Router {
                 }
             }
         }
-        Ok(parts)
+        Ok(())
     }
 
     /// Whether a read span's bytes are replica-independent: no chunk it
@@ -430,6 +430,17 @@ mod tests {
             .collect()
     }
 
+    /// Plan against a copy of `loads`, returning the parts.
+    fn plan(
+        router: &mut Router,
+        session: SessionId,
+        req: &Request,
+        loads: &[LaneLoad],
+    ) -> Result<Vec<RoutePart>, RouteReject> {
+        let mut parts = Vec::new();
+        router.plan(session, req, &mut loads.to_vec(), &mut parts).map(|()| parts)
+    }
+
     fn rd(blkid: u32, blkcnt: u32) -> Request {
         Request::Read { device: Device::Mmc, blkid, blkcnt }
     }
@@ -474,7 +485,7 @@ mod tests {
             policy: RoutePolicy::Stripe { stripe_blocks: 4 },
             spill: false,
         });
-        let parts = router.plan(1, &rd(6, 10), &loads(&[0, 0, 0], 8)).unwrap();
+        let parts = plan(&mut router, 1, &rd(6, 10), &loads(&[0, 0, 0], 8)).unwrap();
         // Blocks 6..=15 over 4-block stripes: [6,7] -> chunk 1, [8..=11]
         // -> chunk 2, [12..=15] -> chunk 3; chunk k -> replica k % 3.
         assert_eq!(parts.len(), 3);
@@ -502,7 +513,7 @@ mod tests {
             spill: false,
         });
         // One replica: every chunk homes on 0, so nothing ever splits.
-        let parts = router.plan(1, &rd(0, 64), &loads(&[0], 128)).unwrap();
+        let parts = plan(&mut router, 1, &rd(0, 64), &loads(&[0], 128)).unwrap();
         assert_eq!(parts.len(), 1);
         assert_eq!((parts[0].blkid, parts[0].blkcnt), (0, 64));
     }
@@ -515,13 +526,13 @@ mod tests {
         });
         // Chunk 0 homes on replica 0, which is saturated; replica 2 is
         // the least loaded sibling.
-        let parts = router.plan(1, &rd(0, 8), &loads(&[4, 2, 1, 3], 4)).unwrap();
+        let parts = plan(&mut router, 1, &rd(0, 8), &loads(&[4, 2, 1, 3], 4)).unwrap();
         assert_eq!(parts.len(), 1);
         assert!(parts[0].spilled);
         assert_eq!(parts[0].replica, 2);
 
         // A write to the same saturated home never spills: fleet view.
-        let err = router.plan(1, &wr(0, 1), &loads(&[4, 2, 1, 3], 4)).unwrap_err();
+        let err = plan(&mut router, 1, &wr(0, 1), &loads(&[4, 2, 1, 3], 4)).unwrap_err();
         assert_eq!(err.home, ReplicaDepth { replica: 0, depth: 4, capacity: 4 });
         assert_eq!(err.fleet.len(), 4);
         assert_eq!(err.fleet[0], ReplicaDepth { replica: 0, depth: 4, capacity: 4 });
@@ -536,13 +547,13 @@ mod tests {
         });
         // Route a write through chunk 0 (home replica 0) while there is
         // room, dirtying it.
-        router.plan(1, &wr(8, 2), &loads(&[0, 0], 4)).unwrap();
+        plan(&mut router, 1, &wr(8, 2), &loads(&[0, 0], 4)).unwrap();
         // Now saturate the home: the read of the dirtied chunk must NOT
         // spill (the sibling never saw the write) — fleet-view reject.
-        let err = router.plan(1, &rd(8, 2), &loads(&[4, 0], 4)).unwrap_err();
+        let err = plan(&mut router, 1, &rd(8, 2), &loads(&[4, 0], 4)).unwrap_err();
         assert_eq!(err.home.replica, 0);
         // A read of a *different, clean* chunk still spills fine.
-        let parts = router.plan(1, &rd(64, 2), &loads(&[4, 0], 4)).unwrap();
+        let parts = plan(&mut router, 1, &rd(64, 2), &loads(&[4, 0], 4)).unwrap();
         assert!(parts[0].spilled || parts[0].replica == 1);
     }
 
@@ -557,7 +568,7 @@ mod tests {
         // the merged parts (2 chunks each... stripe_blocks 1 alternates,
         // so 4 chunks -> 4 parts) overcommit: the plan must reject
         // rather than plan two parts into one slot.
-        let err = router.plan(1, &rd(0, 4), &loads(&[3, 3], 4)).unwrap_err();
+        let err = plan(&mut router, 1, &rd(0, 4), &loads(&[3, 3], 4)).unwrap_err();
         assert_eq!(err.fleet.iter().map(|f| f.depth).max(), Some(4));
     }
 
@@ -571,16 +582,16 @@ mod tests {
         fleet[0].available = false;
         // Chunk 0 homes on the (empty but quarantined) replica 0: a clean
         // read sheds to the least-loaded available sibling.
-        let parts = router.plan(1, &rd(0, 8), &fleet).unwrap();
+        let parts = plan(&mut router, 1, &rd(0, 8), &fleet).unwrap();
         assert!(parts[0].spilled);
         assert_eq!(parts[0].replica, 2);
         // A write still goes home — placement determinism outranks
         // avoidance, and the quarantined lane keeps executing.
-        let parts = router.plan(1, &wr(0, 1), &fleet).unwrap();
+        let parts = plan(&mut router, 1, &wr(0, 1), &fleet).unwrap();
         assert!(!parts[0].spilled);
         assert_eq!(parts[0].replica, 0);
         // Now the dirty chunk pins reads home too, quarantine or not.
-        let parts = router.plan(1, &rd(0, 8), &fleet).unwrap();
+        let parts = plan(&mut router, 1, &rd(0, 8), &fleet).unwrap();
         assert!(!parts[0].spilled);
         assert_eq!(parts[0].replica, 0);
         // With every sibling also unavailable, a clean read of another
@@ -589,7 +600,7 @@ mod tests {
         for l in &mut all_down {
             l.available = false;
         }
-        let parts = router.plan(1, &rd(64, 8), &all_down).unwrap();
+        let parts = plan(&mut router, 1, &rd(64, 8), &all_down).unwrap();
         assert!(!parts[0].spilled);
         assert_eq!(parts[0].replica, RoutePolicy::Stripe { stripe_blocks: 64 }.replica_for(64, 3));
     }
@@ -598,8 +609,8 @@ mod tests {
     fn captures_place_by_session_and_never_split() {
         let mut router = Router::new(RouteConfig::default());
         let cap = Request::Capture { frames: 1, resolution: 720 };
-        let a = router.plan(7, &cap, &loads(&[0, 0, 0], 4)).unwrap();
-        let b = router.plan(7, &cap, &loads(&[1, 1, 1], 4)).unwrap();
+        let a = plan(&mut router, 7, &cap, &loads(&[0, 0, 0], 4)).unwrap();
+        let b = plan(&mut router, 7, &cap, &loads(&[1, 1, 1], 4)).unwrap();
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].replica, b[0].replica, "a session's captures stay on one camera");
     }

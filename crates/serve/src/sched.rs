@@ -21,10 +21,10 @@
 //! so gating is a prefix under FIFO and a per-session prefix under
 //! deficit round-robin.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::coalesce::{direction, Arrival};
-use crate::{Device, Request, RequestId, ServeError, SessionId};
+use crate::{Device, IdMap, Request, RequestId, ServeError, SessionId};
 
 /// Virtual nanoseconds per second (token-bucket rate conversions).
 const NS_PER_SEC: u64 = 1_000_000_000;
@@ -79,15 +79,29 @@ struct Bucket {
     last_refill_ns: u64,
 }
 
+/// One tenant's admission state: its QoS override, token bucket and
+/// per-device in-flight counts.
+#[derive(Debug, Default)]
+struct Tenant {
+    qos: Option<SessionQos>,
+    bucket: Option<Bucket>,
+    inflight: [u64; Device::COUNT],
+}
+
 /// The admission-QoS gate the front-end consults before reserving queue
 /// depth. Single-owner state (the service front-end), so plain maps — the
 /// lanes never touch this.
+///
+/// The weighted share is O(1): `active` keeps, per device, the summed
+/// weight of the tenants with a request in flight there, updated on each
+/// tenant's 0 ↔ 1 in-flight edge, on a weight change and when a tenant is
+/// forgotten, instead of rescanning every `(session, device)` pair on
+/// every admit.
 #[derive(Debug, Default)]
 pub struct Admission {
     config: QosConfig,
-    qos: HashMap<SessionId, SessionQos>,
-    buckets: HashMap<SessionId, Bucket>,
-    inflight: HashMap<(SessionId, Device), u64>,
+    tenants: IdMap<SessionId, Tenant>,
+    active: [u64; Device::COUNT],
 }
 
 impl Admission {
@@ -103,18 +117,27 @@ impl Admission {
 
     /// Install `qos` for `session` (replacing the config default).
     pub fn set_session(&mut self, session: SessionId, qos: SessionQos) {
-        self.qos.insert(session, qos);
+        let default = self.config.default_qos;
+        let t = self.tenants.entry(session).or_default();
+        let old = t.qos.unwrap_or(default).weight.max(1);
+        t.qos = Some(qos);
+        for d in (0..Device::COUNT).filter(|&d| t.inflight[d] > 0) {
+            self.active[d] = self.active[d] - old + qos.weight.max(1);
+        }
     }
 
     /// Drop a closed session's QoS state.
     pub fn forget_session(&mut self, session: SessionId) {
-        self.qos.remove(&session);
-        self.buckets.remove(&session);
-        self.inflight.retain(|(s, _), _| *s != session);
+        if let Some(t) = self.tenants.remove(&session) {
+            let w = t.qos.unwrap_or(self.config.default_qos).weight.max(1);
+            for d in (0..Device::COUNT).filter(|&d| t.inflight[d] > 0) {
+                self.active[d] -= w;
+            }
+        }
     }
 
     fn qos_of(&self, session: SessionId) -> SessionQos {
-        self.qos.get(&session).copied().unwrap_or(self.config.default_qos)
+        self.tenants.get(&session).and_then(|t| t.qos).unwrap_or(self.config.default_qos)
     }
 
     /// Credit cost of one request under `qos` (`None` when unlimited).
@@ -128,13 +151,10 @@ impl Admission {
     /// and the bound only bites while competitors are actually in flight.
     fn share_of(&self, session: SessionId, device: Device, fleet_capacity: usize) -> u64 {
         let w = self.qos_of(session).weight.max(1);
-        let mut active_weight = w;
-        for (&(s, d), &inflight) in &self.inflight {
-            if d == device && s != session && inflight > 0 {
-                active_weight += self.qos_of(s).weight.max(1);
-            }
-        }
-        ((fleet_capacity as u64).saturating_mul(w) / active_weight).max(1)
+        let mine = self.tenants.get(&session).map_or(0, |t| t.inflight[device.index()]);
+        // `active` counts this tenant's own weight once it is in flight.
+        let others = self.active[device.index()] - if mine > 0 { w } else { 0 };
+        ((fleet_capacity as u64).saturating_mul(w) / (others + w)).max(1)
     }
 
     /// Gate one request from `session` to `device` at virtual time
@@ -154,14 +174,13 @@ impl Admission {
         if !self.config.enabled {
             return Ok(());
         }
+        let share = self.share_of(session, device, fleet_capacity);
         let qos = self.qos_of(session);
         let cost = Admission::cost_ns(qos);
+        let t = self.tenants.entry(session).or_default();
         if let Some(cost) = cost {
             let cap = cost.saturating_mul(qos.burst.max(1));
-            let bucket = self
-                .buckets
-                .entry(session)
-                .or_insert(Bucket { credit_ns: cap, last_refill_ns: now_ns });
+            let bucket = t.bucket.get_or_insert(Bucket { credit_ns: cap, last_refill_ns: now_ns });
             let elapsed = now_ns.saturating_sub(bucket.last_refill_ns);
             bucket.credit_ns = cap.min(bucket.credit_ns.saturating_add(elapsed));
             bucket.last_refill_ns = now_ns;
@@ -169,22 +188,30 @@ impl Admission {
                 return Err(cost - bucket.credit_ns);
             }
         }
-        let mine = self.inflight.get(&(session, device)).copied().unwrap_or(0);
-        if mine >= self.share_of(session, device, fleet_capacity) {
+        let mine = &mut t.inflight[device.index()];
+        if *mine >= share {
             return Err(cost.unwrap_or(SHARE_RETRY_HINT_NS));
         }
-        if let Some(cost) = cost {
-            let bucket = self.buckets.get_mut(&session).expect("bucket created above");
+        if let (Some(cost), Some(bucket)) = (cost, t.bucket.as_mut()) {
             bucket.credit_ns -= cost;
         }
-        *self.inflight.entry((session, device)).or_insert(0) += 1;
+        *mine += 1;
+        if *mine == 1 {
+            self.active[device.index()] += qos.weight.max(1);
+        }
         Ok(())
     }
 
     /// The admitted request left the service (its completion was posted).
     pub fn on_done(&mut self, session: SessionId, device: Device) {
-        if let Some(n) = self.inflight.get_mut(&(session, device)) {
-            *n = n.saturating_sub(1);
+        let default = self.config.default_qos;
+        let Some(t) = self.tenants.get_mut(&session) else { return };
+        let n = &mut t.inflight[device.index()];
+        if *n > 0 {
+            *n -= 1;
+            if *n == 0 {
+                self.active[device.index()] -= t.qos.unwrap_or(default).weight.max(1);
+            }
         }
     }
 
@@ -194,9 +221,8 @@ impl Admission {
     /// the tenant's rate budget.
     pub fn rollback(&mut self, session: SessionId, device: Device) {
         let qos = self.qos_of(session);
-        if let (Some(cost), Some(bucket)) =
-            (Admission::cost_ns(qos), self.buckets.get_mut(&session))
-        {
+        let bucket = self.tenants.get_mut(&session).and_then(|t| t.bucket.as_mut());
+        if let (Some(cost), Some(bucket)) = (Admission::cost_ns(qos), bucket) {
             let cap = cost.saturating_mul(qos.burst.max(1));
             bucket.credit_ns = cap.min(bucket.credit_ns.saturating_add(cost));
         }
@@ -245,7 +271,7 @@ pub struct Lane {
     queue: VecDeque<Pending>,
     capacity: usize,
     /// DRR state: deficit per backlogged session.
-    deficits: HashMap<SessionId, u64>,
+    deficits: IdMap<SessionId, u64>,
     /// Round-robin order: sessions in first-backlog order.
     rr_order: Vec<SessionId>,
     rr_cursor: usize,
@@ -259,7 +285,7 @@ impl Lane {
         Lane {
             queue: VecDeque::new(),
             capacity,
-            deficits: HashMap::new(),
+            deficits: IdMap::default(),
             rr_order: Vec::new(),
             rr_cursor: 0,
             high_water: 0,
@@ -354,9 +380,17 @@ impl Lane {
         self.queue.drain(..).collect()
     }
 
-    /// Drain the next batch (at most `window` requests) under `policy`,
+    /// Drain the next batch (at most `window` requests) under `policy`
+    /// into `batch` (emptied first; the caller reuses it across batches),
     /// taking only requests that have arrived by lane time `arrived_by`.
-    pub fn next_batch(&mut self, policy: Policy, window: usize, arrived_by: u64) -> Vec<Pending> {
+    pub fn next_batch(
+        &mut self,
+        policy: Policy,
+        window: usize,
+        arrived_by: u64,
+        batch: &mut Vec<Pending>,
+    ) {
+        batch.clear();
         match policy {
             Policy::Fifo => {
                 // FIFO in admission time: the arrived set is a prefix.
@@ -366,10 +400,10 @@ impl Lane {
                     .take(window)
                     .take_while(|p| p.arrived_ns <= arrived_by)
                     .count();
-                self.queue.drain(..n).collect()
+                batch.extend(self.queue.drain(..n));
             }
             Policy::DeficitRoundRobin { quantum_blocks } => {
-                self.drr_batch(quantum_blocks.max(1), window, arrived_by)
+                self.drr_batch(quantum_blocks.max(1), window, arrived_by, batch)
             }
         }
     }
@@ -394,8 +428,13 @@ impl Lane {
             .map(|p| p.req.cost_blocks())
     }
 
-    fn drr_batch(&mut self, quantum: u64, window: usize, arrived_by: u64) -> Vec<Pending> {
-        let mut batch = Vec::new();
+    fn drr_batch(
+        &mut self,
+        quantum: u64,
+        window: usize,
+        arrived_by: u64,
+        batch: &mut Vec<Pending>,
+    ) {
         // Iterate sessions round-robin from the saved cursor; stop after a
         // full rotation that contributed nothing (deficits keep
         // accumulating across calls, so large requests are served
@@ -441,14 +480,21 @@ impl Lane {
                 break;
             }
         }
-        batch
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::Device;
+
+    fn batch_of(lane: &mut Lane, policy: Policy, window: usize, arrived_by: u64) -> Vec<Pending> {
+        let mut batch = Vec::new();
+        lane.next_batch(policy, window, arrived_by, &mut batch);
+        batch
+    }
 
     fn rd(session: SessionId, id: RequestId, blkid: u32, blkcnt: u32) -> Pending {
         Pending {
@@ -470,7 +516,7 @@ mod tests {
             lane.push(rd(1, 9, 9, 1), Device::Mmc),
             Err((Pending { id: 9, .. }, ServeError::QueueFull { depth: 3, capacity: 3, .. }))
         ));
-        let batch = lane.next_batch(Policy::Fifo, 10, u64::MAX);
+        let batch = batch_of(&mut lane, Policy::Fifo, 10, u64::MAX);
         assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(lane.is_empty());
         assert_eq!(lane.high_water(), 3);
@@ -491,7 +537,7 @@ mod tests {
         lane.push(mk(1, 0, 100), Device::Mmc).unwrap();
         lane.push(mk(1, 1, 150), Device::Mmc).unwrap();
         lane.push(mk(2, 2, 900), Device::Mmc).unwrap();
-        let batch = lane.next_batch(Policy::Fifo, 8, 150);
+        let batch = batch_of(&mut lane, Policy::Fifo, 8, 150);
         assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(lane.earliest_arrival_ns(), Some(900), "the future request stays queued");
 
@@ -501,7 +547,7 @@ mod tests {
         lane.push(mk(1, 0, 100), Device::Mmc).unwrap();
         lane.push(mk(2, 1, 500), Device::Mmc).unwrap();
         lane.push(mk(1, 2, 120), Device::Mmc).unwrap();
-        let batch = lane.next_batch(Policy::DeficitRoundRobin { quantum_blocks: 8 }, 8, 200);
+        let batch = batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 8 }, 8, 200);
         assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(lane.len(), 1);
     }
@@ -521,7 +567,8 @@ mod tests {
         }
         // A 256-block quantum lets each session take one large request (or
         // many small ones) per rotation.
-        let batch = lane.next_batch(Policy::DeficitRoundRobin { quantum_blocks: 256 }, 4, u64::MAX);
+        let batch =
+            batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 256 }, 4, u64::MAX);
         let sessions: Vec<SessionId> = batch.iter().map(|p| p.session).collect();
         assert!(
             sessions.contains(&1) && sessions.contains(&2),
@@ -542,14 +589,15 @@ mod tests {
         }
         lane.push(rd(2, 9, 100, 1), Device::Mmc).unwrap();
         // Prime some DRR state before the drain.
-        let _ = lane.next_batch(Policy::DeficitRoundRobin { quantum_blocks: 1 }, 1, u64::MAX);
+        let _ = batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 1 }, 1, u64::MAX);
         let evicted = lane.evict_all();
         assert_eq!(evicted.len(), 3, "everything still queued comes out");
         assert!(lane.is_empty());
         assert_eq!(lane.high_water(), 4, "high water survives the drain");
         // The lane is immediately usable again.
         lane.push(rd(3, 20, 0, 1), Device::Mmc).unwrap();
-        let batch = lane.next_batch(Policy::DeficitRoundRobin { quantum_blocks: 8 }, 4, u64::MAX);
+        let batch =
+            batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 8 }, 4, u64::MAX);
         assert_eq!(batch.len(), 1);
     }
 
@@ -621,6 +669,179 @@ mod tests {
         assert!(gate.admit(2, Device::Mmc, 8, 0).is_ok());
     }
 
+    /// The scan-based gate the incremental share replaced, kept as the
+    /// reference: every admit rescans each `(session, device)` pair.
+    struct ScanAdmission {
+        config: QosConfig,
+        qos: HashMap<SessionId, SessionQos>,
+        buckets: HashMap<SessionId, Bucket>,
+        inflight: HashMap<(SessionId, Device), u64>,
+    }
+
+    impl ScanAdmission {
+        fn qos_of(&self, session: SessionId) -> SessionQos {
+            self.qos.get(&session).copied().unwrap_or(self.config.default_qos)
+        }
+
+        fn share_of(&self, session: SessionId, device: Device, fleet_capacity: usize) -> u64 {
+            let w = self.qos_of(session).weight.max(1);
+            let mut active_weight = w;
+            for (&(s, d), &inflight) in &self.inflight {
+                if d == device && s != session && inflight > 0 {
+                    active_weight += self.qos_of(s).weight.max(1);
+                }
+            }
+            ((fleet_capacity as u64).saturating_mul(w) / active_weight).max(1)
+        }
+
+        fn admit(
+            &mut self,
+            session: SessionId,
+            device: Device,
+            cap: usize,
+            now_ns: u64,
+        ) -> Result<(), u64> {
+            let qos = self.qos_of(session);
+            let cost = Admission::cost_ns(qos);
+            if let Some(cost) = cost {
+                let full = cost.saturating_mul(qos.burst.max(1));
+                let bucket = self
+                    .buckets
+                    .entry(session)
+                    .or_insert(Bucket { credit_ns: full, last_refill_ns: now_ns });
+                let elapsed = now_ns.saturating_sub(bucket.last_refill_ns);
+                bucket.credit_ns = full.min(bucket.credit_ns.saturating_add(elapsed));
+                bucket.last_refill_ns = now_ns;
+                if bucket.credit_ns < cost {
+                    return Err(cost - bucket.credit_ns);
+                }
+            }
+            let mine = self.inflight.get(&(session, device)).copied().unwrap_or(0);
+            if mine >= self.share_of(session, device, cap) {
+                return Err(cost.unwrap_or(SHARE_RETRY_HINT_NS));
+            }
+            if let Some(cost) = cost {
+                self.buckets.get_mut(&session).expect("bucket created above").credit_ns -= cost;
+            }
+            *self.inflight.entry((session, device)).or_insert(0) += 1;
+            Ok(())
+        }
+
+        fn on_done(&mut self, session: SessionId, device: Device) {
+            if let Some(n) = self.inflight.get_mut(&(session, device)) {
+                *n = n.saturating_sub(1);
+            }
+        }
+
+        fn rollback(&mut self, session: SessionId, device: Device) {
+            let qos = self.qos_of(session);
+            if let (Some(cost), Some(bucket)) =
+                (Admission::cost_ns(qos), self.buckets.get_mut(&session))
+            {
+                let full = cost.saturating_mul(qos.burst.max(1));
+                bucket.credit_ns = full.min(bucket.credit_ns.saturating_add(cost));
+            }
+            self.on_done(session, device);
+        }
+    }
+
+    #[test]
+    fn incremental_fair_share_matches_the_reference_scan() {
+        const DEVICES: [Device; 3] = [Device::Mmc, Device::Usb, Device::Vchiq];
+        const CAPS: [usize; 4] = [1, 3, 8, 64];
+        for seed in 0..300u64 {
+            let mut state = seed;
+            let mut next = |n: u64| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let qos = |next: &mut dyn FnMut(u64) -> u64| SessionQos {
+                rate_rps: [0, 0, 50_000, 1_000_000][next(4) as usize],
+                burst: 1 + next(6),
+                weight: next(5),
+            };
+            let config = QosConfig { enabled: true, default_qos: qos(&mut next) };
+            let mut gate = Admission::new(config);
+            let mut scan = ScanAdmission {
+                config,
+                qos: HashMap::new(),
+                buckets: HashMap::new(),
+                inflight: HashMap::new(),
+            };
+            // Admitted requests not yet done or rolled back.
+            let mut flying: Vec<(SessionId, Device)> = Vec::new();
+            let mut now_ns = 0u64;
+            for step in 0..200 {
+                now_ns += next(20_000);
+                let session = 1 + next(5) as SessionId;
+                let device = DEVICES[next(3) as usize];
+                let what = match next(10) {
+                    0..=3 => {
+                        let cap = CAPS[next(4) as usize];
+                        let got = gate.admit(session, device, cap, now_ns);
+                        let want = scan.admit(session, device, cap, now_ns);
+                        assert_eq!(
+                            got, want,
+                            "seed {seed} step {step}: admit({session}, {device})"
+                        );
+                        // A third of the admitted submits hit QueueFull
+                        // downstream and roll back.
+                        if got.is_ok() && next(3) == 0 {
+                            gate.rollback(session, device);
+                            scan.rollback(session, device);
+                        } else if got.is_ok() {
+                            flying.push((session, device));
+                        }
+                        "admit"
+                    }
+                    4..=5 if !flying.is_empty() => {
+                        let (s, d) = flying.swap_remove(next(flying.len() as u64) as usize);
+                        gate.on_done(s, d);
+                        scan.on_done(s, d);
+                        "on_done"
+                    }
+                    6 if !flying.is_empty() => {
+                        let (s, d) = flying.swap_remove(next(flying.len() as u64) as usize);
+                        gate.rollback(s, d);
+                        scan.rollback(s, d);
+                        "rollback"
+                    }
+                    7..=8 => {
+                        // Weight changes land while requests are in flight.
+                        let q = qos(&mut next);
+                        gate.set_session(session, q);
+                        scan.qos.insert(session, q);
+                        "set_session"
+                    }
+                    _ => {
+                        // In-flight requests of a forgotten session still
+                        // complete later: their on_done must be inert.
+                        gate.forget_session(session);
+                        scan.qos.remove(&session);
+                        scan.buckets.remove(&session);
+                        scan.inflight.retain(|(s, _), _| *s != session);
+                        "forget_session"
+                    }
+                };
+                for s in 1..=6 {
+                    for d in DEVICES {
+                        for cap in CAPS {
+                            assert_eq!(
+                                gate.share_of(s, d, cap),
+                                scan.share_of(s, d, cap),
+                                "seed {seed} step {step} after {what}: share of session {s} \
+                                 on {d} at capacity {cap}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn drr_small_quantum_still_serves_large_requests_eventually() {
         let mut lane = Lane::new(8);
@@ -629,7 +850,8 @@ mod tests {
         // across rounds rather than deadlock.
         let mut batches = Vec::new();
         for _ in 0..40 {
-            let b = lane.next_batch(Policy::DeficitRoundRobin { quantum_blocks: 8 }, 4, u64::MAX);
+            let b =
+                batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 8 }, 4, u64::MAX);
             if !b.is_empty() {
                 batches.push(b);
                 break;

@@ -75,7 +75,7 @@
 //!   completion backlog are zero, polling briefly before parking until a
 //!   lane signals that it went quiet.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -102,7 +102,7 @@ use dlt_tee::{secure_core, SecureIo, TeeError, TeeKernel, Trustlet};
 
 use crate::coalesce::Dispatch;
 use crate::lane::{
-    CtrlMsg, CtrlReply, CtrlReq, DrainSignal, LaneConfig, LaneShared, LaneWorker, IDLE_POLL,
+    CtrlMsg, CtrlReply, CtrlReq, DrainSignal, IdlePoll, LaneConfig, LaneShared, LaneWorker,
     PARK_FLOOR,
 };
 use crate::ring::{CompletionRing, SqEntry, SubmissionRing};
@@ -112,8 +112,8 @@ use crate::route::{
 use crate::sched::{Admission, Lane, Pending, Policy, QosConfig, SessionQos};
 use crate::spsc::{self, SpscConsumer, SpscProducer};
 use crate::{
-    Completion, Device, FailoverAttempt, LaneHealth, LaneState, Payload, Request, RequestId,
-    ServeError, SessionId, BLOCK, MAX_REQUEST_BLOCKS,
+    Completion, Device, FailoverAttempt, IdMap, IdSet, LaneHealth, LaneState, Payload, Request,
+    RequestId, ServeError, SessionId, BLOCK, MAX_REQUEST_BLOCKS,
 };
 
 /// How requests cross from the normal world into the TEE. Both modes
@@ -458,6 +458,8 @@ struct LaneFrontEnd {
     worker: Option<Box<LaneWorker>>,
     /// The lane thread (threaded mode), joined on drop.
     join: Option<JoinHandle<()>>,
+    /// The staged count the current doorbell snapshotted.
+    doorbell_n: usize,
 }
 
 /// A snapshot of one lane's timeline and queue state (multi-core
@@ -652,32 +654,37 @@ pub struct DriverletService {
     control_cell: Arc<ClockCell>,
     tee: TeeKernel,
     lanes: Vec<LaneFrontEnd>,
-    /// Lane indices per device class, in construction (replica) order —
-    /// the O(1) routing table behind [`DriverletService::submit`] and the
-    /// [`LaneId`] address space (`lane_table[&device][replica]`).
-    lane_table: HashMap<Device, Vec<usize>>,
+    /// Lane indices per device class (indexed by [`Device::index`]), in
+    /// construction (replica) order — the O(1) routing table behind
+    /// [`DriverletService::submit`] and the [`LaneId`] address space
+    /// (`lane_table[device.index()][replica]`).
+    lane_table: [Arc<[usize]>; Device::COUNT],
     /// The shard router: placement policy plus the dirtied-chunk set that
     /// gates spilling (see [`crate::route`]).
     router: Router,
+    /// Placement scratch the submit path reuses: the fleet's loads and
+    /// the planned parts.
+    loads: Vec<LaneLoad>,
+    parts: Vec<RoutePart>,
     /// Member request id → (parent id, byte offset into the parent span)
     /// for in-flight routed fan-outs.
-    stripe_members: HashMap<RequestId, (RequestId, usize)>,
+    stripe_members: IdMap<RequestId, (RequestId, usize)>,
     /// Parent id → reassembly state for in-flight routed fan-outs.
-    stripe_parents: HashMap<RequestId, StripeParent>,
+    stripe_parents: IdMap<RequestId, StripeParent>,
     config: ServeConfig,
-    sessions: HashMap<SessionId, SessionEntry>,
+    sessions: IdMap<SessionId, SessionEntry>,
     /// The admission-QoS gate (token buckets + weighted shares),
     /// consulted by routed submits before any queue depth is reserved.
     /// Lane-pinned submits bypass it, exactly as they bypass the router.
+    /// A charged request's ticket is the `(session, device)` its
+    /// completion carries: posting the completion the client observes
+    /// releases the tenant's in-flight share slot.
     admission: Admission,
-    /// Request id → (session, device) for submits the gate charged:
-    /// removing the ticket at completion time releases the tenant's
-    /// in-flight share slot, on exactly the completion the client
-    /// observes (parent-granular for fan-outs, once per id under
-    /// failover).
-    qos_tickets: HashMap<RequestId, (SessionId, Device)>,
+    /// While QoS is on, the ids the gate did not charge (lane-pinned and
+    /// detached-submitter entries), whose completions release nothing.
+    uncharged: IdSet<RequestId>,
     /// Request id → failover state for in-flight retryable clean reads.
-    retryable: HashMap<RequestId, RetryCtx>,
+    retryable: IdMap<RequestId, RetryCtx>,
     /// Per-lane watchdog counters, indexed like `lanes`.
     supervision: Vec<LaneSupervision>,
     /// Request-id allocator, shared with detached [`LaneSubmitter`]s
@@ -776,12 +783,14 @@ impl DriverletService {
         let tracer = recorder.register("front-end", 0);
         tee.set_tracer(recorder.register("tee", 0));
         tee.set_smc_metrics(metrics.smc());
+        let mut block_granularities = config.block_granularities.clone();
+        block_granularities.sort_unstable_by(|a, b| b.cmp(a));
         let lane_config = LaneConfig {
             policy: config.policy,
             coalesce: config.coalesce,
             coalesce_window: config.coalesce_window,
             hold_budget_ns: config.hold_budget_ns,
-            block_granularities: config.block_granularities.clone(),
+            block_granularities,
             camera_bursts: config.camera_bursts.clone(),
         };
 
@@ -844,6 +853,7 @@ impl DriverletService {
                 shared: Arc::clone(&shared),
                 config: lane_config.clone(),
                 tracer: lane_tracer,
+                bufs: Default::default(),
             });
             let (worker, join) = match config.exec_mode {
                 ExecMode::Sequential => (Some(worker), None),
@@ -870,14 +880,12 @@ impl DriverletService {
                 shared,
                 worker,
                 join,
+                doorbell_n: 0,
             });
         }
-        // Satellite of the router: the per-device lane table is built
-        // once here, so the submit path's device → lanes resolution is a
-        // hash lookup instead of an O(lanes) scan per request.
-        let mut lane_table: HashMap<Device, Vec<usize>> = HashMap::new();
+        let mut lane_table: [Vec<usize>; Device::COUNT] = Default::default();
         for (index, lane) in lanes.iter().enumerate() {
-            lane_table.entry(lane.device).or_default().push(index);
+            lane_table[lane.device.index()].push(index);
         }
         let router = Router::new(config.route);
         let supervision = (0..lanes.len()).map(|_| LaneSupervision::default()).collect();
@@ -887,15 +895,17 @@ impl DriverletService {
             control_cell,
             tee,
             lanes,
-            lane_table,
+            lane_table: lane_table.map(Arc::from),
             router,
-            stripe_members: HashMap::new(),
-            stripe_parents: HashMap::new(),
+            loads: Vec::new(),
+            parts: Vec::new(),
+            stripe_members: IdMap::default(),
+            stripe_parents: IdMap::default(),
             config,
-            sessions: HashMap::new(),
+            sessions: IdMap::default(),
             admission,
-            qos_tickets: HashMap::new(),
-            retryable: HashMap::new(),
+            uncharged: IdSet::default(),
+            retryable: IdMap::default(),
             supervision,
             next_request: Arc::new(AtomicU64::new(1)),
             exec_log: Vec::new(),
@@ -1012,7 +1022,9 @@ impl DriverletService {
     /// clock is where per-call SMC overhead accumulates and what the ring
     /// path amortises.
     pub fn control_now_ns(&self) -> u64 {
-        self.control.now_ns()
+        // Exact without the bus lock: the control clock publishes every
+        // advance to its cell, and only this thread advances it.
+        self.control_cell.now_ns()
     }
 
     /// How many device lanes the service runs (replica lanes included).
@@ -1077,19 +1089,19 @@ impl DriverletService {
 
     /// How many replica lanes serve `device` (0 when it is not served).
     pub fn replica_count(&self, device: Device) -> usize {
-        self.lane_table.get(&device).map_or(0, Vec::len)
+        self.lane_table[device.index()].len()
     }
 
     /// The fleet address of lane `lane`, if it exists.
     pub fn lane_id(&self, lane: usize) -> Option<LaneId> {
         let device = self.lanes.get(lane)?.device;
-        let replica = self.lane_table.get(&device)?.iter().position(|&i| i == lane)?;
+        let replica = self.lane_table[device.index()].iter().position(|&i| i == lane)?;
         Some(LaneId { device, replica })
     }
 
     /// The raw lane index behind a fleet address, if it exists.
     pub fn lane_of(&self, id: LaneId) -> Option<usize> {
-        self.lane_table.get(&id.device)?.get(id.replica).copied()
+        self.lane_table[id.device.index()].get(id.replica).copied()
     }
 
     /// Submit a request into a session on its device's replica fleet:
@@ -1136,8 +1148,8 @@ impl DriverletService {
                 lane_id.device
             )));
         }
-        let table = match self.lane_table.get(&device) {
-            Some(t) if lane_id.replica < t.len() => t.clone(),
+        let table = match &self.lane_table[device.index()] {
+            t if lane_id.replica < t.len() => Arc::clone(t),
             _ if routed => return Err(ServeError::DeviceNotServed(device)),
             _ => return Err(ServeError::Invalid(format!("no replica lane {lane_id} is served"))),
         };
@@ -1151,7 +1163,7 @@ impl DriverletService {
                 SubmitMode::PerCall => self.config.queue_capacity,
                 SubmitMode::Ring => self.config.sq_depth,
             };
-            let now_ns = self.control.now_ns();
+            let now_ns = self.control_cell.now_ns();
             if let Err(retry_after_ns) =
                 self.admission.admit(session, device, table.len() * per_lane, now_ns)
             {
@@ -1161,31 +1173,34 @@ impl DriverletService {
                 return Err(ServeError::Throttled { session, device, retry_after_ns });
             }
         }
-        let loads = self.loads(&table, self.config.submit_mode == SubmitMode::Ring);
+        let staged = self.config.submit_mode == SubmitMode::Ring;
+        self.loads.clear();
+        self.loads.extend(lane_loads(&self.lanes, &table, staged));
         let plan = if routed {
-            self.router.plan(session, &req, &loads)
-        } else if loads[lane_id.replica].fits() {
-            Ok(vec![RoutePart { replica: lane_id.replica, blkid: 0, blkcnt: 0, spilled: false }])
+            self.router.plan(session, &req, &mut self.loads, &mut self.parts)
+        } else if self.loads[lane_id.replica].fits() {
+            self.parts.clear();
+            let part = RoutePart { replica: lane_id.replica, blkid: 0, blkcnt: 0, spilled: false };
+            self.parts.push(part);
+            Ok(())
         } else {
-            Err(RouteReject::at(lane_id.replica, &loads, false))
+            Err(RouteReject::at(lane_id.replica, &self.loads, false))
         };
-        let parts = match plan {
-            Ok(parts) => parts,
-            Err(reject) => {
-                if charged {
-                    self.admission.rollback(session, device);
-                }
-                let home = reject.home;
-                self.lanes[table[home.replica]].shared.metrics.on_reject();
-                return Err(ServeError::QueueFull {
-                    device,
-                    depth: home.depth,
-                    capacity: home.capacity,
-                    high_water: loads[home.replica].high_water,
-                    fleet: reject.fleet,
-                });
+        if let Err(reject) = plan {
+            if charged {
+                self.admission.rollback(session, device);
             }
-        };
+            let home = reject.home;
+            self.lanes[table[home.replica]].shared.metrics.on_reject();
+            return Err(ServeError::QueueFull {
+                device,
+                depth: home.depth,
+                capacity: home.capacity,
+                high_water: self.loads[home.replica].high_water,
+                fleet: reject.fleet,
+            });
+        }
+        let parts = std::mem::take(&mut self.parts);
         // Failover eligibility is decided at plan time: an unsplit clean
         // read on a multi-replica fleet may retry on a sibling, because
         // its bytes are replica-independent by the cleanliness invariant.
@@ -1201,7 +1216,10 @@ impl DriverletService {
                 })
                 .flatten();
         let spilled = parts.iter().filter(|p| p.spilled).count() as u64;
-        let id = match self.stage(session, req, &table, &parts) {
+        let staged = self.stage(session, req, &table, &parts, charged);
+        let n_parts = parts.len() as u64;
+        self.parts = parts;
+        let id = match staged {
             Ok(id) => id,
             Err(e) => {
                 if charged {
@@ -1210,47 +1228,14 @@ impl DriverletService {
                 return Err(e);
             }
         };
-        if charged {
-            self.qos_tickets.insert(id, (session, device));
-        }
         if let Some((blkid, blkcnt)) = retry_span {
             self.retryable
                 .insert(id, RetryCtx { session, device, blkid, blkcnt, attempts: Vec::new() });
         }
         if routed {
-            self.metrics.route().on_plan(parts.len() as u64, spilled);
+            self.metrics.route().on_plan(n_parts, spilled);
         }
         Ok(id)
-    }
-
-    /// Each lane's occupancy for placement: admitted in-flight requests
-    /// against the lane queue bound, or — `staged`, ring mode — staged
-    /// entries against the submission ring (a lane whose ring producer is
-    /// detached takes no re-placed work there). A quarantined lane is
-    /// unavailable.
-    fn loads(&self, table: &[usize], staged: bool) -> Vec<LaneLoad> {
-        table
-            .iter()
-            .map(|&idx| {
-                let l = &self.lanes[idx];
-                let available = self.lane_state(idx) != LaneState::Quarantined;
-                if staged {
-                    LaneLoad {
-                        depth: l.sq.len(),
-                        capacity: l.sq.depth(),
-                        high_water: l.sq.high_water(),
-                        available: available && l.sq.producer_attached(),
-                    }
-                } else {
-                    LaneLoad {
-                        depth: l.shared.inflight.load(Ordering::Acquire) as usize,
-                        capacity: l.shared.capacity,
-                        high_water: l.shared.metrics.occupancy_high_water() as usize,
-                        available,
-                    }
-                }
-            })
-            .collect()
     }
 
     /// Stage `req`'s planned parts under one client-visible id — the
@@ -1258,13 +1243,15 @@ impl DriverletService {
     /// reassemble into it. Ring mode leaves the entries in the lanes'
     /// submission rings for the next doorbell; per-call mode doorbells
     /// them at once through one gate SMC (a GP invoke however many parts
-    /// there are: the client made one call).
+    /// there are: the client made one call). An id the QoS gate did not
+    /// `charge` is remembered as such while QoS is on.
     fn stage(
         &mut self,
         session: SessionId,
         req: Request,
         table: &[usize],
         parts: &[RoutePart],
+        charged: bool,
     ) -> Result<RequestId, ServeError> {
         let ring = self.config.submit_mode == SubmitMode::Ring;
         if ring {
@@ -1284,54 +1271,57 @@ impl DriverletService {
         // ([`DriverletService::take_completions`]) — never on unobserved
         // lane progress — so independent sessions keep overlapping with a
         // slow lane they are not waiting on.
-        let submitted_ns = self.control.now_ns();
+        let submitted_ns = self.control_cell.now_ns();
         if !ring {
             self.tee
                 .invoke(session, GATE_SUBMIT, &[0; 4], &mut [])
                 .map_err(|_| ServeError::InvalidSession(session))?;
         }
         let id = self.next_request.fetch_add(1, Ordering::Relaxed);
+        if !charged && self.admission.is_enabled() {
+            self.uncharged.insert(id);
+        }
         obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, id, 0);
         // Session accounting is parent-granular: the client sees one
         // submit and will see one completion.
         self.sessions[&session].obs.on_submit();
-        let entries = match parts {
+        // Admission stamp (per-call): the SMC's return. The target lanes
+        // serve the entries no earlier than this.
+        let arrived_ns = self.control_cell.now_ns();
+        let host_ns = if ring { 0 } else { self.metrics.host_now_ns() };
+        let enter = |this: &mut Self, replica: usize, e: SqEntry| {
+            let idx = table[replica];
+            this.lanes[idx].shared.metrics.on_submit();
+            if ring {
+                this.lanes[idx].sq.try_push(e).expect("the plan checked the ring's staged depth");
+            } else {
+                this.admit_entry(idx, e, arrived_ns, host_ns);
+            }
+        };
+        match parts {
             [part] => {
                 let entry = SqEntry { id, session, req, enqueued_ns: submitted_ns };
-                vec![(table[part.replica], entry)]
+                enter(self, part.replica, entry);
             }
-            _ => self.fan_out(id, session, req, table, parts, submitted_ns),
-        };
-        for (idx, _) in &entries {
-            self.lanes[*idx].shared.metrics.on_submit();
-        }
-        if ring {
-            for (idx, e) in entries {
-                self.lanes[idx].sq.try_push(e).expect("the plan checked the ring's staged depth");
-            }
-        } else {
-            // Admission stamp: the SMC's return. The target lanes serve
-            // the entries no earlier than this.
-            let arrived_ns = self.control.now_ns();
-            let host_ns = self.trace_stamp();
-            self.admit_staged(entries, arrived_ns, host_ns);
+            _ => self.fan_out(id, session, req, parts, submitted_ns, enter),
         }
         Ok(id)
     }
 
     /// Register a routed fan-out's parent and cut `req` into its member
-    /// entries, one per planned part. Members execute like any other
-    /// request; [`DriverletService::absorb_member`] reassembles their
-    /// completions into the parent the session observes.
+    /// entries, one per planned part, handing each to `enter` with its
+    /// replica. Members execute like any other request;
+    /// [`DriverletService::absorb_member`] reassembles their completions
+    /// into the parent the session observes.
     fn fan_out(
         &mut self,
         parent: RequestId,
         session: SessionId,
         req: Request,
-        table: &[usize],
         parts: &[RoutePart],
         submitted_ns: u64,
-    ) -> Vec<(usize, SqEntry)> {
+        enter: impl Fn(&mut Self, usize, SqEntry),
+    ) {
         let device = req.device();
         let (blkid, buf, data) = match req {
             Request::Read { blkid, blkcnt, .. } => {
@@ -1355,25 +1345,22 @@ impl DriverletService {
                 error: None,
             },
         );
-        parts
-            .iter()
-            .map(|part| {
-                let offset = (part.blkid - blkid) as usize * BLOCK;
-                let req = match &data {
-                    Some(bytes) => Request::Write {
-                        device,
-                        blkid: part.blkid,
-                        data: bytes[offset..offset + part.blkcnt as usize * BLOCK].to_vec(),
-                    },
-                    None => Request::Read { device, blkid: part.blkid, blkcnt: part.blkcnt },
-                };
-                let member = self.next_request.fetch_add(1, Ordering::Relaxed);
-                self.stripe_members.insert(member, (parent, offset));
-                obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, member, 0);
-                let entry = SqEntry { id: member, session, req, enqueued_ns: submitted_ns };
-                (table[part.replica], entry)
-            })
-            .collect()
+        for part in parts {
+            let offset = (part.blkid - blkid) as usize * BLOCK;
+            let req = match &data {
+                Some(bytes) => Request::Write {
+                    device,
+                    blkid: part.blkid,
+                    data: bytes[offset..offset + part.blkcnt as usize * BLOCK].to_vec(),
+                },
+                None => Request::Read { device, blkid: part.blkid, blkcnt: part.blkcnt },
+            };
+            let member = self.next_request.fetch_add(1, Ordering::Relaxed);
+            self.stripe_members.insert(member, (parent, offset));
+            obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, member, 0);
+            let entry = SqEntry { id: member, session, req, enqueued_ns: submitted_ns };
+            enter(self, part.replica, entry);
+        }
     }
 
     /// Feed one member completion through reassembly and post the parent
@@ -1448,7 +1435,7 @@ impl DriverletService {
         // The reservation enforces the lane bound front-end side, so the
         // push below cannot fail and a rejection reports one coherent
         // depth even while the lane thread drains concurrently.
-        lane.shared.reserve()?;
+        lane.shared.reserve(host_ns)?;
         let depth = lane.shared.inflight.load(Ordering::Acquire);
         obs_event_at!(
             self.tracer,
@@ -1465,7 +1452,7 @@ impl DriverletService {
             // reservation and report typed backpressure, never a loss.
             debug_assert!(false, "reservation bounds the admit ring");
             lane.shared.inflight.fetch_sub(1, Ordering::Release);
-            lane.shared.metrics.on_fail(self.metrics.host_now_ns());
+            lane.shared.metrics.on_fail(host_ns);
             return Err(ServeError::QueueFull {
                 device: lane.device,
                 depth: lane.shared.capacity,
@@ -1478,26 +1465,25 @@ impl DriverletService {
         Ok(())
     }
 
-    /// Admit staged entries at `arrived_ns` (`host_ns` stamps their trace
-    /// events). An entry whose lane queue is full is not dropped: it
-    /// completes with its typed `QueueFull` in its session's completion
-    /// ring — through stripe reassembly when it is a fan-out member.
-    fn admit_staged(&mut self, entries: Vec<(usize, SqEntry)>, arrived_ns: u64, host_ns: u64) {
-        for (idx, e) in entries {
-            let (id, session, submitted_ns) = (e.id, e.session, e.enqueued_ns);
-            let p = Pending { id, session, req: e.req, submitted_ns, arrived_ns };
-            if let Err(err) = self.admit(idx, p, host_ns) {
-                self.lanes[idx].shared.metrics.on_reject();
-                self.finish_member(Completion {
-                    id,
-                    session,
-                    device: self.lanes[idx].device,
-                    result: Err(err),
-                    submitted_ns,
-                    completed_ns: arrived_ns,
-                    coalesced: false,
-                });
-            }
+    /// Admit one staged entry on lane `idx` at `arrived_ns` (`host_ns`
+    /// is the doorbell's host stamp). An entry whose lane queue is full is
+    /// not dropped: it completes with its typed `QueueFull` in its
+    /// session's completion ring — through stripe reassembly when it is a
+    /// fan-out member.
+    fn admit_entry(&mut self, idx: usize, e: SqEntry, arrived_ns: u64, host_ns: u64) {
+        let (id, session, submitted_ns) = (e.id, e.session, e.enqueued_ns);
+        let p = Pending { id, session, req: e.req, submitted_ns, arrived_ns };
+        if let Err(err) = self.admit(idx, p, host_ns) {
+            self.lanes[idx].shared.metrics.on_reject();
+            self.finish_member(Completion {
+                id,
+                session,
+                device: self.lanes[idx].device,
+                result: Err(err),
+                submitted_ns,
+                completed_ns: arrived_ns,
+                coalesced: false,
+            });
         }
     }
 
@@ -1519,36 +1505,45 @@ impl DriverletService {
     /// lane — entries that land mid-drain wait for the next doorbell, so
     /// the charge always matches the admissions.
     pub fn ring_doorbell(&mut self) -> Result<usize, ServeError> {
-        let staged_by_lane: Vec<usize> = self.lanes.iter().map(|l| l.sq.len()).collect();
-        let staged: usize = staged_by_lane.iter().sum();
+        let mut staged = 0;
+        for lane in &mut self.lanes {
+            lane.doorbell_n = lane.sq.len();
+            staged += lane.doorbell_n;
+        }
         if staged == 0 {
             return Ok(0);
         }
         self.tee.invoke_batch("dlt-serve", GATE_DOORBELL, &[staged as u64, 0, 0, 0], &mut [])?;
-        let arrived_ns = self.control.now_ns();
-        // One host stamp covers the doorbell and every `Admitted` it
-        // unlocks: the emits are back-to-back and the clock read dominates
-        // the emit cost.
-        let host_ns = self.trace_stamp();
+        let arrived_ns = self.control_cell.now_ns();
+        // One host stamp covers the doorbell and every admission it
+        // unlocks, in the metrics and the trace alike: they are
+        // back-to-back and the clock read dominates their cost.
+        let host_ns = self.metrics.host_now_ns();
         obs_event_at!(self.tracer, host_ns, EventKind::Doorbell, arrived_ns, 0, 0, staged as u64);
         self.metrics.smc().record_doorbell_batch(staged as u64);
-        let mut entries = Vec::with_capacity(staged);
-        for (idx, n) in staged_by_lane.into_iter().enumerate().filter(|&(_, n)| n > 0) {
+        for idx in 0..self.lanes.len() {
             let lane = &mut self.lanes[idx];
+            if lane.doorbell_n == 0 {
+                continue;
+            }
             lane.shared.metrics.on_doorbell();
-            // A detached submitter cannot reach the session table, so its
-            // submits count here, front-end side, for sessions still open.
+            // A detached submitter cannot reach the session table or the
+            // QoS gate, so its submits count here, front-end side, for
+            // sessions still open, and are never charged.
             let detached = !lane.sq.producer_attached();
-            for e in lane.sq.take_staged(n) {
+            for _ in 0..lane.doorbell_n {
+                let Some(e) = self.lanes[idx].sq.pop() else { break };
                 if detached {
                     if let Some(entry) = self.sessions.get(&e.session) {
                         entry.obs.on_submit();
                     }
+                    if self.admission.is_enabled() {
+                        self.uncharged.insert(e.id);
+                    }
                 }
-                entries.push((idx, e));
+                self.admit_entry(idx, e, arrived_ns, host_ns);
             }
         }
-        self.admit_staged(entries, arrived_ns, host_ns);
         Ok(staged)
     }
 
@@ -1567,8 +1562,8 @@ impl DriverletService {
     fn post_completion(&mut self, c: Completion) {
         // Terminal for this request id: release the tenant's QoS
         // in-flight slot and drop any failover state.
-        if let Some((session, device)) = self.qos_tickets.remove(&c.id) {
-            self.admission.on_done(session, device);
+        if self.admission.is_enabled() && !self.uncharged.remove(&c.id) {
+            self.admission.on_done(c.session, c.device);
         }
         self.retryable.remove(&c.id);
         let Some(entry) = self.sessions.get_mut(&c.session) else {
@@ -1644,11 +1639,14 @@ impl DriverletService {
             ctx.attempts.push(FailoverAttempt { replica: origin, at_ns: c.completed_ns });
             (ctx.attempts.len() as u32, ctx.device, ctx.session, ctx.blkid, ctx.blkcnt)
         };
-        let table = self.lane_table[&device].clone();
+        let table = Arc::clone(&self.lane_table[device.index()]);
         // The front-end is the sole in-flight incrementer, so room found
         // here cannot vanish before the admission below.
         let target = (attempt <= self.config.failover.retry_budget)
-            .then(|| least_loaded_sibling(&self.loads(&table, false), origin))
+            .then(|| {
+                let loads: Vec<_> = lane_loads(&self.lanes, &table, false).collect();
+                least_loaded_sibling(&loads, origin)
+            })
             .flatten();
         let Some(replica) = target else {
             let ctx = self.retryable.remove(&c.id).expect("checked present above");
@@ -1665,7 +1663,7 @@ impl DriverletService {
         let arrived_ns = c.completed_ns.saturating_add(backoff);
         let req = Request::Read { device, blkid, blkcnt };
         let retry = Pending { id: c.id, session, req, submitted_ns: c.submitted_ns, arrived_ns };
-        if self.admit(table[replica], retry, self.trace_stamp()).is_err() {
+        if self.admit(table[replica], retry, self.metrics.host_now_ns()).is_err() {
             // Unreachable (the sibling was picked with room); deliver the
             // original divergence rather than lose the request.
             self.retryable.remove(&c.id);
@@ -1774,11 +1772,14 @@ impl DriverletService {
     /// to `origin`, which still executes.
     fn replacement(&self, origin: usize, req: &Request, staged: bool) -> usize {
         let id = self.lane_id(origin).expect("quarantined lanes exist");
-        let table = &self.lane_table[&id.device];
+        let table = &self.lane_table[id.device.index()];
         let movable = matches!(req, Request::Read { blkid, blkcnt, .. }
                 if self.router.span_is_clean(id.device, *blkid, *blkcnt));
         movable
-            .then(|| least_loaded_sibling(&self.loads(table, staged), id.replica))
+            .then(|| {
+                let loads: Vec<_> = lane_loads(&self.lanes, table, staged).collect();
+                least_loaded_sibling(&loads, id.replica)
+            })
             .flatten()
             .map_or(origin, |r| table[r])
     }
@@ -1793,7 +1794,7 @@ impl DriverletService {
             sh.inflight.fetch_sub(1, Ordering::Release);
             sh.metrics.on_requeue(self.metrics.host_now_ns());
             let target = self.replacement(origin, &p.req, false);
-            self.admit(target, p, self.trace_stamp())
+            self.admit(target, p, self.metrics.host_now_ns())
                 .expect("the eviction or the room check freed a slot");
         }
     }
@@ -1839,7 +1840,8 @@ impl DriverletService {
     /// until they are quiescent.
     ///
     /// Like a lane that ran dry, the drain first polls: it reaps, checks
-    /// quiescence and yields the CPU, for [`IDLE_POLL`]. In a closed loop
+    /// quiescence and yields the CPU, for [`crate::lane::IDLE_POLL`] or until a yield
+    /// returns late (see [`crate::lane::keep_polling`]). In a closed loop
     /// the lanes finish inside that window, so the front-end never sleeps.
     /// Past it, the drain parks until a lane signals one of the edges
     /// quiescence waits for (see [`LaneWorker::run`]), leaving the CPU to
@@ -1856,15 +1858,13 @@ impl DriverletService {
             }
             lane.shared.unpark();
         }
-        let start = Instant::now();
+        let mut idle = IdlePoll::new();
         loop {
             self.reap_lanes(filter, true, &mut all);
             if self.lanes_quiescent(filter) {
                 break;
             }
-            if start.elapsed() < IDLE_POLL {
-                std::thread::yield_now();
-            } else {
+            if !idle.yield_once() {
                 std::thread::park_timeout(PARK_FLOOR);
             }
         }
@@ -1964,7 +1964,7 @@ impl DriverletService {
                 // terminates.
                 continue;
             }
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(posted);
             self.reap_lane(idx, true, &mut out);
             if out.is_empty() {
                 // Every completion in the batch folded into a routed
@@ -2202,12 +2202,37 @@ impl DriverletService {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
+}
 
-    /// A host stamp for a cluster of back-to-back trace emits (the clock
-    /// read dominates the emit cost); 0 when tracing is off.
-    fn trace_stamp(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, |t| t.host_now_ns())
-    }
+/// Each of `table`'s lanes' occupancy for placement: admitted in-flight
+/// requests against the lane queue bound, or — `staged`, ring mode —
+/// staged entries against the submission ring (a lane whose ring producer
+/// is detached takes no re-placed work there). A quarantined lane is
+/// unavailable.
+fn lane_loads<'a>(
+    lanes: &'a [LaneFrontEnd],
+    table: &'a [usize],
+    staged: bool,
+) -> impl Iterator<Item = LaneLoad> + 'a {
+    table.iter().map(move |&idx| {
+        let l = &lanes[idx];
+        let available = LaneState::from_gauge(l.shared.metrics.state()) != LaneState::Quarantined;
+        if staged {
+            LaneLoad {
+                depth: l.sq.len(),
+                capacity: l.sq.depth(),
+                high_water: l.sq.high_water(),
+                available: available && l.sq.producer_attached(),
+            }
+        } else {
+            LaneLoad {
+                depth: l.shared.inflight.load(Ordering::Acquire) as usize,
+                capacity: l.shared.capacity,
+                high_water: l.shared.metrics.occupancy_high_water() as usize,
+                available,
+            }
+        }
+    })
 }
 
 /// First block of the scratch extent [`DriverletService::lane_health_check`]
@@ -2357,6 +2382,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::lane::IDLE_POLL;
     use crate::route::RoutePolicy;
 
     fn mmc_service(config: ServeConfig) -> DriverletService {

@@ -36,6 +36,19 @@ pub const TEE_DMA_POOL_BASE: u64 = 0x3c0_0000;
 /// see [`SecureIo::fill_rand_bytes`]).
 pub const RNG_MAX_REQUEST: usize = 4096;
 
+/// The error [`HeldIo::fill_rand_bytes`] returns for a request of `len`
+/// bytes, checked up front so a caller can refuse an oversized request
+/// before it sizes a buffer for it.
+pub fn check_rng_request(len: usize) -> Result<(), TeeError> {
+    if len > RNG_MAX_REQUEST {
+        return Err(TeeError::Hw(HwError::DeviceError {
+            device: "rng".into(),
+            reason: format!("request of {len} bytes exceeds the {RNG_MAX_REQUEST}-byte FIFO"),
+        }));
+    }
+    Ok(())
+}
+
 /// Errors raised by the TEE layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TeeError {
@@ -392,15 +405,7 @@ impl HeldIo<'_> {
     /// blocking the TEE for the refill time. Replay consumers must propagate
     /// this instead of discarding it.
     pub fn fill_rand_bytes(&mut self, out: &mut [u8]) -> Result<(), TeeError> {
-        if out.len() > RNG_MAX_REQUEST {
-            return Err(TeeError::Hw(HwError::DeviceError {
-                device: "rng".into(),
-                reason: format!(
-                    "request of {} bytes exceeds the {RNG_MAX_REQUEST}-byte FIFO",
-                    out.len()
-                ),
-            }));
-        }
+        check_rng_request(out.len())?;
         let rng = &mut *self.rng_state;
         for chunk in out.chunks_mut(8) {
             *rng ^= *rng >> 12;
