@@ -1,10 +1,10 @@
 //! # dlt-bench — harness that regenerates every table and figure of the paper
 //!
 //! The `report` binary prints paper-vs-measured numbers for Tables 3-9 and
-//! Figures 5-7 plus the §8.3.4 memory-overhead numbers; the Criterion benches
-//! under `benches/` provide wall-clock measurements of the same paths and an
-//! ablation over the cost-model knobs. See EXPERIMENTS.md for the recorded
-//! outcomes.
+//! Figures 5-7 plus the §8.3.4 memory-overhead numbers. The benches under
+//! `benches/` measure host wall-clock time: the replay engines, the serve
+//! layer and the observability plane, plus a Criterion ablation over the
+//! cost-model knobs. See EXPERIMENTS.md for the recorded outcomes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

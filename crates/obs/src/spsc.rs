@@ -1,12 +1,11 @@
 //! A lock-free single-producer/single-consumer bounded ring.
 //!
-//! This is the concurrency primitive under the serve layer's shared-memory
-//! rings (`dlt_serve::ring`), the per-lane channels that connect the
-//! service front-end to its lane threads, and this crate's per-thread
-//! trace rings ([`crate::trace`]) — it lives here, at the bottom of the
-//! dependency graph, so every layer above (tee, core, serve) can ride the
-//! same core. The protocol is the classic Lamport SPSC queue with
-//! io_uring-flavoured monotone indices:
+//! This is the concurrency primitive under the per-lane channels that
+//! connect the serve layer's front-end to its lane threads and under this
+//! crate's per-thread trace rings ([`crate::trace`]) — it lives here, at
+//! the bottom of the dependency graph, so every layer above (tee, core,
+//! serve) can ride the same core. The protocol is the classic Lamport
+//! SPSC queue with io_uring-flavoured monotone indices:
 //!
 //! * `head` and `tail` are monotonically increasing [`AtomicU64`]s; the
 //!   occupied span is `tail - head`, and slot `i` lives at `i % capacity`.
@@ -36,7 +35,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Pads (and aligns) a value to a 64-byte cache line so two adjacent
@@ -53,8 +52,6 @@ struct Inner<T> {
     head: CachePadded<AtomicU64>,
     /// Producer index: everything below `tail` has been pushed.
     tail: CachePadded<AtomicU64>,
-    /// Deepest occupancy ever observed by the producer.
-    high_water: AtomicUsize,
 }
 
 // SAFETY: the ring moves `T` values between the producer and the consumer
@@ -97,12 +94,8 @@ pub fn channel<T>(capacity: usize) -> (SpscProducer<T>, SpscConsumer<T>) {
         capacity: capacity as u64,
         head: CachePadded(AtomicU64::new(0)),
         tail: CachePadded(AtomicU64::new(0)),
-        high_water: AtomicUsize::new(0),
     });
-    (
-        SpscProducer { inner: Arc::clone(&inner), cached_head: 0, local_high: 0 },
-        SpscConsumer { inner },
-    )
+    (SpscProducer { inner: Arc::clone(&inner), cached_head: 0 }, SpscConsumer { inner })
 }
 
 /// The producing endpoint of an SPSC ring (not `Clone`: single producer).
@@ -115,9 +108,6 @@ pub struct SpscProducer<T> {
     /// then re-checked exactly. This is Lamport's classic SPSC
     /// optimisation: one shared-index read per wraparound, not per push.
     cached_head: u64,
-    /// Producer-local mirror of the shared high-water mark, so the fast
-    /// path skips the atomic read-before-max.
-    local_high: usize,
 }
 
 impl<T> std::fmt::Debug for SpscProducer<T> {
@@ -150,21 +140,12 @@ impl<T> SpscProducer<T> {
         self.len() >= self.capacity()
     }
 
-    /// Deepest occupancy the producer has ever observed.
-    pub fn high_water(&self) -> usize {
-        self.inner.high_water.load(Ordering::Relaxed)
-    }
-
-    /// Push one value. On success returns the occupancy *after* the push
-    /// as the producer sees it (computed against the cached consumer
-    /// index, so it is an upper bound — the consumer may have drained
-    /// since — but never exceeds `capacity`); when the ring is full, the
-    /// shared `head` is re-read and the value handed back together with
-    /// the *exact* occupancy observed at rejection time — one coherent
-    /// snapshot, so a `QueueFull` error raced against a draining consumer
-    /// still reports a `depth <= capacity` that was true at the rejection
-    /// instant.
-    pub fn try_push(&mut self, value: T) -> Result<usize, (T, usize)> {
+    /// Push one value. When the ring is full, the shared `head` is re-read
+    /// and the value handed back together with the *exact* occupancy
+    /// observed at rejection time — one coherent snapshot, a
+    /// `depth <= capacity` that was true at the rejection instant even
+    /// against a draining consumer.
+    pub fn try_push(&mut self, value: T) -> Result<(), (T, usize)> {
         let tail = self.inner.tail.0.load(Ordering::Relaxed);
         if self.inner.len_from(self.cached_head, tail) >= self.capacity() {
             self.cached_head = self.inner.head.0.load(Ordering::Acquire);
@@ -182,12 +163,7 @@ impl<T> SpscProducer<T> {
         // this slot and nobody else can write it.
         unsafe { (*slot.get()).write(value) };
         self.inner.tail.0.store(tail + 1, Ordering::Release);
-        let depth = self.inner.len_from(self.cached_head, tail + 1);
-        if depth > self.local_high {
-            self.local_high = depth;
-            self.inner.high_water.store(depth, Ordering::Relaxed);
-        }
-        Ok(depth)
+        Ok(())
     }
 }
 
@@ -219,12 +195,6 @@ impl<T> SpscConsumer<T> {
     /// Whether nothing is currently poppable.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Deepest occupancy the producer has ever observed (shared with the
-    /// producing endpoint — the consumer reads it for observability).
-    pub fn high_water(&self) -> usize {
-        self.inner.high_water.load(Ordering::Relaxed)
     }
 
     /// Pop the oldest value, if any.
@@ -279,15 +249,15 @@ mod tests {
     #[test]
     fn push_pop_preserves_order_and_bounds() {
         let (mut tx, mut rx) = channel::<u32>(2);
-        assert_eq!(tx.try_push(1), Ok(1));
-        assert_eq!(tx.try_push(2), Ok(2));
+        assert_eq!(tx.try_push(1), Ok(()));
+        assert_eq!(tx.try_push(2), Ok(()));
         let (back, depth) = tx.try_push(3).unwrap_err();
         assert_eq!((back, depth), (3, 2), "rejection reports the full depth it observed");
         assert_eq!(rx.try_pop(), Some(1));
-        assert_eq!(tx.try_push(3), Ok(2), "a pop frees exactly one slot");
+        assert_eq!(tx.try_push(3), Ok(()), "a pop frees exactly one slot");
+        assert_eq!(tx.try_push(4), Err((4, 2)), "and no more");
         assert_eq!(rx.drain(), vec![2, 3]);
         assert_eq!(rx.try_pop(), None);
-        assert_eq!(tx.high_water(), 2);
     }
 
     #[test]

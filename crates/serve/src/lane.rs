@@ -187,8 +187,8 @@ pub(crate) struct LaneShared {
     /// The service's drain wake-up line.
     pub drain: Arc<DrainSignal>,
     /// The metrics plane's per-lane series: every lane counter the service
-    /// reports ([`LaneHealth`], `ServeStats`, the `QueueFull` high water)
-    /// is read from here.
+    /// reports ([`LaneHealth`], `ServeStats`, a full lane queue's
+    /// `QueueFull` high water) is read from here.
     pub metrics: Arc<LaneMetrics>,
     /// The host-monotonic epoch `last_event_host_ns` stamps count from
     /// (shared with the recorder/registry so all host stamps align).

@@ -77,9 +77,10 @@ pub mod route;
 pub mod sched;
 pub mod service;
 
-/// The lock-free SPSC ring under the shared-memory rings and the per-lane
-/// channels — now owned by `dlt-obs` (the flight recorder shares the same
-/// core), re-exported here so `dlt_serve::spsc` paths keep working.
+/// The lock-free SPSC ring under the per-lane channels between the
+/// front-end and its lane threads — owned by `dlt-obs` (the flight recorder
+/// shares the same core), re-exported here so `dlt_serve::spsc` paths keep
+/// working.
 pub use dlt_obs::spsc;
 
 /// Re-exported so service users can set [`ServeConfig::obs`] without
@@ -90,8 +91,8 @@ pub use adapter::ServedBlockDev;
 pub use route::{LaneId, ReplicaDepth, RouteConfig, RoutePolicy, Target};
 pub use sched::{Policy, QosConfig, SessionQos};
 pub use service::{
-    DriverletService, ExecMode, FailoverConfig, LaneSubmitter, ServeConfig, ServeStats,
-    SessionBlockIo, SubmitMode, SuperviseConfig, HEALTH_PROBE_BLKID,
+    DriverletService, ExecMode, FailoverConfig, ServeConfig, ServeStats, SessionBlockIo,
+    SubmitMode, SuperviseConfig, HEALTH_PROBE_BLKID,
 };
 
 use std::collections::{HashMap, HashSet};

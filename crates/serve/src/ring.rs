@@ -2,7 +2,7 @@
 //! memory.
 //!
 //! The ring submit path replaces "one SMC per operation" with two bounded
-//! single-producer/single-consumer rings that both worlds can see:
+//! queues that both worlds can see:
 //!
 //! * a per-lane **submission ring** ([`SubmissionRing`]) the client fills
 //!   without entering the TEE — only the **doorbell** SMC that follows a
@@ -14,22 +14,14 @@
 //!   kernel-side overflow list (io_uring's `CQ_OVERFLOW` behaviour), and
 //!   flushing that list back costs the reader one world switch.
 //!
-//! Since the lane-threading refactor both rings sit on the genuinely
-//! concurrent lock-free SPSC core in [`crate::spsc`]: monotone `AtomicU64`
-//! head/tail indices with acquire/release publication and cache-line
-//! padding, exactly the protocol a mapped io_uring SQ/CQ pair uses. A
-//! [`SubmissionRing`]'s producing endpoint can be **detached**
-//! ([`SubmissionRing::take_producer`]) and moved to another thread — that
-//! is how [`crate::service::LaneSubmitter`] stages entries concurrently
-//! with the front-end draining doorbells — while the consuming endpoint
-//! stays with the service front-end. The per-session [`CompletionRing`]
-//! keeps both endpoints (the front-end demultiplexes lane completions into
-//! it and the same thread reaps it), plus the unbounded never-drop
-//! overflow list that cannot live inside a fixed ring.
+//! Both rings belong to the service front-end, which is the only thread
+//! that stages, doorbells, posts and reaps them, so each is a plain
+//! bounded [`VecDeque`]. The queues that do cross threads — a lane's
+//! admission and completion channels — sit on the lock-free SPSC core in
+//! [`crate::spsc`].
 
 use std::collections::VecDeque;
 
-use crate::spsc::{self, SpscConsumer, SpscProducer};
 use crate::{Completion, Request, RequestId, SessionId};
 
 /// One staged submission-ring slot: everything the gate trustlet needs to
@@ -51,112 +43,93 @@ pub struct SqEntry {
 /// A bounded submission ring (one per device lane).
 #[derive(Debug)]
 pub struct SubmissionRing {
-    /// `None` once detached to a [`crate::service::LaneSubmitter`] living
-    /// on another thread.
-    producer: Option<SpscProducer<SqEntry>>,
-    consumer: SpscConsumer<SqEntry>,
+    entries: VecDeque<SqEntry>,
+    depth: usize,
+    high_water: usize,
 }
 
 impl SubmissionRing {
-    /// An empty ring with `depth` slots.
+    /// An empty ring with `depth` slots (at least one).
     pub fn new(depth: usize) -> Self {
-        let (producer, consumer) = spsc::channel(depth.max(1));
-        SubmissionRing { producer: Some(producer), consumer }
+        let depth = depth.max(1);
+        SubmissionRing { entries: VecDeque::with_capacity(depth), depth, high_water: 0 }
     }
 
-    /// Entries currently staged (tail - head).
+    /// Entries currently staged.
     pub fn len(&self) -> usize {
-        self.consumer.len()
+        self.entries.len()
     }
 
     /// Whether nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.consumer.is_empty()
+        self.entries.is_empty()
     }
 
     /// Whether every slot is in use (the producer must ring the doorbell
     /// — or back off — before staging more).
     pub fn is_full(&self) -> bool {
-        self.len() >= self.depth()
+        self.len() >= self.depth
     }
 
     /// The ring bound.
     pub fn depth(&self) -> usize {
-        self.consumer.capacity()
+        self.depth
     }
 
-    /// Deepest the ring has been (occupancy high-water mark).
+    /// Most entries the ring has held at once.
     pub fn high_water(&self) -> usize {
-        self.consumer.high_water()
+        self.high_water
     }
 
-    /// Whether the producing endpoint is still attached (it moves out via
-    /// [`SubmissionRing::take_producer`]).
-    pub fn producer_attached(&self) -> bool {
-        self.producer.is_some()
+    /// Stage one entry. A full ring hands the entry back — never drops
+    /// it.
+    pub fn try_push(&mut self, entry: SqEntry) -> Result<(), SqEntry> {
+        if self.is_full() {
+            return Err(entry);
+        }
+        self.entries.push_back(entry);
+        self.high_water = self.high_water.max(self.entries.len());
+        Ok(())
     }
 
-    /// Detach the producing endpoint so another thread can stage entries
-    /// concurrently with the front-end's doorbell drain. Returns `None` if
-    /// it was already taken.
-    pub fn take_producer(&mut self) -> Option<SpscProducer<SqEntry>> {
-        self.producer.take()
-    }
-
-    /// Stage one entry. When the ring is full the entry is handed back —
-    /// never dropped — together with the occupancy observed at rejection
-    /// time (one coherent snapshot for the typed `QueueFull` error).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the producing endpoint was detached; callers staging
-    /// through the service check [`SubmissionRing::producer_attached`].
-    pub fn try_push(&mut self, entry: SqEntry) -> Result<(), (SqEntry, usize)> {
-        let producer = self.producer.as_mut().expect("submission-ring producer detached");
-        producer.try_push(entry).map(|_| ())
-    }
-
-    /// Consume the oldest staged entry. The doorbell pops exactly the
-    /// count it snapshotted: under a concurrent producer it charges for
-    /// that count, so entries that land mid-drain wait for the next one.
+    /// Consume the oldest staged entry.
     pub fn pop(&mut self) -> Option<SqEntry> {
-        self.consumer.try_pop()
+        self.entries.pop_front()
     }
 
-    /// Consume every currently staged entry in enqueue order. Besides
-    /// full doorbell drains, this is the quarantine path's SQ rescue:
-    /// entries staged on a lane the watchdog just quarantined are pulled
-    /// off here and re-staged on available sibling rings, so they are
-    /// not admitted onto the sick lane by the next doorbell.
+    /// Consume every staged entry in enqueue order. This is the
+    /// quarantine path's SQ rescue: entries staged on a lane the watchdog
+    /// just quarantined are pulled off here and re-staged on available
+    /// sibling rings, so they are not admitted onto the sick lane by the
+    /// next doorbell.
     pub fn drain_staged(&mut self) -> Vec<SqEntry> {
-        (0..self.len()).map_while(|_| self.pop()).collect()
+        self.entries.drain(..).collect()
     }
 }
 
 /// A bounded completion ring (one per session) with a never-drop overflow
-/// list.
+/// list. Both drain together on a reap, so they are one queue in post
+/// order: the first `depth` entries are the ring, the rest the overflow.
 #[derive(Debug)]
 pub struct CompletionRing {
-    producer: SpscProducer<Completion>,
-    consumer: SpscConsumer<Completion>,
-    overflow: VecDeque<Completion>,
+    entries: VecDeque<Completion>,
+    depth: usize,
 }
 
 impl CompletionRing {
-    /// An empty ring with `depth` reapable slots.
+    /// An empty ring with `depth` reapable slots (at least one).
     pub fn new(depth: usize) -> Self {
-        let (producer, consumer) = spsc::channel(depth.max(1));
-        CompletionRing { producer, consumer, overflow: VecDeque::new() }
+        CompletionRing { entries: VecDeque::new(), depth: depth.max(1) }
     }
 
     /// Completions waiting to be reaped (ring plus overflow list).
     pub fn len(&self) -> usize {
-        self.consumer.len() + self.overflow.len()
+        self.entries.len()
     }
 
     /// Whether nothing is waiting.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Post one completion. Returns `true` when the ring was full and the
@@ -164,23 +137,17 @@ impl CompletionRing {
     /// reap must enter the kernel to flush it) — the service aggregates
     /// these into `ServeStats::cq_overflows`.
     pub fn post(&mut self, completion: Completion) -> bool {
-        match self.producer.try_push(completion) {
-            Ok(_) => false,
-            Err((completion, _)) => {
-                self.overflow.push_back(completion);
-                true
-            }
-        }
+        let overflowed = self.entries.len() >= self.depth;
+        self.entries.push_back(completion);
+        overflowed
     }
 
     /// Reap everything in post order. The boolean is `true` when the
     /// overflow list had to be flushed (which costs the ring-mode reader a
     /// world switch; in-ring entries are free to read).
     pub fn take_all(&mut self) -> (Vec<Completion>, bool) {
-        let mut taken = self.consumer.drain();
-        let flushed = !self.overflow.is_empty();
-        taken.extend(self.overflow.drain(..));
-        (taken, flushed)
+        let flushed = self.entries.len() > self.depth;
+        (self.entries.drain(..).collect(), flushed)
     }
 }
 
@@ -215,16 +182,13 @@ mod tests {
         let mut sq = SubmissionRing::new(2);
         sq.try_push(entry(1)).unwrap();
         sq.try_push(entry(2)).unwrap();
-        let (rejected, observed) = sq.try_push(entry(3)).unwrap_err();
+        let rejected = sq.try_push(entry(3)).unwrap_err();
         assert_eq!(rejected.id, 3, "a full ring hands the entry back, never drops it");
-        assert_eq!(observed, 2, "rejection snapshots the occupancy it saw");
         assert!(sq.is_full());
         assert_eq!(sq.high_water(), 2);
         let drained = sq.drain_staged();
         assert_eq!(drained.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2]);
         assert!(sq.is_empty());
-        // Indices keep rising across drain cycles (io_uring-style
-        // monotone head/tail, never reset).
         sq.try_push(entry(4)).unwrap();
         assert_eq!(sq.len(), 1);
         assert_eq!(sq.drain_staged().len(), 1);
@@ -238,23 +202,23 @@ mod tests {
         }
         let first: Vec<SqEntry> = (0..3).map_while(|_| sq.pop()).collect();
         assert_eq!(first.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(sq.len(), 2, "entries beyond the snapshot wait for the next doorbell");
-        assert_eq!(sq.drain_staged().len(), 2);
+        assert_eq!(sq.len(), 2, "entries that were not popped stay staged, in order");
+        assert_eq!(sq.drain_staged().iter().map(|e| e.id).collect::<Vec<_>>(), vec![4, 5]);
     }
 
     #[test]
-    fn sq_producer_detaches_for_cross_thread_staging() {
-        let mut sq = SubmissionRing::new(4);
-        let mut producer = sq.take_producer().expect("first take succeeds");
-        assert!(!sq.producer_attached());
-        assert!(sq.take_producer().is_none());
-        let worker = std::thread::spawn(move || {
-            for id in 1..=4 {
-                producer.try_push(entry(id)).unwrap();
+    fn sq_high_water_is_the_most_ever_staged_at_once() {
+        // Twenty rounds of eight staged entries, each round drained before
+        // the next: the ring never held more than eight, however many
+        // passed through it.
+        let mut sq = SubmissionRing::new(64);
+        for round in 0..20u64 {
+            for i in 0..8 {
+                sq.try_push(entry(round * 8 + i)).unwrap();
             }
-        });
-        worker.join().unwrap();
-        assert_eq!(sq.drain_staged().iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+            while sq.pop().is_some() {}
+        }
+        assert_eq!(sq.high_water(), 8);
     }
 
     #[test]

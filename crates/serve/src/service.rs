@@ -76,7 +76,7 @@
 //!   lane signals that it went quiet.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -89,9 +89,7 @@ use dlt_dev_mmc::MmcSubsystem;
 use dlt_dev_usb::UsbSubsystem;
 use dlt_dev_vchiq::VchiqSubsystem;
 use dlt_hw::{ClockCell, Platform};
-use dlt_obs::metrics::{
-    LaneMetrics, LaneSnapshot, MetricsRegistry, MetricsSnapshot, SessionMetrics,
-};
+use dlt_obs::metrics::{LaneSnapshot, MetricsRegistry, MetricsSnapshot, SessionMetrics};
 use dlt_obs::trace::{EventKind, Recorder, TraceEvent, TraceHandle};
 use dlt_obs::{obs_event, obs_event_at, ObsConfig};
 use dlt_recorder::campaign::{
@@ -424,11 +422,13 @@ impl Trustlet for ServeGate {
         match command {
             GATE_DOORBELL => {
                 let entries = params[0];
-                tee.charge_ns(entries.saturating_mul(tee.ring_entry_validate_ns()));
+                let validate_ns = entries.saturating_mul(tee.ring_entry_validate_ns());
+                tee.hold().charge_ns(validate_ns);
                 Ok(entries)
             }
             _ => {
-                tee.charge_ns(tee.smc_invoke_overhead_ns());
+                let invoke_ns = tee.smc_invoke_overhead_ns();
+                tee.hold().charge_ns(invoke_ns);
                 Ok(0)
             }
         }
@@ -438,8 +438,8 @@ impl Trustlet for ServeGate {
 /// The front-end's handle on one device lane. The execution state (queue,
 /// platform, replayer) lives in the [`LaneWorker`] — held inline in
 /// sequential mode, moved onto its own OS thread in threaded mode — and
-/// the front-end keeps only the communication endpoints plus the shared
-/// atomics.
+/// the front-end keeps the lane's submission ring, the communication
+/// endpoints and the shared atomics.
 struct LaneFrontEnd {
     device: Device,
     /// The lane's normal-world submission ring ([`SubmitMode::Ring`]):
@@ -458,8 +458,6 @@ struct LaneFrontEnd {
     worker: Option<Box<LaneWorker>>,
     /// The lane thread (threaded mode), joined on drop.
     join: Option<JoinHandle<()>>,
-    /// The staged count the current doorbell snapshotted.
-    doorbell_n: usize,
 }
 
 /// A snapshot of one lane's timeline and queue state (multi-core
@@ -482,8 +480,8 @@ pub struct LaneStatus {
     /// Entries currently staged in the lane's submission ring (not yet
     /// admitted by a doorbell).
     pub sq_staged: usize,
-    /// Deepest the submission ring has been — `sq_high_water / sq_depth`
-    /// is the ring-occupancy metric the serve bench reports.
+    /// Most entries the submission ring has held at once
+    /// (`sq_high_water / sq_depth` is its peak occupancy).
     pub sq_high_water: usize,
     /// The submission ring's slot count.
     pub sq_depth: usize,
@@ -504,8 +502,7 @@ impl LaneStatus {
 /// (the bound keeps a single tenant from demanding an unbounded span
 /// buffer, and the end check keeps block arithmetic in range). Whether the
 /// extent is *recorded* is the replayer's coverage check at execution
-/// time. Free function so a detached [`LaneSubmitter`] applies the same
-/// rules off-thread.
+/// time.
 fn validate_request(req: &Request) -> Result<(), ServeError> {
     let check_span = |blkid: u32, blkcnt: u32| -> Result<(), ServeError> {
         if blkcnt == 0 {
@@ -649,8 +646,8 @@ pub struct DriverletService {
     /// Its clock advances on SMCs and client think time, never on device
     /// work — device work belongs to the lane cores.
     control: Platform,
-    /// The control clock's lock-free published view (detached submitters
-    /// stamp `enqueued_ns` from it without locking the front-end).
+    /// The control clock's lock-free published view (submit stamps and
+    /// the QoS gate read it without the control platform's bus lock).
     control_cell: Arc<ClockCell>,
     tee: TeeKernel,
     lanes: Vec<LaneFrontEnd>,
@@ -680,16 +677,16 @@ pub struct DriverletService {
     /// completion carries: posting the completion the client observes
     /// releases the tenant's in-flight share slot.
     admission: Admission,
-    /// While QoS is on, the ids the gate did not charge (lane-pinned and
-    /// detached-submitter entries), whose completions release nothing.
+    /// While QoS is on, the ids the gate did not charge (lane-pinned
+    /// submits), whose completions release nothing.
     uncharged: IdSet<RequestId>,
     /// Request id → failover state for in-flight retryable clean reads.
     retryable: IdMap<RequestId, RetryCtx>,
     /// Per-lane watchdog counters, indexed like `lanes`.
     supervision: Vec<LaneSupervision>,
-    /// Request-id allocator, shared with detached [`LaneSubmitter`]s
-    /// (atomic fetch-add: globally unique, monotone per allocator call).
-    next_request: Arc<AtomicU64>,
+    /// The next request id to hand out (ids are dense and increase in
+    /// submit order).
+    next_request: RequestId,
     /// Ids in the order their replays executed (the serial-order witness
     /// for the differential property test). Appended as completions are
     /// reaped from each lane's cq ring — which is per-lane execution
@@ -777,9 +774,9 @@ impl DriverletService {
         } else {
             Recorder::disabled()
         });
-        // Track 0 carries every normal-world emitter (front-end, TEE
-        // kernel, detached submitters); each lane's worker and replayer
-        // share track `index + 1` — one Perfetto track per lane thread.
+        // Track 0 carries both normal-world emitters (the front-end and
+        // the TEE kernel); each lane's worker and replayer share track
+        // `index + 1` — one Perfetto track per lane thread.
         let tracer = recorder.register("front-end", 0);
         tee.set_tracer(recorder.register("tee", 0));
         tee.set_smc_metrics(metrics.smc());
@@ -833,10 +830,13 @@ impl DriverletService {
                 metrics.register_lane(device.to_string()),
                 metrics.epoch(),
             ));
-            // Channel bounds: in-flight work is capped at the queue
-            // capacity by the front-end reservation, so rings of that
-            // capacity can never reject (the worker's spill is a pure
-            // belt-and-braces path).
+            // Channel bounds: the front-end reservation caps admitted,
+            // unposted work at the queue capacity, so the admit ring never
+            // rejects. The cq ring can fill: a posted completion frees its
+            // reservation before the front-end reaps it, so the lane may
+            // run more work while the ring is still full, and the worker
+            // then spills (`LaneWorker::cq_spill`) — the serve tests take
+            // that path routinely.
             let (admit_tx, admit_rx) = spsc::channel(config.queue_capacity);
             let (cq_tx, cq_rx) = spsc::channel(config.queue_capacity);
             let (ctrl_tx, ctrl_rx) = mpsc::channel();
@@ -880,7 +880,6 @@ impl DriverletService {
                 shared,
                 worker,
                 join,
-                doorbell_n: 0,
             });
         }
         let mut lane_table: [Vec<usize>; Device::COUNT] = Default::default();
@@ -907,7 +906,7 @@ impl DriverletService {
             uncharged: IdSet::default(),
             retryable: IdMap::default(),
             supervision,
-            next_request: Arc::new(AtomicU64::new(1)),
+            next_request: 1,
             exec_log: Vec::new(),
             drain_signal,
             recorder,
@@ -1254,16 +1253,6 @@ impl DriverletService {
         charged: bool,
     ) -> Result<RequestId, ServeError> {
         let ring = self.config.submit_mode == SubmitMode::Ring;
-        if ring {
-            let mut lanes = parts.iter().map(|p| table[p.replica]);
-            if let Some(idx) = lanes.find(|&i| !self.lanes[i].sq.producer_attached()) {
-                return Err(ServeError::Invalid(format!(
-                    "lane {idx} ({}) submission ring is detached to a LaneSubmitter; \
-                     stage through the submitter",
-                    req.device()
-                )));
-            }
-        }
         // Submission stamp: the instant the client initiated the call, so
         // client-observed latency includes what the submit path costs (the
         // per-call SMC, or the wait for a doorbell). The control clock
@@ -1277,7 +1266,7 @@ impl DriverletService {
                 .invoke(session, GATE_SUBMIT, &[0; 4], &mut [])
                 .map_err(|_| ServeError::InvalidSession(session))?;
         }
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_request_id();
         if !charged && self.admission.is_enabled() {
             self.uncharged.insert(id);
         }
@@ -1306,6 +1295,13 @@ impl DriverletService {
             _ => self.fan_out(id, session, req, parts, submitted_ns, enter),
         }
         Ok(id)
+    }
+
+    /// Hand out the next request id.
+    fn next_request_id(&mut self) -> RequestId {
+        let id = self.next_request;
+        self.next_request += 1;
+        id
     }
 
     /// Register a routed fan-out's parent and cut `req` into its member
@@ -1355,7 +1351,7 @@ impl DriverletService {
                 },
                 None => Request::Read { device, blkid: part.blkid, blkcnt: part.blkcnt },
             };
-            let member = self.next_request.fetch_add(1, Ordering::Relaxed);
+            let member = self.next_request_id();
             self.stripe_members.insert(member, (parent, offset));
             obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, member, 0);
             let entry = SqEntry { id: member, session, req, enqueued_ns: submitted_ns };
@@ -1498,18 +1494,8 @@ impl DriverletService {
     /// [`ServeError::QueueFull`] in its session's completion ring.
     /// Returns the number of entries admitted (0 when nothing was staged:
     /// no switch is paid for an empty doorbell).
-    ///
-    /// Under detached [`LaneSubmitter`]s staging concurrently, the
-    /// doorbell snapshots each lane's staged count *first*, charges the
-    /// gate for that total, then drains **exactly that many** entries per
-    /// lane — entries that land mid-drain wait for the next doorbell, so
-    /// the charge always matches the admissions.
     pub fn ring_doorbell(&mut self) -> Result<usize, ServeError> {
-        let mut staged = 0;
-        for lane in &mut self.lanes {
-            lane.doorbell_n = lane.sq.len();
-            staged += lane.doorbell_n;
-        }
+        let staged: usize = self.lanes.iter().map(|l| l.sq.len()).sum();
         if staged == 0 {
             return Ok(0);
         }
@@ -1522,25 +1508,11 @@ impl DriverletService {
         obs_event_at!(self.tracer, host_ns, EventKind::Doorbell, arrived_ns, 0, 0, staged as u64);
         self.metrics.smc().record_doorbell_batch(staged as u64);
         for idx in 0..self.lanes.len() {
-            let lane = &mut self.lanes[idx];
-            if lane.doorbell_n == 0 {
+            if self.lanes[idx].sq.is_empty() {
                 continue;
             }
-            lane.shared.metrics.on_doorbell();
-            // A detached submitter cannot reach the session table or the
-            // QoS gate, so its submits count here, front-end side, for
-            // sessions still open, and are never charged.
-            let detached = !lane.sq.producer_attached();
-            for _ in 0..lane.doorbell_n {
-                let Some(e) = self.lanes[idx].sq.pop() else { break };
-                if detached {
-                    if let Some(entry) = self.sessions.get(&e.session) {
-                        entry.obs.on_submit();
-                    }
-                    if self.admission.is_enabled() {
-                        self.uncharged.insert(e.id);
-                    }
-                }
+            self.lanes[idx].shared.metrics.on_doorbell();
+            while let Some(e) = self.lanes[idx].sq.pop() {
                 self.admit_entry(idx, e, arrived_ns, host_ns);
             }
         }
@@ -1802,13 +1774,8 @@ impl DriverletService {
     /// Pull staged-but-undoorbelled entries off a quarantined lane's
     /// submission ring and re-stage them (see
     /// [`DriverletService::replacement`]), so the next doorbell does not
-    /// admit clean reads onto the sick lane. Skipped when the ring's
-    /// producer is detached to a [`LaneSubmitter`] — a concurrent producer
-    /// owns the staging side then.
+    /// admit clean reads onto the sick lane.
     fn restage_quarantined_sq(&mut self, origin: usize) {
-        if !self.lanes[origin].sq.producer_attached() {
-            return;
-        }
         for e in self.lanes[origin].sq.drain_staged() {
             let target = self.replacement(origin, &e.req, true);
             self.lanes[target]
@@ -2138,39 +2105,6 @@ impl DriverletService {
         }
     }
 
-    /// Detach lane `lane`'s submission-ring producer as a [`LaneSubmitter`]
-    /// that can stage entries from another thread, concurrently with this
-    /// front-end draining doorbells — the sharded submission path. Each
-    /// lane's producer can be detached once; afterwards the service's own
-    /// [`DriverletService::submit`] on that lane reports the detachment as
-    /// a typed error (single-producer discipline is kept statically).
-    pub fn lane_submitter(&mut self, lane: usize) -> Result<LaneSubmitter, ServeError> {
-        let next_request = Arc::clone(&self.next_request);
-        let control_clock = Arc::clone(&self.control_cell);
-        let tracer = self.recorder.register(&format!("submitter-{lane}"), 0);
-        let l = self
-            .lanes
-            .get_mut(lane)
-            .ok_or_else(|| ServeError::Invalid(format!("lane {lane} out of range")))?;
-        let producer = l.sq.take_producer().ok_or_else(|| {
-            ServeError::Invalid(format!("lane {lane} submission ring already detached"))
-        })?;
-        Ok(LaneSubmitter {
-            device: l.device,
-            producer,
-            sq_depth: l.sq.depth(),
-            next_request,
-            control_clock,
-            metrics: Arc::clone(&l.shared.metrics),
-            tracer,
-        })
-    }
-
-    /// The active observability configuration.
-    pub fn obs_config(&self) -> ObsConfig {
-        self.config.obs
-    }
-
     /// The flight recorder — live when [`ObsConfig::Full`], a disabled
     /// stub otherwise. Collectors call [`Recorder::drain`] /
     /// [`Recorder::dropped_events`] on it directly.
@@ -2206,8 +2140,7 @@ impl DriverletService {
 
 /// Each of `table`'s lanes' occupancy for placement: admitted in-flight
 /// requests against the lane queue bound, or — `staged`, ring mode —
-/// staged entries against the submission ring (a lane whose ring producer
-/// is detached takes no re-placed work there). A quarantined lane is
+/// staged entries against the submission ring. A quarantined lane is
 /// unavailable.
 fn lane_loads<'a>(
     lanes: &'a [LaneFrontEnd],
@@ -2222,7 +2155,7 @@ fn lane_loads<'a>(
                 depth: l.sq.len(),
                 capacity: l.sq.depth(),
                 high_water: l.sq.high_water(),
-                available: available && l.sq.producer_attached(),
+                available,
             }
         } else {
             LaneLoad {
@@ -2239,88 +2172,6 @@ fn lane_loads<'a>(
 /// overwrites on block lanes (it stays clear of the low extents the tests
 /// and workloads address).
 pub const HEALTH_PROBE_BLKID: u32 = crate::lane::HEALTH_PROBE_BLKID;
-
-/// A detached, `Send` handle staging submissions into one lane's
-/// submission ring from another thread — the sharded front-end: each
-/// producer thread owns its lane's SQ producer endpoint, and only the
-/// doorbell/reap side stays with the service.
-///
-/// Semantics mirror [`DriverletService::submit`] in ring mode, with two
-/// documented differences inherent to being off-thread:
-///
-/// * The session is **not** validated at stage time (the service would
-///   have to be locked for that). A stale session's entries are admitted,
-///   execute, and their completions are dropped at post time — exactly
-///   the behaviour of closing a session with requests in flight. The
-///   session's submit count is taken front-end side at doorbell time, so
-///   a stale session never regains a metrics series.
-/// * A rejected stage burns its request id (ids stay globally unique and
-///   per-submitter monotone; they are no longer dense across the
-///   service).
-#[derive(Debug)]
-pub struct LaneSubmitter {
-    device: Device,
-    producer: SpscProducer<SqEntry>,
-    sq_depth: usize,
-    next_request: Arc<AtomicU64>,
-    control_clock: Arc<ClockCell>,
-    /// The lane's metrics series (stages and rejections count there).
-    metrics: Arc<LaneMetrics>,
-    /// This submitter thread's own trace ring on track 0 (`None` unless
-    /// the service runs the full plane).
-    tracer: Option<TraceHandle>,
-}
-
-impl LaneSubmitter {
-    /// The device served by the lane this submitter feeds.
-    pub fn device(&self) -> Device {
-        self.device
-    }
-
-    /// Entries currently staged and not yet drained by a doorbell.
-    pub fn staged(&self) -> usize {
-        self.producer.len()
-    }
-
-    /// The ring bound.
-    pub fn sq_depth(&self) -> usize {
-        self.sq_depth
-    }
-
-    /// Stage one request (shape-validated, stamped with the control
-    /// clock's published time). Full rings reject with the same typed
-    /// [`ServeError::QueueFull`] as the inline path, carrying the
-    /// occupancy snapshot the rejection was decided on.
-    pub fn stage(&mut self, session: SessionId, req: Request) -> Result<RequestId, ServeError> {
-        validate_request(&req)?;
-        if req.device() != self.device {
-            return Err(ServeError::Invalid(format!(
-                "request for {} staged on a {} lane submitter",
-                req.device(),
-                self.device
-            )));
-        }
-        let enqueued_ns = self.control_clock.now_ns();
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        match self.producer.try_push(SqEntry { id, session, req, enqueued_ns }) {
-            Ok(_) => {
-                obs_event!(self.tracer, EventKind::Submitted, enqueued_ns, session, id, 0);
-                self.metrics.on_submit();
-                Ok(id)
-            }
-            Err((_, depth)) => {
-                self.metrics.on_reject();
-                Err(ServeError::QueueFull {
-                    device: self.device,
-                    depth,
-                    capacity: self.sq_depth,
-                    high_water: self.producer.high_water(),
-                    fleet: Vec::new(),
-                })
-            }
-        }
-    }
-}
 
 /// A session-scoped block-IO handle (implements [`SecureBlockIo`], so the
 /// trustlets in `dlt-trustlets` run over the shared service unchanged).
@@ -3095,17 +2946,20 @@ mod tests {
             let flush = charged(&mut s, |s| assert_eq!(s.take_completions(sess).len(), 3));
             assert_eq!(flush, (Some(blocking.0), blocking.1), "{mode:?} reap after CQ overflow");
 
-            // Detached staging leaves exactly `n` entries for one doorbell.
-            let mut submitter = s.lane_submitter(0).unwrap();
+            // Five ring submits leave exactly five entries for one
+            // doorbell; per-call submits were each doorbelled at once, so
+            // an explicit doorbell finds nothing and charges nothing.
             for b in 0..5 {
-                submitter.stage(sess, rd(b)).unwrap();
+                s.submit(sess, rd(b)).unwrap();
             }
-            let doorbell = charged(&mut s, |s| assert_eq!(s.ring_doorbell().unwrap(), 5));
-            assert_eq!(
-                doorbell,
-                (Some(SmcKind::Doorbell), cost.ring_doorbell_ns + 5 * cost.ring_entry_validate_ns),
-                "{mode:?} doorbell of 5 entries"
-            );
+            let staged = if per_call { 0 } else { 5 };
+            let doorbell = charged(&mut s, |s| assert_eq!(s.ring_doorbell().unwrap(), staged));
+            let expect = if per_call {
+                (None, 0)
+            } else {
+                (Some(SmcKind::Doorbell), cost.ring_doorbell_ns + 5 * cost.ring_entry_validate_ns)
+            };
+            assert_eq!(doorbell, expect, "{mode:?} doorbell of {staged} entries");
         }
     }
 
@@ -3166,6 +3020,26 @@ mod tests {
         s.submit(sess, rd(2)).unwrap();
         assert_eq!(s.drain_all().len(), 1);
         assert_eq!(s.stats().submitted, 3);
+    }
+
+    #[test]
+    fn sq_high_water_reports_the_most_the_ring_ever_held() {
+        // Twenty rounds of eight staged reads, each admitted and drained
+        // before the next: the ring never holds more than eight entries,
+        // though 160 pass through its 64 slots.
+        let mut s = mmc_service(ServeConfig { sq_depth: 64, ..ring_config() });
+        let sess = s.open_session().unwrap();
+        for round in 0..20u32 {
+            for i in 0..8u32 {
+                let blkid = (round * 8 + i) % 64;
+                s.submit(sess, Request::Read { device: Device::Mmc, blkid, blkcnt: 1 }).unwrap();
+            }
+            assert_eq!(s.ring_doorbell().unwrap(), 8);
+            assert_eq!(s.drain_all().len(), 8);
+        }
+        let status = s.lane_status()[0];
+        assert_eq!((status.sq_staged, status.sq_depth), (0, 64));
+        assert_eq!(status.sq_high_water, 8, "the mark is the most the ring held at once");
     }
 
     #[test]
@@ -3526,28 +3400,6 @@ mod tests {
         let snap = s.metrics_snapshot();
         assert_eq!(snap.sessions.len(), 1);
         let _ = keeper;
-    }
-
-    #[test]
-    fn detached_stage_for_a_closed_session_orphans_without_a_series() {
-        let mut s = mmc_service(ServeConfig { obs: ObsConfig::Full, ..ring_config() });
-        let live = s.open_session().unwrap();
-        let closed = s.open_session().unwrap();
-        s.close_session(closed);
-        let mut submitter = s.lane_submitter(0).unwrap();
-        submitter
-            .stage(closed, Request::Read { device: Device::Mmc, blkid: 3, blkcnt: 1 })
-            .unwrap();
-        assert_eq!(s.ring_doorbell().unwrap(), 1);
-        assert_eq!(s.drain_all().len(), 1, "the stale session's entry still executes");
-        assert_eq!(
-            s.metrics.session_series_count(),
-            s.session_count(),
-            "staging for a closed session must not resurrect its series"
-        );
-        let snap = s.metrics_snapshot();
-        assert_eq!(snap.robustness.orphan_outcomes, 1, "the outcome lands in the orphan aggregate");
-        assert_eq!(snap.sessions.iter().map(|x| x.session).collect::<Vec<_>>(), vec![live]);
     }
 
     /// The count fields of a snapshot — everything but histograms and host

@@ -1,8 +1,10 @@
 //! Cross-thread stress tests for the lock-free SPSC core ([`dlt_serve::spsc`])
-//! and the concurrent behaviours built on it: submission-ring staging from a
-//! detached producer thread, consistent `QueueFull` depth snapshots against a
-//! live draining lane thread, and the `drain_all` quiescence contract under
-//! park/unpark cycles.
+//! and the concurrent behaviours built on it, which link the service
+//! front-end to its lane threads: consistent `QueueFull` depth snapshots
+//! against a live draining lane thread, completion-ring overflow while lane
+//! threads post, and the `drain_all` quiescence contract under park/unpark
+//! cycles. The submission and completion rings themselves belong to the
+//! front-end thread alone; their unit tests live in `ring.rs`.
 //!
 //! Everything here must pass on a single-core host: the tests use bounded
 //! retry loops with `yield_now` (never busy-wait without yielding), so the
@@ -13,7 +15,7 @@ use std::sync::Arc;
 use std::thread;
 
 use dlt_serve::spsc;
-use dlt_serve::{Device, DriverletService, ExecMode, Request, ServeConfig, ServeError, SubmitMode};
+use dlt_serve::{Device, DriverletService, ExecMode, Request, ServeConfig, ServeError};
 
 /// Push `n` items through a ring of the given capacity from a real producer
 /// thread and assert the consumer sees every item exactly once, in order.
@@ -231,71 +233,4 @@ fn drain_all_quiesces_across_repeated_park_wake_cycles() {
     }
     let taken = service.take_completions(session);
     assert_eq!(taken.len() as u64, total);
-}
-
-/// A detached [`dlt_serve::LaneSubmitter`] staging from its own thread while
-/// the front-end rings doorbells and the lane thread executes: the fully
-/// sharded three-thread pipeline. Every staged request must complete.
-#[test]
-fn detached_submitter_stages_concurrently_with_doorbells_and_lane_threads() {
-    let config = ServeConfig {
-        submit_mode: SubmitMode::Ring,
-        sq_depth: 8,
-        ..quick_config(ExecMode::Threaded)
-    };
-    let mut service = DriverletService::new(&[Device::Mmc], config).expect("build service");
-    let session = service.open_session().unwrap();
-    let mut submitter = service.lane_submitter(0).expect("detach producer");
-    assert_eq!(submitter.device(), Device::Mmc);
-    assert!(
-        matches!(service.lane_submitter(0), Err(ServeError::Invalid(_))),
-        "the producer endpoint detaches exactly once"
-    );
-    assert!(
-        matches!(
-            service.submit(session, Request::Read { device: Device::Mmc, blkid: 0, blkcnt: 1 }),
-            Err(ServeError::Invalid(_))
-        ),
-        "inline ring staging reports the detachment as a typed error"
-    );
-
-    const N: u64 = 120;
-    let producer = thread::spawn(move || {
-        let mut staged = 0u64;
-        let mut rejected = 0u64;
-        while staged < N {
-            let req = Request::Read { device: Device::Mmc, blkid: (staged % 32) as u32, blkcnt: 1 };
-            match submitter.stage(session, req) {
-                Ok(_) => staged += 1,
-                Err(ServeError::QueueFull { depth, capacity, .. }) => {
-                    assert!(depth <= capacity, "SQ rejection snapshot is coherent");
-                    rejected += 1;
-                    thread::yield_now();
-                }
-                Err(other) => panic!("unexpected stage error: {other}"),
-            }
-        }
-        rejected
-    });
-
-    // Doorbell loop: keep admitting whatever the producer has staged until
-    // all N have completed. `drain_all` flushes the ring too, so the final
-    // partial batch is never stranded.
-    let mut completed = 0u64;
-    let mut spins = 0u64;
-    while completed < N {
-        service.ring_doorbell().expect("doorbell");
-        completed += service.take_completions(session).len() as u64;
-        spins += 1;
-        assert!(spins < 10_000_000, "doorbell loop must make progress");
-        thread::yield_now();
-    }
-    let rejected_stages = producer.join().unwrap();
-    service.drain_all();
-    assert_eq!(completed, N, "every staged request completes exactly once");
-    let stats = service.stats();
-    assert_eq!(stats.submitted, N);
-    assert_eq!(stats.completed, N);
-    assert_eq!(stats.rejected, rejected_stages, "SQ rejections are the only rejections");
-    assert!(stats.doorbells > 0);
 }

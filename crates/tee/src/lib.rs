@@ -5,8 +5,8 @@
 //! * **World partitioning**: devices and the TEE's reserved RAM pool are
 //!   assigned to the secure world through the platform bus's TZASC emulation,
 //!   so the untrusted normal world faults when it touches them.
-//! * **Secure services** ([`SecureIo`], or [`HeldIo`] with the bus lock
-//!   held for a whole replay): uncached MMIO, interrupt waits,
+//! * **Secure services** ([`HeldIo`], the view [`SecureIo::hold`] returns;
+//!   it holds the bus lock for a whole replay): uncached MMIO, interrupt waits,
 //!   shared-memory access, a CMA-style contiguous DMA pool carved out of the
 //!   3 MB the paper reserves, a hardware RNG, timestamps obtained via an RPC
 //!   to the normal world (each RPC pays a world switch), and delays. These
@@ -33,7 +33,7 @@ pub const TEE_DMA_POOL_BYTES: usize = 3 * 1024 * 1024;
 /// Physical base of the TEE's reserved RAM window.
 pub const TEE_DMA_POOL_BASE: u64 = 0x3c0_0000;
 /// Largest single hardware-RNG request the TEE services (the SoC RNG FIFO;
-/// see [`SecureIo::fill_rand_bytes`]).
+/// see [`HeldIo::fill_rand_bytes`]).
 pub const RNG_MAX_REQUEST: usize = 4096;
 
 /// The error [`HeldIo::fill_rand_bytes`] returns for a request of `len`
@@ -97,9 +97,10 @@ impl From<HwError> for TeeError {
 /// the platform RNG, and normal-world RPC for timestamps).
 ///
 /// The services live on [`HeldIo`], a view that holds the bus lock;
-/// [`SecureIo::hold`] takes it. Each per-call method here takes the lock for
-/// that one call, and a replay holds one view for a whole invocation. Cost
-/// lookups read a copy of the platform's cost model and take no lock.
+/// [`SecureIo::hold`] takes it, and a replay holds one view for a whole
+/// invocation. What stays here needs no view: cost lookups (a copy of the
+/// platform's cost model, no lock), pool and world-switch bookkeeping, and
+/// a few device queries that take the lock once each.
 pub struct SecureIo {
     bus: Shared<SystemBus>,
     /// The platform's cost model, copied at construction: it never changes
@@ -146,67 +147,6 @@ impl SecureIo {
         }
     }
 
-    /// Uncached 32-bit register read.
-    pub fn readl(&mut self, addr: u64) -> Result<u32, TeeError> {
-        self.hold().readl(addr)
-    }
-
-    /// Uncached 32-bit register write.
-    pub fn writel(&mut self, addr: u64, val: u32) -> Result<(), TeeError> {
-        self.hold().writel(addr, val)
-    }
-
-    /// Wait for an interrupt (see [`HeldIo::wait_for_irq`]).
-    pub fn wait_for_irq(&mut self, line: u32, timeout_us: u64) -> Result<u64, TeeError> {
-        self.hold().wait_for_irq(line, timeout_us)
-    }
-
-    /// Read a word at `offset` into a secure DMA allocation.
-    pub fn shm_read32(&mut self, region: DmaRegion, offset: u64) -> Result<u32, TeeError> {
-        self.hold().shm_read32(region, offset)
-    }
-
-    /// Write a word at `offset` into a secure DMA allocation.
-    pub fn shm_write32(
-        &mut self,
-        region: DmaRegion,
-        offset: u64,
-        val: u32,
-    ) -> Result<(), TeeError> {
-        self.hold().shm_write32(region, offset, val)
-    }
-
-    /// Copy payload into a secure DMA allocation at `offset`.
-    pub fn copy_to_dma(
-        &mut self,
-        region: DmaRegion,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), TeeError> {
-        self.hold().copy_to_dma(region, offset, data)
-    }
-
-    /// Copy payload out of a secure DMA allocation at `offset` (see
-    /// [`HeldIo::copy_from_dma`]).
-    pub fn copy_from_dma(
-        &mut self,
-        region: DmaRegion,
-        offset: u64,
-        out: &mut [u8],
-    ) -> Result<(), TeeError> {
-        self.hold().copy_from_dma(region, offset, out)
-    }
-
-    /// Allocate from the TEE's contiguous pool (see [`HeldIo::dma_alloc`]).
-    pub fn dma_alloc(&mut self, len: usize) -> Result<DmaRegion, TeeError> {
-        self.hold().dma_alloc(len)
-    }
-
-    /// Release all pool allocations (between template executions).
-    pub fn dma_release_all(&mut self) {
-        self.hold().dma_release_all()
-    }
-
     /// Peak pool usage in bytes.
     pub fn dma_high_water(&self) -> u64 {
         self.pool.high_water()
@@ -224,30 +164,11 @@ impl SecureIo {
     /// request, fallible, no allocation) with a reusable scratch buffer.
     pub fn get_rand_bytes(&mut self, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
+        let mut io = self.hold();
         for chunk in out.chunks_mut(RNG_MAX_REQUEST) {
-            self.fill_rand_bytes(chunk).expect("chunks are FIFO-sized");
+            io.fill_rand_bytes(chunk).expect("chunks are FIFO-sized");
         }
         out
-    }
-
-    /// Fill `out` from the hardware RNG (see [`HeldIo::fill_rand_bytes`]).
-    pub fn fill_rand_bytes(&mut self, out: &mut [u8]) -> Result<(), TeeError> {
-        self.hold().fill_rand_bytes(out)
-    }
-
-    /// Timestamp via RPC to the normal world (see [`HeldIo::get_ts_rpc`]).
-    pub fn get_ts_rpc(&mut self) -> u64 {
-        self.hold().get_ts_rpc()
-    }
-
-    /// Busy-wait, advancing virtual time and ticking devices.
-    pub fn delay_us(&mut self, us: u64) {
-        self.hold().delay_us(us)
-    }
-
-    /// Charge CPU time spent inside the TEE without ticking devices.
-    pub fn charge_ns(&mut self, ns: u64) {
-        self.hold().charge_ns(ns)
     }
 
     /// The per-event dispatch cost from the platform cost model.
@@ -281,11 +202,6 @@ impl SecureIo {
     /// Acknowledge an interrupt line.
     pub fn ack_irq(&mut self, line: u32) {
         self.bus.lock().ack_irq(line);
-    }
-
-    /// Soft-reset a device by bus name.
-    pub fn soft_reset_device(&mut self, name: &str) -> Result<(), TeeError> {
-        self.hold().soft_reset_device(name)
     }
 
     /// Register window of a device (for the replayer's bounds hardening).
@@ -614,7 +530,8 @@ impl TeeKernel {
         buf: &mut [u8],
     ) -> Result<u64, TeeError> {
         self.smc_enter(SmcKind::Doorbell, 0);
-        self.io.charge_ns(self.io.cost.ring_doorbell_ns);
+        let doorbell_ns = self.io.cost.ring_doorbell_ns;
+        self.io.hold().charge_ns(doorbell_ns);
         let idx = match self.trustlets.iter().position(|t| t.name() == name) {
             Some(idx) => idx,
             None => {
@@ -724,58 +641,58 @@ mod tests {
         assert!(p.bus.lock().mmio_read32(0x3f30_0000, World::NonSecure, MmioAttr::Cached).is_err());
         assert!(p.bus.lock().ram_write32(TEE_DMA_POOL_BASE + 64, 1, World::NonSecure).is_err());
         // The TEE does not.
-        tee.io_mut().writel(0x3f30_0000, 0xabcd).unwrap();
-        assert_eq!(tee.io_mut().readl(0x3f30_0000).unwrap(), 0xabcd);
-        let r = tee.io_mut().dma_alloc(128).unwrap();
-        tee.io_mut().shm_write32(r, 0, 7).unwrap();
-        assert_eq!(tee.io_mut().shm_read32(r, 0).unwrap(), 7);
+        tee.io_mut().hold().writel(0x3f30_0000, 0xabcd).unwrap();
+        assert_eq!(tee.io_mut().hold().readl(0x3f30_0000).unwrap(), 0xabcd);
+        let r = tee.io_mut().hold().dma_alloc(128).unwrap();
+        tee.io_mut().hold().shm_write32(r, 0, 7).unwrap();
+        assert_eq!(tee.io_mut().hold().shm_read32(r, 0).unwrap(), 7);
     }
 
     #[test]
     fn dma_accesses_stay_inside_their_allocation() {
         let (_p, mut tee) = rig();
         let io = tee.io_mut();
-        let a = io.dma_alloc(128).unwrap();
-        let b = io.dma_alloc(128).unwrap();
+        let a = io.hold().dma_alloc(128).unwrap();
+        let b = io.hold().dma_alloc(128).unwrap();
         assert_eq!(b.base, a.end(), "the two allocations are adjacent");
         let oob =
             |r: Result<(), TeeError>| matches!(r, Err(TeeError::Hw(HwError::OutOfBounds { .. })));
-        assert!(oob(io.shm_write32(a, 128, 0xdead_beef)));
-        assert!(oob(io.copy_to_dma(a, 64, &[0xab; 96])));
-        assert!(oob(io.shm_read32(a, 126).map(|_| ())));
-        assert!(oob(io.copy_from_dma(a, 0, &mut [0u8; 129])));
-        assert!(oob(io.shm_write32(a, u64::MAX, 1)));
+        assert!(oob(io.hold().shm_write32(a, 128, 0xdead_beef)));
+        assert!(oob(io.hold().copy_to_dma(a, 64, &[0xab; 96])));
+        assert!(oob(io.hold().shm_read32(a, 126).map(|_| ())));
+        assert!(oob(io.hold().copy_from_dma(a, 0, &mut [0u8; 129])));
+        assert!(oob(io.hold().shm_write32(a, u64::MAX, 1)));
         let mut untouched = [0xffu8; 128];
-        io.copy_from_dma(b, 0, &mut untouched).unwrap();
+        io.hold().copy_from_dma(b, 0, &mut untouched).unwrap();
         assert_eq!(untouched, [0u8; 128], "b must be unchanged");
         // The last word and the whole allocation are still in bounds.
-        io.shm_write32(a, 124, 7).unwrap();
-        assert_eq!(io.shm_read32(a, 124).unwrap(), 7);
-        io.copy_to_dma(a, 0, &[1; 128]).unwrap();
+        io.hold().shm_write32(a, 124, 7).unwrap();
+        assert_eq!(io.hold().shm_read32(a, 124).unwrap(), 7);
+        io.hold().copy_to_dma(a, 0, &[1; 128]).unwrap();
     }
 
     #[test]
     fn secure_pool_is_bounded_to_three_megabytes() {
         let (_p, mut tee) = rig();
-        assert!(tee.io_mut().dma_alloc(2 << 20).is_ok());
-        assert!(matches!(tee.io_mut().dma_alloc(2 << 20), Err(TeeError::OutOfSecureMemory)));
-        tee.io_mut().dma_release_all();
-        assert!(tee.io_mut().dma_alloc(2 << 20).is_ok());
+        assert!(tee.io_mut().hold().dma_alloc(2 << 20).is_ok());
+        assert!(matches!(tee.io_mut().hold().dma_alloc(2 << 20), Err(TeeError::OutOfSecureMemory)));
+        tee.io_mut().hold().dma_release_all();
+        assert!(tee.io_mut().hold().dma_alloc(2 << 20).is_ok());
         assert!(tee.io_mut().dma_high_water() >= (2 << 20));
     }
 
     #[test]
     fn irq_wait_and_rng_and_rpc_timestamp() {
         let (_p, mut tee) = rig();
-        tee.io_mut().writel(0x3f30_0004, 1).unwrap();
-        let waited = tee.io_mut().wait_for_irq(7, 1_000_000).unwrap();
+        tee.io_mut().hold().writel(0x3f30_0004, 1).unwrap();
+        let waited = tee.io_mut().hold().wait_for_irq(7, 1_000_000).unwrap();
         assert!(waited >= 49);
         tee.io_mut().ack_irq(7);
         let r1 = tee.io_mut().get_rand_bytes(8);
         let r2 = tee.io_mut().get_rand_bytes(8);
         assert_ne!(r1, r2);
-        let t1 = tee.io_mut().get_ts_rpc();
-        let t2 = tee.io_mut().get_ts_rpc();
+        let t1 = tee.io_mut().hold().get_ts_rpc();
+        let t2 = tee.io_mut().hold().get_ts_rpc();
         assert!(t2 > t1, "each RPC pays world switches");
         assert_eq!(tee.io_mut().world_switches(), 4);
     }
@@ -853,9 +770,9 @@ mod tests {
     #[test]
     fn soft_reset_and_device_window_queries() {
         let (_p, mut tee) = rig();
-        tee.io_mut().writel(0x3f30_0000, 5).unwrap();
-        tee.io_mut().soft_reset_device("stub").unwrap();
-        assert_eq!(tee.io_mut().readl(0x3f30_0000).unwrap(), 0);
+        tee.io_mut().hold().writel(0x3f30_0000, 5).unwrap();
+        tee.io_mut().hold().soft_reset_device("stub").unwrap();
+        assert_eq!(tee.io_mut().hold().readl(0x3f30_0000).unwrap(), 0);
         let w = tee.io_mut().device_window("stub").unwrap();
         assert_eq!(w.base, 0x3f30_0000);
         assert!(tee.io_mut().is_device_secure("stub"));
