@@ -3,8 +3,8 @@
 //! The `report` binary prints paper-vs-measured numbers for Tables 3-9 and
 //! Figures 5-7 plus the §8.3.4 memory-overhead numbers. The benches under
 //! `benches/` measure host wall-clock time: the replay engines, the serve
-//! layer and the observability plane, plus a Criterion ablation over the
-//! cost-model knobs. See EXPERIMENTS.md for the recorded outcomes.
+//! layer and the observability plane. See EXPERIMENTS.md for the recorded
+//! outcomes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,7 +16,6 @@ pub mod serve_bench;
 
 use std::collections::HashMap;
 
-use dlt_recorder::campaign::{record_camera_driverlet, record_mmc_driverlet, record_usb_driverlet};
 use dlt_template::Driverlet;
 use dlt_workloads::block::{StorageKind, StoragePath};
 use dlt_workloads::suite::{run_benchmark, SqliteBenchmark};
@@ -75,14 +74,6 @@ pub fn constraints_table(driverlet: &Driverlet, template: &str) -> String {
         }
     }
     out
-}
-
-/// Record all three driverlets once (used by several reports).
-pub fn record_all() -> (Driverlet, Driverlet, Driverlet) {
-    let mmc = record_mmc_driverlet().expect("record mmc driverlet");
-    let usb = record_usb_driverlet().expect("record usb driverlet");
-    let cam = record_camera_driverlet().expect("record camera driverlet");
-    (mmc, usb, cam)
 }
 
 /// One Figure-5 panel: IOPS per benchmark per path.

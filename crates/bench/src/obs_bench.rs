@@ -251,7 +251,7 @@ pub fn run_obs_bench(quick: bool) -> ObsBenchRun {
 
     // Harvest the Full arm's artifacts from its final trial: one drain
     // feeds both the event count and the Chrome export.
-    let events = service.trace_events();
+    let events = service.recorder().drain();
     let dropped_events = service.recorder().dropped_events();
     let chrome_trace = chrome_trace_json(&events, &service.recorder().track_names());
     let snapshot = service.metrics_snapshot();
@@ -451,7 +451,7 @@ mod tests {
             ];
             let (off, _) = run_arm(ObsConfig::Off, &bundles, 48, 1);
             let (full, service) = run_arm(ObsConfig::Full, &bundles, 48, 1);
-            let events = service.trace_events();
+            let events = service.recorder().drain();
             let chrome = chrome_trace_json(&events, &service.recorder().track_names());
             let snapshot = service.metrics_snapshot();
             let [q1, q2, q3] = round_ratio_quartiles(&full, &off);

@@ -142,7 +142,7 @@ pub struct ReplayConfig {
     /// after soft reset).
     pub max_attempts: u32,
     /// Whether to verify driverlet signatures at load time (always on in
-    /// production; switchable for the ablation benchmarks).
+    /// production).
     pub verify_signature: bool,
     /// Execution engine.
     pub mode: ReplayMode,
@@ -314,11 +314,6 @@ impl Replayer {
     /// events stamped in this replayer's virtual time.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.tracer = Some(tracer);
-    }
-
-    /// Remove any installed flight-recorder handle.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
     }
 
     /// Cumulative statistics.

@@ -6,8 +6,6 @@
 //! subset of the SD physical-layer command set that a Linux-class MMC stack
 //! exercises during initialisation and block IO.
 
-use std::collections::HashMap;
-
 use dlt_hw::block::{BlockStore, BLOCK_BYTES};
 
 use crate::BLOCK_SIZE;
@@ -97,8 +95,7 @@ pub struct SdCard {
     blocks: BlockStore,
     /// Physically removed (fault injection).
     removed: bool,
-    /// Cumulative counters for validation and the Table 7 analysis.
-    cmd_counts: HashMap<u8, u64>,
+    /// Cumulative counters for validation.
     blocks_read: u64,
     blocks_written: u64,
 }
@@ -155,7 +152,6 @@ impl SdCard {
             preset_block_count: None,
             blocks: BlockStore::new(total_blocks),
             removed: false,
-            cmd_counts: HashMap::new(),
             blocks_read: 0,
             blocks_written: 0,
         }
@@ -201,12 +197,6 @@ impl SdCard {
         self.blocks_written
     }
 
-    /// How many distinct command indices have been exercised (Table 7's
-    /// "CMDs" column for the build-from-scratch analysis).
-    pub fn distinct_commands_seen(&self) -> usize {
-        self.cmd_counts.len()
-    }
-
     /// Direct block access for validation scripts (bypasses the bus; not part
     /// of the device interface).
     pub fn peek_block(&self, lba: u64) -> Vec<u8> {
@@ -234,7 +224,6 @@ impl SdCard {
         if self.removed {
             return CmdResult::Timeout;
         }
-        *self.cmd_counts.entry(index).or_insert(0) += 1;
 
         let app = std::mem::take(&mut self.app_cmd_armed);
         if app {
@@ -432,7 +421,6 @@ mod tests {
     fn full_initialisation_sequence() {
         let c = init_card();
         assert_eq!(c.state(), CardState::Transfer);
-        assert!(c.distinct_commands_seen() >= 7);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! behaviour (4 KiB program granularity) that motivates the driver's
 //! read-modify-write of sub-page writes.
 
-use std::collections::HashMap;
-
 use dlt_hw::BlockStore;
 
 use crate::{USB_BLOCK_SIZE, USB_FTL_PAGE};
@@ -146,7 +144,6 @@ pub struct ScsiDisk {
     writes: u64,
     /// Count of 4 KiB FTL pages programmed (write amplification statistic).
     pages_programmed: u64,
-    distinct_opcodes: HashMap<u8, u64>,
 }
 
 impl ScsiDisk {
@@ -160,7 +157,6 @@ impl ScsiDisk {
             reads: 0,
             writes: 0,
             pages_programmed: 0,
-            distinct_opcodes: HashMap::new(),
         }
     }
 
@@ -200,11 +196,6 @@ impl ScsiDisk {
         self.pages_programmed
     }
 
-    /// Distinct SCSI opcodes seen (Table 7 "CMDs" population).
-    pub fn distinct_opcodes_seen(&self) -> usize {
-        self.distinct_opcodes.len()
-    }
-
     /// Peek a block for validation (zero if never written).
     pub fn peek_block(&self, lba: u64) -> Vec<u8> {
         self.blocks.block(lba).to_vec()
@@ -224,7 +215,6 @@ impl ScsiDisk {
     /// must follow up with [`ScsiDisk::write_data`] once the data-out phase
     /// delivered the payload.
     pub fn execute(&mut self, cdb: &Cdb) -> ScsiResponse {
-        *self.distinct_opcodes.entry(cdb.opcode).or_insert(0) += 1;
         if self.removed && cdb.opcode != opcode::REQUEST_SENSE && cdb.opcode != opcode::INQUIRY {
             self.set_sense(sense::NOT_READY, 0x3a);
             return ScsiResponse::CheckCondition { key: sense::NOT_READY, asc: 0x3a };

@@ -186,17 +186,6 @@ impl BusIo {
         }
     }
 
-    /// Secure-world IO (used by the replayer's environment in `dlt-tee`).
-    pub fn secure_world(bus: Shared<SystemBus>, dma_region: DmaRegion) -> Self {
-        BusIo {
-            bus,
-            world: World::Secure,
-            attr: MmioAttr::Uncached,
-            dma: BumpDmaAllocator::new(dma_region),
-            rng_state: 0xda3e_39cb_94b9_5bdb,
-        }
-    }
-
     /// Peak DMA usage (bytes) — used by memory-overhead reporting.
     pub fn dma_high_water(&self) -> u64 {
         self.dma.high_water()

@@ -86,11 +86,6 @@ impl<I: HwIo> MmcBlockDriver<I> {
         self.stats
     }
 
-    /// Access the underlying host (tests).
-    pub fn host_mut(&mut self) -> &mut MmcHost<I> {
-        &mut self.host
-    }
-
     /// Charge the kernel block-layer / filesystem path cost the native driver
     /// pays per request (§8.3.2: the driverlet "forgoes complex kernel layers
     /// such as filesystems and driver frameworks").

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// The model is intentionally a plain data struct: device simulators, gold
 /// drivers and the replayer all read the same instance (owned by the
 /// [`crate::clock::VirtualClock`]), so experiments can perturb a single knob
-/// for ablations (see `crates/bench/benches/ablation.rs`).
+/// for ablations (see the ablation rows of `tests/virtual_behaviour_pin.rs`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Cached (normal-world driver) MMIO register access.
@@ -160,7 +160,7 @@ impl CostModel {
         self.cam_exposure_ns + self.cam_isp_per_mp_ns * megapixels_x100 / 100
     }
 
-    /// Scale every cost by `num/den` (used by ablation benches).
+    /// Scale every cost by `num/den`.
     pub fn scaled(&self, num: u64, den: u64) -> Self {
         let s = |v: u64| v.saturating_mul(num) / den.max(1);
         CostModel {

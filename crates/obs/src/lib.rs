@@ -21,7 +21,7 @@
 //!   counters/gauges plus fixed-bucket log₂ latency histograms — no
 //!   allocation, no locks on the hot path — keyed by lane, device,
 //!   session and SMC kind, with a JSON-exportable
-//!   [`metrics::MetricsSnapshot`] and a Prometheus-style text encoder.
+//!   [`metrics::MetricsSnapshot`].
 //!
 //! The registry's counters and gauges are always on: they are the serve
 //! layer's only counters. [`ObsConfig`] switches the rest: `Off` records

@@ -14,8 +14,7 @@
 //!
 //! [`MetricsRegistry::snapshot`] freezes everything into a
 //! [`MetricsSnapshot`] — a serde-serialisable value the bench artifacts
-//! (`BENCH_obs.json`), the `report -- obs` pretty-printer and the
-//! Prometheus-style [`prometheus_text`] encoder all consume.
+//! (`BENCH_obs.json`) and the `report -- obs` pretty-printer consume.
 //!
 //! The **reconciliation invariant** (property-tested in the serve suite):
 //! for every lane, `admitted == completed + diverged + failed + in_queue`.
@@ -129,6 +128,15 @@ impl HistogramSnapshot {
 /// Per-lane counters and gauges. Every counter records unconditionally;
 /// the latency histogram records only when the registry was built with
 /// histograms on.
+///
+/// `in_queue` is also the serve layer's quiescence count. One front-end
+/// thread increments it; every decrement is a `Release` that the lane
+/// makes only once the request's completion is visible to the front-end,
+/// so an `Acquire` read of 0 ([`LaneMetrics::in_queue`]) proves that
+/// every admitted request's completion has been posted. The increment
+/// may be `Relaxed`: the lane decrements only for a request it took off
+/// the admission channel, whose `Release`/`Acquire` hand-off orders the
+/// decrement after the increment.
 #[derive(Debug)]
 pub struct LaneMetrics {
     device: String,
@@ -215,26 +223,27 @@ impl LaneMetrics {
     }
 
     /// Terminal classification: success. `latency_ns` is the request's
-    /// virtual submit→complete latency.
-    pub fn on_complete(&self, latency_ns: u64, host_ns: u64) {
+    /// virtual submit→complete latency. Like every terminal call, it
+    /// returns the `in_queue` count before the request left it.
+    pub fn on_complete(&self, latency_ns: u64, host_ns: u64) -> u64 {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        self.in_queue.fetch_sub(1, Ordering::Relaxed);
         self.latency_ns.record(latency_ns);
         self.touch(host_ns);
+        self.in_queue.fetch_sub(1, Ordering::Release)
     }
 
     /// Terminal classification: replay divergence.
-    pub fn on_diverge(&self, host_ns: u64) {
+    pub fn on_diverge(&self, host_ns: u64) -> u64 {
         self.diverged.fetch_add(1, Ordering::Relaxed);
-        self.in_queue.fetch_sub(1, Ordering::Relaxed);
         self.touch(host_ns);
+        self.in_queue.fetch_sub(1, Ordering::Release)
     }
 
     /// Terminal classification: any other error.
-    pub fn on_fail(&self, host_ns: u64) {
+    pub fn on_fail(&self, host_ns: u64) -> u64 {
         self.failed.fetch_add(1, Ordering::Relaxed);
-        self.in_queue.fetch_sub(1, Ordering::Relaxed);
         self.touch(host_ns);
+        self.in_queue.fetch_sub(1, Ordering::Release)
     }
 
     /// Un-admit: the request left this lane *without* a terminal outcome
@@ -245,8 +254,8 @@ impl LaneMetrics {
     /// per lane, not just fleet-wide.
     pub fn on_requeue(&self, host_ns: u64) {
         self.admitted.fetch_sub(1, Ordering::Relaxed);
-        self.in_queue.fetch_sub(1, Ordering::Relaxed);
         self.touch(host_ns);
+        self.in_queue.fetch_sub(1, Ordering::Release);
     }
 
     /// Set the supervision state gauge (one of [`LANE_STATE_HEALTHY`],
@@ -318,7 +327,7 @@ impl LaneMetrics {
 
     /// Requests admitted but not yet terminally classified.
     pub fn in_queue(&self) -> u64 {
-        self.in_queue.load(Ordering::Relaxed)
+        self.in_queue.load(Ordering::Acquire)
     }
 
     /// Deepest admission-time queue occupancy ever observed.
@@ -840,150 +849,6 @@ impl MetricsRegistry {
     }
 }
 
-/// A Prometheus metric family: name, help text, and the per-lane
-/// field it exposes.
-type LaneFamily = (&'static str, &'static str, fn(&LaneSnapshot) -> u64);
-
-/// Encode a snapshot in the Prometheus text exposition format (one
-/// `# TYPE` header per family, structural keys as labels).
-pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let counter_families: [LaneFamily; 13] = [
-        ("dlt_lane_submitted_total", "Requests accepted for the lane", |l| l.submitted),
-        ("dlt_lane_rejected_total", "Requests refused with QueueFull", |l| l.rejected),
-        ("dlt_lane_admitted_total", "Requests admitted to the lane queue", |l| l.admitted),
-        ("dlt_lane_completed_total", "Requests completed successfully", |l| l.completed),
-        ("dlt_lane_diverged_total", "Requests ending in replay divergence", |l| l.diverged),
-        ("dlt_lane_failed_total", "Requests ending in a non-divergence error", |l| l.failed),
-        ("dlt_lane_replays_total", "Replay batches executed", |l| l.replays),
-        ("dlt_lane_coalesced_requests_total", "Requests folded into replay batches", |l| {
-            l.coalesced_requests
-        }),
-        ("dlt_lane_invocations_total", "Replayer invocations", |l| l.invocations),
-        ("dlt_lane_merged_total", "Requests served by a merged replay", |l| l.merged),
-        ("dlt_lane_blocks_moved_total", "Blocks moved by block replays", |l| l.blocks_moved),
-        ("dlt_lane_holds_total", "Dispatches that held the queue open", |l| l.holds),
-        ("dlt_lane_early_unplugs_total", "Holds released early", |l| l.early_unplugs),
-    ];
-    for (name, help, get) in counter_families {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-        for lane in &snapshot.lanes {
-            out.push_str(&format!(
-                "{name}{{lane=\"{}\",device=\"{}\"}} {}\n",
-                lane.lane,
-                lane.device,
-                get(lane)
-            ));
-        }
-    }
-    let gauge_families: [LaneFamily; 3] = [
-        ("dlt_lane_in_queue", "Requests admitted but not yet terminal", |l| l.in_queue),
-        ("dlt_lane_occupancy_high_water", "Deepest queue occupancy observed", |l| {
-            l.occupancy_high_water
-        }),
-        ("dlt_lane_state", "Supervision state (0 healthy, 1 quarantined, 2 probation)", |l| {
-            l.state
-        }),
-    ];
-    for (name, help, get) in gauge_families {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-        for lane in &snapshot.lanes {
-            out.push_str(&format!(
-                "{name}{{lane=\"{}\",device=\"{}\"}} {}\n",
-                lane.lane,
-                lane.device,
-                get(lane)
-            ));
-        }
-    }
-    out.push_str(
-        "# HELP dlt_smc_calls_total Secure-world switches by kind\n# TYPE dlt_smc_calls_total counter\n",
-    );
-    for kind in &snapshot.smc_by_kind {
-        out.push_str(&format!("dlt_smc_calls_total{{kind=\"{}\"}} {}\n", kind.kind, kind.calls));
-    }
-    let route_families: [(&str, &str, u64); 4] = [
-        ("dlt_route_decisions_total", "Routed submits planned", snapshot.route.decisions),
-        ("dlt_route_spills_total", "Route parts shed to a sibling replica", snapshot.route.spills),
-        (
-            "dlt_route_stripe_fanouts_total",
-            "Routed submits split across replicas",
-            snapshot.route.stripe_fanouts,
-        ),
-        (
-            "dlt_route_stripe_parts_total",
-            "Parts produced by stripe fan-outs",
-            snapshot.route.stripe_parts,
-        ),
-    ];
-    for (name, help, value) in route_families {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-    }
-    let robustness_families: [(&str, &str, u64); 7] = [
-        ("dlt_throttled_total", "Submits rejected by admission QoS", snapshot.robustness.throttled),
-        (
-            "dlt_failovers_total",
-            "Failover retries dispatched to sibling replicas",
-            snapshot.robustness.failovers,
-        ),
-        (
-            "dlt_failover_exhausted_total",
-            "Requests whose retry budget ran out",
-            snapshot.robustness.failover_exhausted,
-        ),
-        ("dlt_quarantines_total", "Lane quarantine trips", snapshot.robustness.quarantines),
-        (
-            "dlt_lane_restores_total",
-            "Lanes restored to healthy after probation",
-            snapshot.robustness.lane_restores,
-        ),
-        (
-            "dlt_orphan_outcomes_total",
-            "Terminal outcomes delivered after their session closed",
-            snapshot.robustness.orphan_outcomes,
-        ),
-        (
-            "dlt_retired_outcomes_total",
-            "Terminal outcomes folded in from series retired on session close",
-            snapshot.robustness.retired_outcomes,
-        ),
-    ];
-    for (name, help, value) in robustness_families {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-    }
-    out.push_str(
-        "# HELP dlt_lane_latency_ns Virtual submit-to-complete latency (log2 buckets)\n# TYPE dlt_lane_latency_ns histogram\n",
-    );
-    for lane in &snapshot.lanes {
-        let mut cumulative = 0u64;
-        for (i, count) in lane.latency_ns.counts.iter().enumerate() {
-            if *count == 0 {
-                continue;
-            }
-            cumulative += count;
-            out.push_str(&format!(
-                "dlt_lane_latency_ns_bucket{{lane=\"{}\",device=\"{}\",le=\"{}\"}} {cumulative}\n",
-                lane.lane,
-                lane.device,
-                HistogramSnapshot::bucket_upper_bound(i)
-            ));
-        }
-        out.push_str(&format!(
-            "dlt_lane_latency_ns_bucket{{lane=\"{}\",device=\"{}\",le=\"+Inf\"}} {}\n",
-            lane.lane,
-            lane.device,
-            lane.latency_ns.total()
-        ));
-        out.push_str(&format!(
-            "dlt_lane_latency_ns_count{{lane=\"{}\",device=\"{}\"}} {}\n",
-            lane.lane,
-            lane.device,
-            lane.latency_ns.total()
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1101,20 +966,5 @@ mod tests {
         let snap = lane.snapshot(0);
         assert_eq!(snap.state, LANE_STATE_HEALTHY);
         assert_eq!(snap.admitted, snap.completed + snap.diverged + snap.failed + snap.in_queue);
-    }
-
-    #[test]
-    fn prometheus_text_carries_every_family() {
-        let registry = MetricsRegistry::new(true);
-        let lane = registry.register_lane("mmc");
-        lane.on_admit(1, 1);
-        lane.on_complete(900, 2);
-        registry.smc().record(SmcKind::Yield);
-        let text = prometheus_text(&registry.snapshot());
-        assert!(text.contains("dlt_lane_admitted_total{lane=\"0\",device=\"mmc\"} 1"));
-        assert!(text.contains("dlt_smc_calls_total{kind=\"yield\"} 1"));
-        assert!(text.contains("dlt_lane_latency_ns_bucket"));
-        assert!(text.contains("le=\"+Inf\"} 1"));
-        assert!(text.lines().filter(|l| l.starts_with("# TYPE")).count() >= 10);
     }
 }

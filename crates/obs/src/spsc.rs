@@ -140,18 +140,15 @@ impl<T> SpscProducer<T> {
         self.len() >= self.capacity()
     }
 
-    /// Push one value. When the ring is full, the shared `head` is re-read
-    /// and the value handed back together with the *exact* occupancy
-    /// observed at rejection time — one coherent snapshot, a
-    /// `depth <= capacity` that was true at the rejection instant even
-    /// against a draining consumer.
-    pub fn try_push(&mut self, value: T) -> Result<(), (T, usize)> {
+    /// Push one value, or hand it back when the ring is full. A ring that
+    /// looks full from the cached `head` re-reads the shared one first, so
+    /// a rejection means the ring was full at that instant.
+    pub fn try_push(&mut self, value: T) -> Result<(), T> {
         let tail = self.inner.tail.0.load(Ordering::Relaxed);
         if self.inner.len_from(self.cached_head, tail) >= self.capacity() {
             self.cached_head = self.inner.head.0.load(Ordering::Acquire);
-            let occupied = self.inner.len_from(self.cached_head, tail);
-            if occupied >= self.capacity() {
-                return Err((value, occupied));
+            if self.inner.len_from(self.cached_head, tail) >= self.capacity() {
+                return Err(value);
             }
         }
         let slot = &self.inner.slots[(tail % self.inner.capacity) as usize];
@@ -251,11 +248,11 @@ mod tests {
         let (mut tx, mut rx) = channel::<u32>(2);
         assert_eq!(tx.try_push(1), Ok(()));
         assert_eq!(tx.try_push(2), Ok(()));
-        let (back, depth) = tx.try_push(3).unwrap_err();
-        assert_eq!((back, depth), (3, 2), "rejection reports the full depth it observed");
+        assert_eq!(tx.try_push(3), Err(3), "a full ring hands the value back");
+        assert_eq!(tx.len(), 2);
         assert_eq!(rx.try_pop(), Some(1));
         assert_eq!(tx.try_push(3), Ok(()), "a pop frees exactly one slot");
-        assert_eq!(tx.try_push(4), Err((4, 2)), "and no more");
+        assert_eq!(tx.try_push(4), Err(4), "and no more");
         assert_eq!(rx.drain(), vec![2, 3]);
         assert_eq!(rx.try_pop(), None);
     }

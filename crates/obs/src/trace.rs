@@ -416,11 +416,6 @@ pub struct RequestSpan {
 }
 
 impl RequestSpan {
-    /// submit → admit (front-end + admission SMC) in virtual ns.
-    pub fn admit_ns(&self) -> Option<u64> {
-        phase(self.submitted, self.admitted)
-    }
-
     /// admit → dispatch (time spent queued) in virtual ns.
     pub fn queue_ns(&self) -> Option<u64> {
         phase(self.admitted, self.dispatched)

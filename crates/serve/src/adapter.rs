@@ -28,11 +28,6 @@ impl ServedBlockDev {
         let session = service.open_session()?;
         Ok(ServedBlockDev { service, session, device })
     }
-
-    /// The underlying service (stats, more sessions).
-    pub fn service_mut(&mut self) -> &mut DriverletService {
-        &mut self.service
-    }
 }
 
 /// Block IO through [`DriverletService::session_io`], the handle trustlets

@@ -35,13 +35,13 @@
 //!   stop. Handled strictly **between batches**, never mid-replay — that
 //!   is the mid-flight safety contract `dlt-explore` relies on.
 //!
-//! [`LaneShared::inflight`] counts admitted-but-not-yet-posted requests;
-//! the quiescence protocol (`drain_all`) is "every lane's `inflight` and
-//! `cq_backlog` are zero, then reap the rings". A worker wakes a parked
-//! drain through [`DrainSignal`] only on the edges that predicate waits
-//! for (see [`LaneWorker::run`]). The worker publishes its clock through
-//! the lock-free [`ClockCell`], so the front-end's pointwise-max
-//! `now_ns()` join never takes a lane lock.
+//! The lane's metrics series counts admitted-but-not-yet-posted requests
+//! (`LaneMetrics::in_queue`); the quiescence protocol (`drain_all`) is
+//! "every lane's `in_queue` and `cq_backlog` are zero, then reap the
+//! rings". A worker wakes a parked drain through [`DrainSignal`] only on
+//! the edges that predicate waits for (see [`LaneWorker::run`]). The
+//! worker publishes its clock through the lock-free [`ClockCell`], so the
+//! front-end's pointwise-max `now_ns()` join never takes a lane lock.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -86,33 +86,28 @@ pub(crate) const IDLE_POLL: Duration = Duration::from_micros(300);
 /// each wait race-free, so this only bounds the damage of a missed edge.
 pub(crate) const PARK_FLOOR: Duration = Duration::from_millis(1);
 
-/// Whether an idle poll dry for `dry_for`, whose last `yield_now` took
-/// `last_yield`, polls again: not past [`IDLE_POLL`], and not once a
-/// yield returned late (after more than half the window). A yield that
-/// late means other threads hold the CPU, so each further poll waits a
-/// scheduler slice, while a parked thread is woken by its unpark at once.
-pub(crate) fn keep_polling(dry_for: Duration, last_yield: Duration) -> bool {
-    dry_for < IDLE_POLL && last_yield <= IDLE_POLL / 2
+/// Whether an idle poll dry for `dry_for` polls again: it polls for
+/// [`IDLE_POLL`], then parks.
+pub(crate) fn keep_polling(dry_for: Duration) -> bool {
+    dry_for < IDLE_POLL
 }
 
 /// One idle-poll episode of a lane worker or a threaded drain: when it
-/// started, and how long its last yield took.
-pub(crate) struct IdlePoll(Instant, Duration);
+/// started.
+pub(crate) struct IdlePoll(Instant);
 
 impl IdlePoll {
     pub fn new() -> IdlePoll {
-        IdlePoll(Instant::now(), Duration::ZERO)
+        IdlePoll(Instant::now())
     }
 
     /// Yield the CPU once and return `true`, or return `false` when the
     /// caller should park instead (see [`keep_polling`]).
-    pub fn yield_once(&mut self) -> bool {
-        let now = Instant::now();
-        if !keep_polling(now - self.0, self.1) {
+    pub fn yield_once(&self) -> bool {
+        if !keep_polling(self.0.elapsed()) {
             return false;
         }
         std::thread::yield_now();
-        self.1 = now.elapsed();
         true
     }
 }
@@ -120,7 +115,7 @@ impl IdlePoll {
 /// The line lane workers wake a parked threaded drain on. The drain
 /// [`registers`](DrainSignal::register) its thread before it first checks
 /// quiescence; a worker [`notify`](DrainSignal::notify)s only on the edges
-/// that check waits for — its `inflight` count reaching zero, its cq spill
+/// that check waits for — its `in_queue` count reaching zero, its cq spill
 /// starting or emptying — never per batch. A notify that lands between the
 /// drain's check and its park pre-pays the thread's unpark token, so the
 /// park returns at once and no edge is lost.
@@ -165,16 +160,6 @@ pub(crate) struct LaneShared {
     pub device: Device,
     /// The lane queue bound ([`crate::service::ServeConfig::queue_capacity`]).
     pub capacity: usize,
-    /// Requests admitted by the TEE whose completion has not yet been
-    /// posted. Incremented front-end side (single admitter) on
-    /// [`LaneShared::reserve`]; decremented by the worker with `Release`
-    /// as each completion is posted, so a front-end `Acquire` load of 0
-    /// proves every completion is visible in the cq ring/spill.
-    pub inflight: AtomicU64,
-    /// Mirror of the worker's local queue depth (observability only).
-    pub queued: AtomicUsize,
-    /// Mirror of the worker queue's high-water mark.
-    pub queue_high_water: AtomicUsize,
     /// Completions spilled worker-side because the cq ring was full; the
     /// front-end treats `> 0` as "keep reaping".
     pub cq_backlog: AtomicUsize,
@@ -188,7 +173,9 @@ pub(crate) struct LaneShared {
     pub drain: Arc<DrainSignal>,
     /// The metrics plane's per-lane series: every lane counter the service
     /// reports ([`LaneHealth`], `ServeStats`, a full lane queue's
-    /// `QueueFull` high water) is read from here.
+    /// `QueueFull` high water) is read from here. Its `in_queue` counts
+    /// the requests admitted on [`LaneShared::reserve`] whose completion
+    /// the worker has not yet posted.
     pub metrics: Arc<LaneMetrics>,
     /// The host-monotonic epoch `last_event_host_ns` stamps count from
     /// (shared with the recorder/registry so all host stamps align).
@@ -207,9 +194,6 @@ impl LaneShared {
         LaneShared {
             device,
             capacity,
-            inflight: AtomicU64::new(0),
-            queued: AtomicUsize::new(0),
-            queue_high_water: AtomicUsize::new(0),
             cq_backlog: AtomicUsize::new(0),
             clock,
             thread: OnceLock::new(),
@@ -246,7 +230,7 @@ impl LaneShared {
     /// reports `depth <= capacity` consistently. `host_ns` is the
     /// admitting doorbell's host stamp.
     pub fn reserve(&self, host_ns: u64) -> Result<(), ServeError> {
-        let depth = self.inflight.load(Ordering::Acquire);
+        let depth = self.metrics.in_queue();
         if depth >= self.capacity as u64 {
             return Err(ServeError::QueueFull {
                 device: self.device,
@@ -258,7 +242,6 @@ impl LaneShared {
         }
         // Only the front-end thread reserves, so load-then-add cannot
         // overshoot: concurrent worker decrements only free slots.
-        self.inflight.fetch_add(1, Ordering::AcqRel);
         self.metrics.on_admit(depth + 1, host_ns);
         Ok(())
     }
@@ -266,7 +249,7 @@ impl LaneShared {
     /// Whether every admitted request's completion has been posted and the
     /// worker has nothing spilled outside the cq ring.
     pub fn quiescent(&self) -> bool {
-        self.inflight.load(Ordering::Acquire) == 0 && self.cq_backlog.load(Ordering::Acquire) == 0
+        self.metrics.in_queue() == 0 && self.cq_backlog.load(Ordering::Acquire) == 0
     }
 }
 
@@ -369,11 +352,6 @@ impl LaneWorker {
         }
     }
 
-    fn publish_queue_depth(&self) {
-        self.shared.queued.store(self.lane.len(), Ordering::Release);
-        self.shared.queue_high_water.store(self.lane.high_water(), Ordering::Release);
-    }
-
     /// Move every admitted request from the SPSC ring into the local
     /// queue. Returns how many were moved. The front-end's reservation
     /// bounds in-flight work at the lane capacity, so the local push
@@ -397,9 +375,6 @@ impl LaneWorker {
                 };
                 self.post(completion, self.shared.host_now_ns());
             }
-        }
-        if moved > 0 {
-            self.publish_queue_depth();
         }
         moved
     }
@@ -428,7 +403,6 @@ impl LaneWorker {
         let mut bufs = std::mem::take(&mut self.bufs);
         let (policy, window) = (self.config.policy, self.config.coalesce_window);
         self.lane.next_batch(policy, window, dispatch.at_ns, &mut bufs.batch);
-        self.publish_queue_depth();
         let batch = &bufs.batch;
         if batch.is_empty() {
             self.bufs = bufs;
@@ -490,62 +464,49 @@ impl LaneWorker {
     }
 
     /// Post one completion towards the front-end: cq ring first, spill on
-    /// a full ring (never dropped, never blocking), then release the
-    /// in-flight reservation with `Release` so quiescence observers see
-    /// the completion before the count. Signals the drain when the spill
-    /// starts or the lane's last in-flight request completes.
+    /// a full ring (never dropped, never blocking), then classify it in
+    /// the metrics plane, whose `Release` decrement of `in_queue` lets
+    /// quiescence observers see the completion before the count. Signals
+    /// the drain when the spill starts or the lane's last in-flight
+    /// request completes.
     fn post(&mut self, completion: Completion, host_ns: u64) {
-        // Terminal metrics classification — deliberately at a different
-        // site than admission (the front-end's reserve), so the snapshot
-        // reconciliation invariant checks real instrumentation consistency.
-        match &completion.result {
-            Ok(_) => {
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Completed,
-                    completion.completed_ns,
-                    completion.session,
-                    completion.id,
-                    u64::from(completion.coalesced)
-                );
-                self.shared.metrics.on_complete(completion.latency_ns(), host_ns);
-            }
-            Err(ServeError::Replay(ReplayError::Diverged(_))) => {
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Diverged,
-                    completion.completed_ns,
-                    completion.session,
-                    completion.id,
-                    0
-                );
-                self.shared.metrics.on_diverge(host_ns);
-            }
-            Err(_) => {
-                // Terminal but neither success nor divergence: still a
-                // `Completed` span endpoint, tagged failed via the arg.
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Completed,
-                    completion.completed_ns,
-                    completion.session,
-                    completion.id,
-                    2
-                );
-                self.shared.metrics.on_fail(host_ns);
-            }
-        }
-        if let Err((completion, _)) = self.cq_tx.try_push(completion) {
+        let ok = completion.result.is_ok();
+        let diverged =
+            matches!(completion.result, Err(ServeError::Replay(ReplayError::Diverged(_))));
+        let latency_ns = completion.latency_ns();
+        // A terminal error other than a divergence is still a `Completed`
+        // span endpoint, tagged failed via the arg.
+        let (kind, arg) = match (ok, diverged) {
+            (true, _) => (EventKind::Completed, u64::from(completion.coalesced)),
+            (false, true) => (EventKind::Diverged, 0),
+            (false, false) => (EventKind::Completed, 2),
+        };
+        obs_event_at!(
+            self.tracer,
+            host_ns,
+            kind,
+            completion.completed_ns,
+            completion.session,
+            completion.id,
+            arg
+        );
+        if let Err(completion) = self.cq_tx.try_push(completion) {
             self.cq_spill.push_back(completion);
             self.shared.cq_backlog.store(self.cq_spill.len(), Ordering::Release);
             if self.cq_spill.len() == 1 {
                 self.shared.signal_drain();
             }
         }
-        if self.shared.inflight.fetch_sub(1, Ordering::Release) == 1 {
+        // Terminal metrics classification — deliberately at a different
+        // site than admission (the front-end's reserve), so the snapshot
+        // reconciliation invariant checks real instrumentation consistency.
+        let metrics = &self.shared.metrics;
+        let in_queue = match (ok, diverged) {
+            (true, _) => metrics.on_complete(latency_ns, host_ns),
+            (false, true) => metrics.on_diverge(host_ns),
+            (false, false) => metrics.on_fail(host_ns),
+        };
+        if in_queue == 1 {
             self.shared.signal_drain();
         }
     }
@@ -558,7 +519,7 @@ impl LaneWorker {
         while let Some(c) = self.cq_spill.pop_front() {
             match self.cq_tx.try_push(c) {
                 Ok(_) => moved += 1,
-                Err((c, _)) => {
+                Err(c) => {
                     self.cq_spill.push_front(c);
                     break;
                 }
@@ -599,7 +560,6 @@ impl LaneWorker {
                 // hidden in the admit ring to execute after the drain.
                 self.pump_admissions();
                 let evicted = self.lane.evict_all();
-                self.publish_queue_depth();
                 (Ok(CtrlReply::Evicted(evicted)), true)
             }
             CtrlReq::Stop => (Ok(CtrlReply::Done), false),
@@ -613,7 +573,7 @@ impl LaneWorker {
     ///
     /// The worker never signals per batch. It notifies the front-end's
     /// [`DrainSignal`] on three edges only, which are exactly what a
-    /// parked drain waits for: its `inflight` count reaching zero (every
+    /// parked drain waits for: its `in_queue` count reaching zero (every
     /// completion is visible), a completion spilling past a full cq ring
     /// (the front-end must reap to make room) and the spill emptying
     /// (`cq_backlog` is zero again).
@@ -621,8 +581,7 @@ impl LaneWorker {
     /// A worker with no admitted work, no spill to flush and no control
     /// traffic polls all three for [`IDLE_POLL`], yielding the CPU between
     /// polls so that on one core the producer it waits for still runs,
-    /// then parks; it parks at once when a yield returns late (see
-    /// [`keep_polling`]). In a closed loop the next round's first admission lands
+    /// then parks. In a closed loop the next round's first admission lands
     /// inside the window, so the front-end's unpark is one atomic swap
     /// rather than a futex wake. The park is race-free through the unpark
     /// token: any producer that pushed after the checks above also unparks
@@ -857,7 +816,7 @@ impl LaneWorker {
             device: self.device,
             state: crate::LaneState::from_gauge(metrics.state()),
             queued: self.lane.len() as u64,
-            inflight: self.shared.inflight.load(Ordering::Acquire),
+            inflight: self.shared.metrics.in_queue(),
             completed: metrics.completed(),
             diverged: metrics.diverged(),
             last_event_host_ns: metrics.last_event_host_ns(),
@@ -870,16 +829,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn an_idle_poll_parks_at_the_window_or_after_one_late_yield() {
-        let us = Duration::from_micros;
-        // Yields that return promptly keep the poll going for the window.
-        assert!(keep_polling(Duration::ZERO, Duration::ZERO));
-        assert!(keep_polling(us(299), us(2)));
-        assert!(!keep_polling(IDLE_POLL, us(2)));
-        // One yield that lost the CPU for more than half the window parks
-        // the poll at once, however early in the window.
-        assert!(keep_polling(us(10), IDLE_POLL / 2));
-        assert!(!keep_polling(us(10), IDLE_POLL / 2 + us(1)));
-        assert!(!keep_polling(us(10), Duration::from_millis(3)));
+    fn an_idle_poll_parks_at_the_window() {
+        assert!(keep_polling(Duration::ZERO));
+        assert!(keep_polling(Duration::from_micros(299)));
+        assert!(!keep_polling(IDLE_POLL));
     }
 }

@@ -149,6 +149,13 @@ impl CompletionRing {
         let flushed = self.entries.len() > self.depth;
         (self.entries.drain(..).collect(), flushed)
     }
+
+    /// Reap only the completion of request `id`, leaving the rest in post
+    /// order. The boolean is `true` when it sat in the overflow list.
+    pub fn take(&mut self, id: RequestId) -> Option<(Completion, bool)> {
+        let at = self.entries.iter().position(|c| c.id == id)?;
+        self.entries.remove(at).map(|c| (c, at >= self.depth))
+    }
 }
 
 #[cfg(test)]
@@ -237,5 +244,20 @@ mod tests {
         let (taken, flushed) = cq.take_all();
         assert_eq!(taken.len(), 1);
         assert!(!flushed);
+    }
+
+    #[test]
+    fn cq_take_reaps_one_completion_and_keeps_the_rest_in_post_order() {
+        let mut cq = CompletionRing::new(2);
+        for id in 1..=4 {
+            cq.post(completion(id));
+        }
+        let (taken, flushed) = cq.take(2).unwrap();
+        assert_eq!((taken.id, flushed), (2, false), "an in-ring completion is free to read");
+        let (taken, flushed) = cq.take(4).unwrap();
+        assert_eq!((taken.id, flushed), (4, true), "an overflowed one costs the flush");
+        assert!(cq.take(2).is_none(), "a completion is reaped once");
+        let (rest, _) = cq.take_all();
+        assert_eq!(rest.iter().map(|c| c.id).collect::<Vec<_>>(), vec![1, 3]);
     }
 }

@@ -13,9 +13,8 @@
 //!   routes, a lane id pins.
 //! * [`RoutePolicy`] — pluggable placement over fixed-size block
 //!   *chunks*: hash sharding (the default — deterministic, same block →
-//!   same replica), RAID0-style striping (round-robin chunks, so one hot
-//!   tenant's large span fans out across the whole fleet), or pinning to
-//!   the first replica (the pre-router behaviour).
+//!   same replica) or RAID0-style striping (round-robin chunks, so one
+//!   hot tenant's large span fans out across the whole fleet).
 //! * Replica-aware **spill** admission: when a home lane is saturated, a
 //!   *clean* read sheds to its least-loaded sibling instead of failing
 //!   with `QueueFull` — the power-of-two-choices idea, generalised to
@@ -107,13 +106,11 @@ impl From<LaneId> for Target {
 }
 
 /// Placement policy: which replica owns each fixed-size chunk of the
-/// block address space. All variants are pure functions of the chunk id,
-/// so placement is deterministic across runs and submit modes.
+/// block address space. Both variants are pure functions of the chunk id,
+/// so placement is deterministic across runs and submit modes. A caller
+/// that wants one replica addresses its lane with a [`LaneId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
-    /// Everything to replica 0 — the pre-router behaviour, kept for
-    /// callers that micromanage lanes themselves.
-    Pinned,
     /// Hash sharding: chunk `k` lives on replica `hash(k) % n`. Large
     /// chunks keep a tenant's working set on one lane (coalescing still
     /// merges inside a chunk) while distinct extents spread fleet-wide.
@@ -131,13 +128,11 @@ pub enum RoutePolicy {
 }
 
 impl RoutePolicy {
-    /// Placement granularity in blocks (`None` = never split: the whole
-    /// address space is one chunk).
-    fn chunk_blocks(&self) -> Option<u32> {
+    /// Placement granularity in blocks.
+    fn chunk_blocks(&self) -> u64 {
         match self {
-            RoutePolicy::Pinned => None,
-            RoutePolicy::HashShard { chunk_blocks } => Some((*chunk_blocks).max(1)),
-            RoutePolicy::Stripe { stripe_blocks } => Some((*stripe_blocks).max(1)),
+            RoutePolicy::HashShard { chunk_blocks } => u64::from((*chunk_blocks).max(1)),
+            RoutePolicy::Stripe { stripe_blocks } => u64::from((*stripe_blocks).max(1)),
         }
     }
 
@@ -145,7 +140,6 @@ impl RoutePolicy {
     fn replica_for_chunk(&self, chunk: u64, replicas: usize) -> usize {
         let n = replicas.max(1) as u64;
         match self {
-            RoutePolicy::Pinned => 0,
             RoutePolicy::HashShard { .. } => (splitmix64(chunk) % n) as usize,
             RoutePolicy::Stripe { .. } => (chunk % n) as usize,
         }
@@ -154,11 +148,7 @@ impl RoutePolicy {
     /// Home replica of block `blkid` in an `replicas`-wide fleet — the
     /// pure placement function (what "same block → same replica" means).
     pub fn replica_for(&self, blkid: u32, replicas: usize) -> usize {
-        let chunk = match self.chunk_blocks() {
-            Some(cb) => u64::from(blkid) / u64::from(cb),
-            None => 0,
-        };
-        self.replica_for_chunk(chunk, replicas)
+        self.replica_for_chunk(u64::from(blkid) / self.chunk_blocks(), replicas)
     }
 }
 
@@ -324,29 +314,22 @@ impl Router {
         // Split the span at chunk boundaries, merging adjacent chunks
         // that share a home into one part.
         let end = u64::from(blkid) + u64::from(blkcnt.max(1)) - 1;
-        match self.policy.chunk_blocks() {
-            None => {
-                parts.push(RoutePart { replica: 0, blkid, blkcnt, spilled: false });
-            }
-            Some(cb) => {
-                let cb = u64::from(cb);
-                let (first, last) = (u64::from(blkid) / cb, end / cb);
-                for chunk in first..=last {
-                    let home = self.policy.replica_for_chunk(chunk, n);
-                    let lo = (chunk * cb).max(u64::from(blkid));
-                    let hi = ((chunk + 1) * cb - 1).min(end);
-                    match parts.last_mut() {
-                        Some(prev) if prev.replica == home => {
-                            prev.blkcnt += (hi - lo + 1) as u32;
-                        }
-                        _ => parts.push(RoutePart {
-                            replica: home,
-                            blkid: lo as u32,
-                            blkcnt: (hi - lo + 1) as u32,
-                            spilled: false,
-                        }),
-                    }
+        let cb = self.policy.chunk_blocks();
+        let (first, last) = (u64::from(blkid) / cb, end / cb);
+        for chunk in first..=last {
+            let home = self.policy.replica_for_chunk(chunk, n);
+            let lo = (chunk * cb).max(u64::from(blkid));
+            let hi = ((chunk + 1) * cb - 1).min(end);
+            match parts.last_mut() {
+                Some(prev) if prev.replica == home => {
+                    prev.blkcnt += (hi - lo + 1) as u32;
                 }
+                _ => parts.push(RoutePart {
+                    replica: home,
+                    blkid: lo as u32,
+                    blkcnt: (hi - lo + 1) as u32,
+                    spilled: false,
+                }),
             }
         }
 
@@ -376,11 +359,8 @@ impl Router {
         }
 
         if is_write {
-            if let Some(cb) = self.policy.chunk_blocks() {
-                let cb = u64::from(cb);
-                for chunk in (u64::from(blkid) / cb)..=(end / cb) {
-                    self.dirty.insert((device, chunk));
-                }
+            for chunk in first..=last {
+                self.dirty.insert((device, chunk));
             }
         }
         Ok(())
@@ -398,10 +378,7 @@ impl Router {
     /// routed write) — the condition under which the part's bytes are
     /// identical on every replica.
     fn part_is_clean(&self, device: Device, part: &RoutePart) -> bool {
-        let Some(cb) = self.policy.chunk_blocks() else {
-            return self.dirty.is_empty();
-        };
-        let cb = u64::from(cb);
+        let cb = self.policy.chunk_blocks();
         let end = u64::from(part.blkid) + u64::from(part.blkcnt.max(1)) - 1;
         ((u64::from(part.blkid) / cb)..=(end / cb))
             .all(|chunk| !self.dirty.contains(&(device, chunk)))
@@ -468,7 +445,6 @@ mod tests {
         for chunk in 0..16u32 {
             assert_eq!(stripe.replica_for(chunk * 8, 4), (chunk % 4) as usize);
         }
-        assert_eq!(RoutePolicy::Pinned.replica_for(12345, 4), 0);
     }
 
     #[test]

@@ -76,7 +76,6 @@
 //!   lane signals that it went quiet.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -90,7 +89,7 @@ use dlt_dev_usb::UsbSubsystem;
 use dlt_dev_vchiq::VchiqSubsystem;
 use dlt_hw::{ClockCell, Platform};
 use dlt_obs::metrics::{LaneSnapshot, MetricsRegistry, MetricsSnapshot, SessionMetrics};
-use dlt_obs::trace::{EventKind, Recorder, TraceEvent, TraceHandle};
+use dlt_obs::trace::{EventKind, Recorder, TraceHandle};
 use dlt_obs::{obs_event, obs_event_at, ObsConfig};
 use dlt_recorder::campaign::{
     record_camera_driverlet_subset, record_mmc_driverlet_subset, record_usb_driverlet_subset,
@@ -470,32 +469,11 @@ pub struct LaneStatus {
     pub now_ns: u64,
     /// Nanoseconds the lane core actually spent executing.
     pub busy_ns: u64,
-    /// Nanoseconds the lane core skipped as idle between batches.
-    pub idle_ns: u64,
     /// Requests currently queued (admitted but not yet completed into the
     /// completion path).
     pub queued: usize,
     /// Deepest the queue has been.
     pub high_water: usize,
-    /// Entries currently staged in the lane's submission ring (not yet
-    /// admitted by a doorbell).
-    pub sq_staged: usize,
-    /// Most entries the submission ring has held at once
-    /// (`sq_high_water / sq_depth` is its peak occupancy).
-    pub sq_high_water: usize,
-    /// The submission ring's slot count.
-    pub sq_depth: usize,
-}
-
-impl LaneStatus {
-    /// Fraction of the lane's lifetime spent executing (0 when it never
-    /// ran).
-    pub fn utilization(&self) -> f64 {
-        if self.now_ns == 0 {
-            return 0.0;
-        }
-        self.busy_ns as f64 / self.now_ns as f64
-    }
 }
 
 /// Shape checks only — one bad request must never take down the service
@@ -952,14 +930,8 @@ impl DriverletService {
                 device: l.device,
                 now_ns: l.shared.clock.now_ns(),
                 busy_ns: l.shared.clock.busy_ns(),
-                idle_ns: l.shared.clock.idle_ns(),
-                // Admitted entries still travelling the admit ring plus
-                // the worker's local queue.
-                queued: l.admit_tx.len() + l.shared.queued.load(Ordering::Acquire),
-                high_water: l.shared.queue_high_water.load(Ordering::Acquire),
-                sq_staged: l.sq.len(),
-                sq_high_water: l.sq.high_water(),
-                sq_depth: l.sq.depth(),
+                queued: l.shared.metrics.in_queue() as usize,
+                high_water: l.shared.metrics.occupancy_high_water() as usize,
             })
             .collect()
     }
@@ -1432,7 +1404,7 @@ impl DriverletService {
         // push below cannot fail and a rejection reports one coherent
         // depth even while the lane thread drains concurrently.
         lane.shared.reserve(host_ns)?;
-        let depth = lane.shared.inflight.load(Ordering::Acquire);
+        let depth = lane.shared.metrics.in_queue();
         obs_event_at!(
             self.tracer,
             host_ns,
@@ -1447,7 +1419,6 @@ impl DriverletService {
             // reservation bounds in-flight work at `capacity`. Settle the
             // reservation and report typed backpressure, never a loss.
             debug_assert!(false, "reservation bounds the admit ring");
-            lane.shared.inflight.fetch_sub(1, Ordering::Release);
             lane.shared.metrics.on_fail(host_ns);
             return Err(ServeError::QueueFull {
                 device: lane.device,
@@ -1762,9 +1733,7 @@ impl DriverletService {
     /// accounting (un-admit) and is then admitted on its target.
     fn replace_evicted(&mut self, origin: usize, evicted: Vec<Pending>) {
         for p in evicted {
-            let sh = &self.lanes[origin].shared;
-            sh.inflight.fetch_sub(1, Ordering::Release);
-            sh.metrics.on_requeue(self.metrics.host_now_ns());
+            self.lanes[origin].shared.metrics.on_requeue(self.metrics.host_now_ns());
             let target = self.replacement(origin, &p.req, false);
             self.admit(target, p, self.metrics.host_now_ns())
                 .expect("the eviction or the room check freed a slot");
@@ -1807,15 +1776,14 @@ impl DriverletService {
     /// until they are quiescent.
     ///
     /// Like a lane that ran dry, the drain first polls: it reaps, checks
-    /// quiescence and yields the CPU, for [`crate::lane::IDLE_POLL`] or until a yield
-    /// returns late (see [`crate::lane::keep_polling`]). In a closed loop
-    /// the lanes finish inside that window, so the front-end never sleeps.
-    /// Past it, the drain parks until a lane signals one of the edges
-    /// quiescence waits for (see [`LaneWorker::run`]), leaving the CPU to
-    /// the lanes through a long drain; the completions wait in the cq
-    /// rings. No signal can be lost: the drain registers its thread before
-    /// its first check, and a signal that lands between a check and the
-    /// park pre-pays the unpark token, so the park returns at once.
+    /// quiescence and yields the CPU, for [`crate::lane::IDLE_POLL`]. In a
+    /// closed loop the lanes finish inside that window, so the front-end
+    /// never sleeps. Past it, the drain parks until a lane signals one of
+    /// the edges quiescence waits for (see [`LaneWorker::run`]), leaving
+    /// the CPU to the lanes through a long drain; the completions wait in
+    /// the cq rings. No signal can be lost: the drain registers its thread
+    /// before its first check, and a signal that lands between a check and
+    /// the park pre-pays the unpark token, so the park returns at once.
     fn drain_threaded(&mut self, filter: Option<Device>) -> Vec<Completion> {
         let mut all = Vec::new();
         self.drain_signal.register();
@@ -1825,7 +1793,7 @@ impl DriverletService {
             }
             lane.shared.unpark();
         }
-        let mut idle = IdlePoll::new();
+        let idle = IdlePoll::new();
         loop {
             self.reap_lanes(filter, true, &mut all);
             if self.lanes_quiescent(filter) {
@@ -1973,6 +1941,25 @@ impl DriverletService {
             return Vec::new();
         };
         let (taken, flushed_overflow) = entry.cq.take_all();
+        let latest = taken.iter().map(|c| c.completed_ns).max();
+        self.charge_reap(session, taken.is_empty() || flushed_overflow, latest);
+        taken
+    }
+
+    /// Take the completion of request `id` alone, under the same charges
+    /// and clock rule as [`DriverletService::take_completions`]; the
+    /// session's other completions stay queued in post order.
+    fn take_completion(&mut self, session: SessionId, id: RequestId) -> Option<Completion> {
+        let taken = self.sessions.get_mut(&session)?.cq.take(id);
+        let ring_switch = taken.as_ref().is_none_or(|(_, flushed_overflow)| *flushed_overflow);
+        self.charge_reap(session, ring_switch, taken.as_ref().map(|(c, _)| c.completed_ns));
+        taken.map(|(c, _)| c)
+    }
+
+    /// Charge one reap's world switch and fast-forward the control clock
+    /// to the latest completion it took. `ring_switch`: a ring-mode reap
+    /// that found nothing or flushed the overflow list enters the kernel.
+    fn charge_reap(&mut self, session: SessionId, ring_switch: bool, latest: Option<u64>) {
         match self.config.submit_mode {
             // The per-call reap is a full GP command invocation of the
             // gate, priced exactly like a per-call submit (world switch +
@@ -1980,16 +1967,12 @@ impl DriverletService {
             SubmitMode::PerCall => {
                 let _ = self.tee.invoke(session, GATE_REAP, &[0; 4], &mut []);
             }
-            SubmitMode::Ring => {
-                if taken.is_empty() || flushed_overflow {
-                    self.tee.smc_yield();
-                }
-            }
+            SubmitMode::Ring if ring_switch => self.tee.smc_yield(),
+            SubmitMode::Ring => {}
         }
-        if let Some(latest) = taken.iter().map(|c| c.completed_ns).max() {
+        if let Some(latest) = latest {
             self.control.bus.lock().clock.advance_to(latest);
         }
-        taken
     }
 
     /// The ids of every executed request in device-dispatch order — the
@@ -2112,12 +2095,6 @@ impl DriverletService {
         &self.recorder
     }
 
-    /// Drain every emitter's trace ring and return the merged,
-    /// host-time-ordered event log (empty unless [`ObsConfig::Full`]).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.recorder.drain()
-    }
-
     /// Drain the flight recorder and render it as Chrome `trace_event`
     /// JSON — one Perfetto track per registered lane thread. `None` unless
     /// the service runs [`ObsConfig::Full`].
@@ -2159,7 +2136,7 @@ fn lane_loads<'a>(
             }
         } else {
             LaneLoad {
-                depth: l.shared.inflight.load(Ordering::Acquire) as usize,
+                depth: l.shared.metrics.in_queue() as usize,
                 capacity: l.shared.capacity,
                 high_water: l.shared.metrics.occupancy_high_water() as usize,
                 available,
@@ -2186,10 +2163,9 @@ impl SessionBlockIo<'_> {
         let invalid = |e: ServeError| dlt_core::ReplayError::Invalid(e.to_string());
         let id = self.service.submit(self.session, req).map_err(invalid)?;
         self.service.drain_all();
-        let completions = self.service.take_completions(self.session);
-        let completion = completions
-            .into_iter()
-            .find(|c| c.id == id)
+        let completion = self
+            .service
+            .take_completion(self.session, id)
             .ok_or_else(|| dlt_core::ReplayError::Invalid("completion lost".into()))?;
         completion.result.map_err(|e| match e {
             ServeError::Replay(r) => r,
@@ -2827,7 +2803,7 @@ mod tests {
         let mmc = status.iter().find(|l| l.device == Device::Mmc).unwrap();
         assert_eq!(s.now_ns(), vchiq.now_ns, "service time joins to the furthest lane");
         assert!(vchiq.now_ns > mmc.now_ns, "lane clocks advance independently");
-        assert!(mmc.busy_ns <= mmc.now_ns && mmc.utilization() <= 1.0);
+        assert!(mmc.busy_ns <= mmc.now_ns, "a lane cannot be busy longer than it has run");
     }
 
     #[test]
@@ -2964,6 +2940,47 @@ mod tests {
     }
 
     #[test]
+    fn a_session_io_round_trip_takes_only_its_own_completion() {
+        use dlt_obs::trace::SmcKind;
+        let cost = dlt_hw::CostModel::default();
+        for mode in [SubmitMode::PerCall, SubmitMode::Ring] {
+            let per_call = mode == SubmitMode::PerCall;
+            let mut s = mmc_service(ServeConfig { submit_mode: mode, ..ServeConfig::quick() });
+            let sess = s.open_session().unwrap();
+            let first =
+                s.submit(sess, Request::Read { device: Device::Mmc, blkid: 8, blkcnt: 1 }).unwrap();
+            let calls = |s: &DriverletService| {
+                let smc = s.metrics.smc();
+                SmcKind::ALL.map(|k| smc.calls(k))
+            };
+            let before = calls(&s);
+            let mut buf = vec![0u8; BLOCK];
+            s.session_io(sess, Device::Mmc).read_blocks(16, 1, &mut buf).unwrap();
+            // Submit and reap each cost one invoke per call; in ring mode
+            // the drain's doorbell is the round trip's only switch.
+            let grown: Vec<u64> = calls(&s).iter().zip(before).map(|(a, b)| a - b).collect();
+            let expect = |k: SmcKind| match (per_call, k) {
+                (true, SmcKind::Invoke) => 2,
+                (false, SmcKind::Doorbell) => 1,
+                _ => 0,
+            };
+            assert_eq!(grown, SmcKind::ALL.map(expect), "{mode:?} round-trip charges");
+
+            // The earlier submit's completion is still queued, and the
+            // round trip already observed past its stamp: reaping it is
+            // an ordinary reap that does not move the control clock.
+            let rest = charged(&mut s, |s| {
+                let rest = s.take_completions(sess);
+                assert_eq!(rest.iter().map(|c| c.id).collect::<Vec<_>>(), [first], "{mode:?}");
+                assert!(rest[0].result.is_ok());
+            });
+            let invoke = cost.world_switch_ns + cost.smc_invoke_ns;
+            let reap = if per_call { (Some(SmcKind::Invoke), invoke) } else { (None, 0) };
+            assert_eq!(rest, reap, "{mode:?} reap of the remaining completion");
+        }
+    }
+
+    #[test]
     fn doorbell_admits_a_whole_batch_in_one_world_switch() {
         let mut s = mmc_service(ring_config());
         let sess = s.open_session().unwrap();
@@ -3020,26 +3037,6 @@ mod tests {
         s.submit(sess, rd(2)).unwrap();
         assert_eq!(s.drain_all().len(), 1);
         assert_eq!(s.stats().submitted, 3);
-    }
-
-    #[test]
-    fn sq_high_water_reports_the_most_the_ring_ever_held() {
-        // Twenty rounds of eight staged reads, each admitted and drained
-        // before the next: the ring never holds more than eight entries,
-        // though 160 pass through its 64 slots.
-        let mut s = mmc_service(ServeConfig { sq_depth: 64, ..ring_config() });
-        let sess = s.open_session().unwrap();
-        for round in 0..20u32 {
-            for i in 0..8u32 {
-                let blkid = (round * 8 + i) % 64;
-                s.submit(sess, Request::Read { device: Device::Mmc, blkid, blkcnt: 1 }).unwrap();
-            }
-            assert_eq!(s.ring_doorbell().unwrap(), 8);
-            assert_eq!(s.drain_all().len(), 8);
-        }
-        let status = s.lane_status()[0];
-        assert_eq!((status.sq_staged, status.sq_depth), (0, 64));
-        assert_eq!(status.sq_high_water, 8, "the mark is the most the ring held at once");
     }
 
     #[test]

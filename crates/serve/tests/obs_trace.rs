@@ -59,7 +59,7 @@ fn threaded_traffic_reconstructs_fully_ordered_spans_with_zero_loss() {
         assert!(matches!(c.result, Ok(Payload::Read(_)) | Ok(Payload::Written { .. })));
     }
 
-    let events = service.trace_events();
+    let events = service.recorder().drain();
     assert_eq!(
         service.recorder().dropped_events(),
         0,
@@ -104,7 +104,7 @@ fn ring_mode_traces_doorbells_and_balanced_smc_brackets() {
     assert_eq!(done.len(), 24);
     service.take_completions(session);
 
-    let events = service.trace_events();
+    let events = service.recorder().drain();
     let doorbells = events.iter().filter(|e| e.kind == EventKind::Doorbell).count();
     assert!(doorbells >= 3, "three explicit doorbells rang, traced {doorbells}");
     let enters = events.iter().filter(|e| e.kind == EventKind::SmcEnter).count();
@@ -128,7 +128,7 @@ fn chrome_export_names_every_track_and_spans_every_request() {
     service.drain_all();
 
     // Render from one drain so the events feed both checks.
-    let events = service.trace_events();
+    let events = service.recorder().drain();
     let json = chrome_trace_json(&events, &service.recorder().track_names());
     assert!(json.contains("\"front-end\""), "track 0 metadata missing");
     assert!(json.contains("lane-0-mmc"), "lane track metadata missing");
@@ -154,7 +154,7 @@ fn off_and_metrics_only_keep_the_recorder_dark() {
         let session = service.open_session().unwrap();
         mixed_traffic(&mut service, &[session], 20);
         service.drain_all();
-        assert!(service.trace_events().is_empty(), "{obs:?} must not record events");
+        assert!(service.recorder().drain().is_empty(), "{obs:?} must not record events");
         assert!(service.chrome_trace().is_none(), "{obs:?} must not export a trace");
         let snap = service.metrics_snapshot();
         assert_eq!(snap.lanes[0].completed, 20, "{obs:?}: the counters are always on");

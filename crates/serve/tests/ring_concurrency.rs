@@ -27,8 +27,8 @@ fn cross_thread_order(capacity: usize, n: u64) {
             loop {
                 match tx.try_push(item) {
                     Ok(_) => break,
-                    Err((back, depth)) => {
-                        assert!(depth <= capacity, "rejection depth exceeds capacity");
+                    Err(back) => {
+                        assert!(tx.len() <= capacity, "occupancy exceeds capacity");
                         item = back;
                         thread::yield_now();
                     }
@@ -82,7 +82,7 @@ fn spsc_full_and_empty_races_lose_nothing() {
                 stall_producer.store(i % 194 == 0, Ordering::Relaxed);
             }
             let mut item = i;
-            while let Err((back, _)) = tx.try_push(item) {
+            while let Err(back) = tx.try_push(item) {
                 item = back;
                 thread::yield_now();
             }
@@ -116,7 +116,7 @@ fn spsc_drops_in_flight_values_cleanly_when_both_ends_die() {
     let producer = thread::spawn(move || {
         for h in handles {
             let mut item = h;
-            while let Err((back, _)) = tx.try_push(item) {
+            while let Err(back) = tx.try_push(item) {
                 item = back;
                 thread::yield_now();
             }

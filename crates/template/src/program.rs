@@ -304,11 +304,6 @@ impl ReplayProgram {
         self.param_names.len() + self.capture_names.len() + self.num_dma as usize
     }
 
-    /// Slot of the first DMA base register.
-    pub fn dma_slot_base(&self) -> usize {
-        self.param_names.len() + self.capture_names.len()
-    }
-
     /// Bind trustlet arguments into a register file. `regs`/`bound` must be
     /// at least [`ReplayProgram::num_slots`] long; capture and DMA slots are
     /// reset to unbound.

@@ -9,8 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use dlt_core::{replay_cam, replay_mmc, Replayer, SecureBlockIo};
 use dlt_dev_vchiq::msg::is_valid_jpeg;
 
@@ -188,32 +186,5 @@ impl SurveillanceTrustlet {
             return Err(TrustletError::Corrupt("stored frame is not a valid JPEG".into()));
         }
         Ok(out)
-    }
-}
-
-/// A secure key/value database trustlet: microdb running entirely in the TEE
-/// over the driverlet block path.
-pub struct SecureDbTrustlet;
-
-impl SecureDbTrustlet {
-    /// Run a batch of put/get operations over a driverlet-backed database and
-    /// return how many round-tripped correctly.
-    pub fn run_batch(
-        db: &mut dlt_workloads::MicroDb<dlt_workloads::DriverletDev>,
-        pairs: &HashMap<u64, Vec<u8>>,
-    ) -> Result<usize, TrustletError> {
-        for (k, v) in pairs {
-            db.put(*k, v).map_err(|e| TrustletError::Replay(e.to_string()))?;
-        }
-        let mut ok = 0;
-        for (k, v) in pairs {
-            let got = db.get(*k).map_err(|e| TrustletError::Replay(e.to_string()))?;
-            if let Some(got) = got {
-                if got.starts_with(&v[..v.len().min(48)]) {
-                    ok += 1;
-                }
-            }
-        }
-        Ok(ok)
     }
 }

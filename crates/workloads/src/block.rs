@@ -114,8 +114,6 @@ pub struct NativeDev {
     max_dirty_extents: usize,
     /// Queued background-write device time the CPU may still overlap with.
     overlap_credit_ns: u64,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 impl NativeDev {
@@ -155,14 +153,7 @@ impl NativeDev {
             cache: Vec::new(),
             max_dirty_extents: 16,
             overlap_credit_ns: 0,
-            cache_hits: 0,
-            cache_misses: 0,
         }
-    }
-
-    /// (page-cache hits, misses) observed on the read path.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits, self.cache_misses)
     }
 
     fn delay_ns(&mut self, ns: u64) {
@@ -300,10 +291,8 @@ impl BlockDev for NativeDev {
             // LRU touch: move the hit extent to the most-recently-used end.
             let e = self.cache.remove(i);
             self.cache.push(e);
-            self.cache_hits += 1;
             return Ok(());
         }
-        self.cache_misses += 1;
         // Partial overlaps: push newer dirty data out and drop stale clean
         // copies before going to the device.
         self.drop_overlapping(blkid, blkcnt)?;

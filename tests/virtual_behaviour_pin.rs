@@ -11,6 +11,11 @@
 //! The native rows drive the gold drivers over `BusIo` directly: the same
 //! driver stacks `dlt_workloads::block::make_storage` wraps, without its
 //! modelled page cache, so the bus access count stays reachable.
+//!
+//! The ablation rows price three driverlet-specific costs (DESIGN.md §1):
+//! one 8-block MMC read on a fresh platform with the per-template soft
+//! reset, uncached MMIO or per-event dispatch removed from the cost model.
+//! The stock-model row is `mmc/driverlet/read/8`.
 
 use dlt_core::{replay_cam, replay_mmc, replay_usb, Replayer};
 use dlt_dev_mmc::MmcSubsystem;
@@ -21,7 +26,7 @@ use dlt_gold_drivers::kenv::{BusIo, IoFlags, Rw};
 use dlt_gold_drivers::mmc::MmcHost;
 use dlt_gold_drivers::usb::{UsbHcd, UsbStorageDriver};
 use dlt_gold_drivers::vchiq::VchiqDriver;
-use dlt_hw::{DmaRegion, Platform};
+use dlt_hw::{CostModel, DmaRegion, Platform};
 use dlt_recorder::campaign::{
     pattern_buf, record_camera_driverlet_subset, record_mmc_driverlet, record_usb_driverlet,
     DEV_KEY,
@@ -189,6 +194,32 @@ fn camera_rows(bundle: &Driverlet, rows: &mut Vec<String>) {
     }
 }
 
+/// One 8-block MMC read on a fresh platform under each ablated cost model.
+fn ablation_rows(bundle: &Driverlet, rows: &mut Vec<String>) {
+    let stock = CostModel::default();
+    let no_reset = CostModel { soft_reset_ns: 0, ..stock.clone() };
+    let cached_mmio = CostModel { mmio_uncached_ns: stock.mmio_access_ns, ..stock.clone() };
+    let free_dispatch = CostModel { replay_event_dispatch_ns: 0, ..stock };
+    for (label, cost) in [
+        ("no-soft-reset", no_reset),
+        ("cached-mmio", cached_mmio),
+        ("free-dispatch", free_dispatch),
+    ] {
+        let platform = Platform::with_cost(cost);
+        TeeKernel::install(&platform, Storage::Mmc.attach(&platform)).unwrap();
+        let mut replayer = Replayer::new(SecureIo::new(platform.bus.clone()));
+        replayer.load_driverlet(bundle.clone(), DEV_KEY).unwrap();
+        let mut out = vec![0u8; 8 * 512];
+        Meter { platform: &platform, rows: &mut *rows }.run(
+            format!("ablation/mmc/read/8/{label}"),
+            || {
+                replay_mmc(&mut replayer, 0x1, 8, 0, 0, &mut out).unwrap();
+                Some(fnv1a(&out))
+            },
+        );
+    }
+}
+
 /// The values the simulator produced when this pin was written. Virtual
 /// times are nanoseconds on the default `CostModel`.
 const PINNED: &[&str] = &[
@@ -241,6 +272,9 @@ const PINNED: &[&str] = &[
     "cam/driverlet/capture/1080 ns=2389327356 mmio=34 hash=0xafee2a1805f91318",
     "cam/native/capture/720 ns=2099515896 mmio=25 hash=0xa7c793d505084758",
     "cam/native/capture/1080 ns=2157949784 mmio=25 hash=0x591ba669027ba884",
+    "ablation/mmc/read/8/no-soft-reset ns=604994 mmio=41 hash=0xb93a0c83ce3b6325",
+    "ablation/mmc/read/8/cached-mmio ns=632684 mmio=41 hash=0xb93a0c83ce3b6325",
+    "ablation/mmc/read/8/free-dispatch ns=584594 mmio=41 hash=0xb93a0c83ce3b6325",
 ];
 
 #[test]
@@ -258,6 +292,7 @@ fn virtual_time_counts_and_bundles_match_the_pinned_constants() {
         native_rows(storage, &mut rows);
     }
     camera_rows(&cam, &mut rows);
+    ablation_rows(&mmc, &mut rows);
 
     let changed: Vec<String> = rows
         .iter()
