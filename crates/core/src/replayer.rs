@@ -259,24 +259,6 @@ pub(crate) enum ExecFailure {
     Tee(TeeError),
 }
 
-/// Borrowed argument source for the compiled engine.
-#[derive(Clone, Copy)]
-enum ArgSource<'a> {
-    /// Name-keyed map (the general `invoke` entry point).
-    Map(&'a HashMap<String, u64>),
-    /// Borrowed pairs (the `invoke_args` trustlet fast path).
-    Slice(&'a [(&'a str, u64)]),
-}
-
-impl ArgSource<'_> {
-    fn bind(&self, prog: &ReplayProgram, regs: &mut [u64], bound: &mut [bool]) {
-        match self {
-            ArgSource::Map(m) => prog.bind_args(m, regs, bound),
-            ArgSource::Slice(s) => prog.bind_arg_slice(s, regs, bound),
-        }
-    }
-}
-
 impl Replayer {
     /// Create a replayer over the TEE's secure services.
     pub fn new(io: SecureIo) -> Self {
@@ -391,24 +373,11 @@ impl Replayer {
         Ok(())
     }
 
-    /// Invoke a replay entry with the given arguments and payload buffer.
-    pub fn invoke(
-        &mut self,
-        entry: &str,
-        args: &HashMap<String, u64>,
-        buf: &mut [u8],
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.stats.invocations += 1;
-        match self.config.mode {
-            ReplayMode::Compiled => self.invoke_compiled(entry, ArgSource::Map(args), buf),
-            ReplayMode::Interpreted => self.invoke_interpreted(entry, args, buf),
-        }
-    }
-
-    /// Invoke a replay entry with borrowed argument pairs — the
-    /// zero-allocation trustlet entry path (`replay_mmc(..)` and friends).
-    /// The compiled engine binds the pairs straight into its register file;
-    /// the interpreted baseline builds the name-keyed map it always needed.
+    /// Invoke a replay entry with borrowed `(name, value)` argument pairs
+    /// and a payload buffer — the zero-allocation trustlet entry path
+    /// (`replay_mmc(..)` and friends). The compiled engine binds the pairs
+    /// straight into its register file; the interpreted baseline builds the
+    /// name-keyed map it always needed.
     pub fn invoke_args(
         &mut self,
         entry: &str,
@@ -417,7 +386,7 @@ impl Replayer {
     ) -> Result<ReplayOutcome, ReplayError> {
         self.stats.invocations += 1;
         match self.config.mode {
-            ReplayMode::Compiled => self.invoke_compiled(entry, ArgSource::Slice(args), buf),
+            ReplayMode::Compiled => self.invoke_compiled(entry, args, buf),
             ReplayMode::Interpreted => {
                 let map: HashMap<String, u64> =
                     args.iter().map(|(k, v)| (k.to_string(), *v)).collect();
@@ -429,7 +398,7 @@ impl Replayer {
     fn invoke_compiled(
         &mut self,
         entry: &str,
-        args: ArgSource<'_>,
+        args: &[(&str, u64)],
         buf: &mut [u8],
     ) -> Result<ReplayOutcome, ReplayError> {
         let this = &mut *self;
@@ -441,7 +410,7 @@ impl Replayer {
         // arguments into the scratch register file and test each program.
         let mut selected = None;
         for prog in &ld.programs {
-            args.bind(prog, &mut this.scratch.regs, &mut this.scratch.bound);
+            prog.bind_arg_slice(args, &mut this.scratch.regs, &mut this.scratch.bound);
             if prog.matches_regs(&this.scratch.regs, &this.scratch.bound, &mut this.scratch.eval) {
                 selected = Some(prog);
                 break;
@@ -474,7 +443,7 @@ impl Replayer {
             io.dma_release_all();
             this.stats.resets += 1;
             // Re-bind: clears capture and DMA slots from the prior attempt.
-            args.bind(prog, &mut this.scratch.regs, &mut this.scratch.bound);
+            prog.bind_arg_slice(args, &mut this.scratch.regs, &mut this.scratch.bound);
             this.scratch.dma.clear();
             let mutator = if engaged {
                 this.mutator.as_mut().map(|m| &mut **m as &mut dyn ResponseMutator)
@@ -909,7 +878,7 @@ mod tests {
         let io = SecureIo::new(platform.bus.clone());
         let mut r = Replayer::new(io);
         let mut buf = [0u8; 4];
-        let err = r.invoke("replay_nothing", &HashMap::new(), &mut buf).unwrap_err();
+        let err = r.invoke_args("replay_nothing", &[], &mut buf).unwrap_err();
         assert!(matches!(err, ReplayError::UnknownEntry(_)));
         assert_eq!(r.stats().invocations, 1);
     }
@@ -1062,8 +1031,8 @@ mod tests {
         d
     }
 
-    fn rig_args(val: u64) -> HashMap<String, u64> {
-        [("val".to_string(), val), ("flag".to_string(), 0)].into_iter().collect()
+    fn rig_args(val: u64) -> [(&'static str, u64); 2] {
+        [("val", val), ("flag", 0)]
     }
 
     fn run_mode(mode: ReplayMode, val: u64, rand_len: u32) -> (ReplayOutcome, [u8; 8], u64, u64) {
@@ -1073,7 +1042,7 @@ mod tests {
         r.load_driverlet(rig_driverlet(rand_len), b"rigkey").unwrap();
         let t0 = platform.now_ns();
         let mut buf = [0u8; 8];
-        let outcome = r.invoke("replay_rig", &rig_args(val), &mut buf).unwrap();
+        let outcome = r.invoke_args("replay_rig", &rig_args(val), &mut buf).unwrap();
         let elapsed = platform.now_ns() - t0;
         (outcome, buf, elapsed, r.stats().events_executed)
     }
@@ -1108,7 +1077,7 @@ mod tests {
         r.load_driverlet(rig_driverlet(8), b"rigkey").unwrap();
         let mut buf = [0u8; 8];
         // val outside the recorded range: no template matches.
-        let err = r.invoke("replay_rig", &rig_args(0x10_0000), &mut buf).unwrap_err();
+        let err = r.invoke_args("replay_rig", &rig_args(0x10_0000), &mut buf).unwrap_err();
         assert!(matches!(err, ReplayError::OutOfCoverage { .. }));
         assert_eq!(r.program_names("replay_rig"), vec!["rig_io".to_string()]);
     }
@@ -1124,7 +1093,7 @@ mod tests {
         let oversized = (dlt_tee::RNG_MAX_REQUEST + 1) as u32;
         r.load_driverlet(rig_driverlet(oversized), b"rigkey").unwrap();
         let mut buf = [0u8; 8];
-        let err = r.invoke("replay_rig", &rig_args(7), &mut buf).unwrap_err();
+        let err = r.invoke_args("replay_rig", &rig_args(7), &mut buf).unwrap_err();
         match &err {
             ReplayError::Tee(e) => {
                 assert!(e.to_string().contains("rng"), "unexpected tee error: {e}");
@@ -1140,7 +1109,7 @@ mod tests {
         let mut r2 = Replayer::with_config(io2, ReplayConfig::interpreted());
         r2.load_driverlet(rig_driverlet(oversized), b"rigkey").unwrap();
         assert!(matches!(
-            r2.invoke("replay_rig", &rig_args(7), &mut buf),
+            r2.invoke_args("replay_rig", &rig_args(7), &mut buf),
             Err(ReplayError::Tee(_))
         ));
     }
@@ -1158,7 +1127,7 @@ mod tests {
             assert!(r.scratch.rand.len() <= dlt_tee::RNG_MAX_REQUEST, "{mode:?}");
             let mut buf = [0u8; 8];
             for _ in 0..2 {
-                match r.invoke("replay_rig", &rig_args(7), &mut buf) {
+                match r.invoke_args("replay_rig", &rig_args(7), &mut buf) {
                     Err(ReplayError::Tee(e)) => assert!(
                         e.to_string().contains("request of 4294967295 bytes exceeds"),
                         "{mode:?}: unexpected tee error: {e}"
@@ -1166,6 +1135,39 @@ mod tests {
                     other => panic!("{mode:?}: expected a TEE error, got {other:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn hostile_poll_bounds_fail_typed_at_load() {
+        // A validly signed bundle whose poll never ends (a condition the
+        // device never meets, bounded at u64::MAX iterations) used to load
+        // and then spin forever on its first invocation.
+        let hostile = |max_iters: u64| {
+            let mut t = rig_template(8);
+            for re in &mut t.events {
+                if let Event::Poll { cond, max_iters: bound, .. } = &mut re.event {
+                    *cond = Constraint::eq_const(2); // BUSY reads 0 or 1
+                    *bound = max_iters;
+                }
+            }
+            let mut d = Driverlet::new("rig", "replay_rig", vec![t]);
+            d.sign(b"rigkey");
+            d
+        };
+        for mode in [ReplayMode::Compiled, ReplayMode::Interpreted] {
+            let platform = rig_platform();
+            let io = SecureIo::new(platform.bus.clone());
+            let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
+            match r.load_driverlet(hostile(u64::MAX), b"rigkey") {
+                Err(ReplayError::InvalidTemplate(e)) => {
+                    assert!(e.contains("exceeds the 1048576-iteration limit"), "{mode:?}: {e}")
+                }
+                other => panic!("{mode:?}: expected InvalidTemplate, got {other:?}"),
+            }
+            assert!(r.entries().is_empty(), "{mode:?}");
+            // The limit itself is a valid bound.
+            r.load_driverlet(hostile(dlt_template::MAX_POLL_ITERS), b"rigkey").unwrap();
         }
     }
 
@@ -1209,7 +1211,7 @@ mod tests {
         let cost = r.io_mut().cost_model();
         let t0 = platform.now_ns();
         let mut buf = [0u8; 4];
-        r.invoke("replay_poll", &HashMap::new(), &mut buf).unwrap();
+        r.invoke_args("replay_poll", &[], &mut buf).unwrap();
         let elapsed = platform.now_ns() - t0;
         // The device stays busy for 30 us and the poll steps every 5 us:
         // 7 reads (6 delay quanta) before BUSY clears. Per-read dispatch
@@ -1284,7 +1286,7 @@ mod tests {
         d.sign(b"rigkey");
         r.load_driverlet(d, b"rigkey").unwrap();
         let mut buf = [0u8; 8];
-        let err = r.invoke("replay_rig", &rig_args(3), &mut buf).unwrap_err();
+        let err = r.invoke_args("replay_rig", &rig_args(3), &mut buf).unwrap_err();
         match err {
             ReplayError::Diverged(report) => {
                 assert_eq!(report.failure.event_index, 5);
@@ -1345,7 +1347,7 @@ mod tests {
             let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
             r.load_driverlet(d, b"rigkey").unwrap();
             let mut buf = [0u8; 8];
-            match r.invoke("replay_rig", &rig_args(3), &mut buf) {
+            match r.invoke_args("replay_rig", &rig_args(3), &mut buf) {
                 Err(ReplayError::Diverged(report)) => {
                     assert_eq!(report.failure.event_index, index, "{what}");
                     assert!(report.failure.reason.contains("trustlet buffer"), "{what}");
@@ -1386,7 +1388,7 @@ mod tests {
             ConstraintFlipper::new(FaultPlan { sticky: true, ..FaultPlan::default() });
         r.set_response_mutator(Box::new(flipper));
         let mut buf = [0u8; 8];
-        let err = r.invoke("replay_rig", &rig_args(3), &mut buf).unwrap_err();
+        let err = r.invoke_args("replay_rig", &rig_args(3), &mut buf).unwrap_err();
         match err {
             ReplayError::Diverged(report) => {
                 // The first falsifiable observation is the BUSY poll
@@ -1409,7 +1411,7 @@ mod tests {
 
         // Clearing the mutator restores faithful replay on the same lane.
         r.clear_response_mutator();
-        let ok = r.invoke("replay_rig", &rig_args(3), &mut buf).unwrap();
+        let ok = r.invoke_args("replay_rig", &rig_args(3), &mut buf).unwrap();
         assert!(!ok.recovered_divergence);
         assert_eq!(ok.captured.get("id"), Some(&0x2a));
     }
@@ -1436,7 +1438,7 @@ mod tests {
         });
         r.set_response_mutator(Box::new(flipper));
         let mut buf = [0u8; 8];
-        let err = r.invoke("replay_rig", &rig_args(3), &mut buf).unwrap_err();
+        let err = r.invoke_args("replay_rig", &rig_args(3), &mut buf).unwrap_err();
         match err {
             ReplayError::Diverged(report) => {
                 assert_eq!(report.failure.event_index, 5, "must fail at the ID read");
@@ -1473,7 +1475,7 @@ mod tests {
         let (_p, mut r) = rig_replayer();
         r.set_response_mutator(Box::new(OneShot { fired: false }));
         let mut buf = [0u8; 8];
-        let out = r.invoke("replay_rig", &rig_args(3), &mut buf).unwrap();
+        let out = r.invoke_args("replay_rig", &rig_args(3), &mut buf).unwrap();
         assert!(out.recovered_divergence, "the transient fault must be recovered");
         assert_eq!(r.stats().divergences, 1);
         assert_eq!(out.captured.get("id"), Some(&0x2a));
@@ -1488,12 +1490,12 @@ mod tests {
         let mut buf = [0u8; 8];
         // Invocation 1 is skipped, invocation 2 diverges, invocation 3 is
         // clean again without any clearing.
-        r.invoke("replay_rig", &rig_args(3), &mut buf).unwrap();
+        r.invoke_args("replay_rig", &rig_args(3), &mut buf).unwrap();
         assert!(matches!(
-            r.invoke("replay_rig", &rig_args(3), &mut buf),
+            r.invoke_args("replay_rig", &rig_args(3), &mut buf),
             Err(ReplayError::Diverged(_))
         ));
-        r.invoke("replay_rig", &rig_args(3), &mut buf).unwrap();
+        r.invoke_args("replay_rig", &rig_args(3), &mut buf).unwrap();
         assert_eq!(outcome.lock().unwrap().engaged_invocations, 1);
     }
 }

@@ -17,7 +17,6 @@
 //! the allocation counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dlt_core::Replayer;
@@ -220,13 +219,12 @@ fn compiled_replay_is_allocation_free_when_warm() {
         dlt_core::ReplayConfig::interpreted(),
     );
     ri.load_driverlet(d2, b"zero").unwrap();
-    let args_map: HashMap<String, u64> =
-        [("val".to_string(), 7u64), ("flag".to_string(), 0)].into_iter().collect();
+    let args = [("val", 7u64), ("flag", 0u64)];
     for _ in 0..3 {
-        ri.invoke("replay_alloc_free", &args_map, &mut buf).unwrap();
+        ri.invoke_args("replay_alloc_free", &args, &mut buf).unwrap();
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    ri.invoke("replay_alloc_free", &args_map, &mut buf).unwrap();
+    ri.invoke_args("replay_alloc_free", &args, &mut buf).unwrap();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert!(
         after - before > 10,

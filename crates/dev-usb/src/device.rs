@@ -42,17 +42,21 @@ mod desc {
     pub const STRING: u8 = 3;
 }
 
-/// Bulk-only transport state machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Bulk-only transport state machine. The data phase's bytes live in the
+/// device's reused [`UsbMassStorage::data`] buffer and the status wrapper
+/// in its `csw` array, so a warm transfer allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BotState {
     /// Waiting for a CBW.
     Idle,
-    /// Data-in phase pending: the host will read `data`, then the CSW.
-    DataIn { data: Vec<u8>, tag: u32, residue: u32 },
-    /// Data-out phase pending: expecting `expect` bytes for a WRITE at `lba`.
-    DataOut { lba: u64, expect: usize, received: Vec<u8>, tag: u32 },
-    /// Command finished; CSW waiting to be read.
-    CswReady { csw: [u8; CSW_LEN] },
+    /// Data-in phase pending: the host will read `data[sent..]`, then the
+    /// CSW.
+    DataIn { sent: usize, tag: u32, residue: u32 },
+    /// Data-out phase pending: `data` gathers the `expect` bytes of a
+    /// WRITE at `lba`.
+    DataOut { lba: u64, expect: usize, tag: u32 },
+    /// Command finished; `csw` waiting to be read.
+    CswReady,
 }
 
 /// A parsed command block wrapper.
@@ -66,8 +70,9 @@ pub struct Cbw {
     pub dir_in: bool,
     /// Logical unit number.
     pub lun: u8,
-    /// The SCSI CDB bytes.
-    pub cdb: Vec<u8>,
+    /// The SCSI CDB bytes: the first `cdb_len` are the command.
+    cdb: [u8; 15],
+    cdb_len: usize,
 }
 
 impl Cbw {
@@ -87,7 +92,15 @@ impl Cbw {
         let cb_len = (raw[14] & 0x1f) as usize;
         // The CDB is carried word-aligned at offset 16 in this model (the gold
         // driver emits the CBW as 32-bit shared-memory writes).
-        Some(Cbw { tag, data_len, dir_in, lun, cdb: raw[16..16 + cb_len.min(15)].to_vec() })
+        let cdb_len = cb_len.min(15);
+        let mut cdb = [0u8; 15];
+        cdb[..cdb_len].copy_from_slice(&raw[16..16 + cdb_len]);
+        Some(Cbw { tag, data_len, dir_in, lun, cdb, cdb_len })
+    }
+
+    /// The SCSI CDB bytes.
+    pub fn cdb(&self) -> &[u8] {
+        &self.cdb[..self.cdb_len]
     }
 
     /// Encode a CBW (used by the gold driver).
@@ -104,21 +117,17 @@ impl Cbw {
     }
 }
 
-fn make_csw(tag: u32, residue: u32, status: u8) -> [u8; CSW_LEN] {
-    let mut csw = [0u8; CSW_LEN];
-    csw[0..4].copy_from_slice(&CSW_SIGNATURE.to_le_bytes());
-    csw[4..8].copy_from_slice(&tag.to_le_bytes());
-    csw[8..12].copy_from_slice(&residue.to_le_bytes());
-    csw[12] = status;
-    csw
-}
-
 /// The USB flash drive.
 pub struct UsbMassStorage {
     disk: ScsiDisk,
     address: u8,
     configured: bool,
     bot: BotState,
+    /// The data phase's bytes, reused across transfers: a command's
+    /// data-in response, or a WRITE's data-out payload as it arrives.
+    data: Vec<u8>,
+    /// The status wrapper of the last finished command.
+    csw: [u8; CSW_LEN],
     cbws_processed: u64,
     stalls: u64,
 }
@@ -131,9 +140,20 @@ impl UsbMassStorage {
             address: 0,
             configured: false,
             bot: BotState::Idle,
+            data: Vec::new(),
+            csw: [0; CSW_LEN],
             cbws_processed: 0,
             stalls: 0,
         }
+    }
+
+    /// Finish the current command: its CSW is ready to be read.
+    fn finish(&mut self, tag: u32, residue: u32, status: u8) {
+        self.csw[0..4].copy_from_slice(&CSW_SIGNATURE.to_le_bytes());
+        self.csw[4..8].copy_from_slice(&tag.to_le_bytes());
+        self.csw[8..12].copy_from_slice(&residue.to_le_bytes());
+        self.csw[12] = status;
+        self.bot = BotState::CswReady;
     }
 
     /// Backing disk (validation / fault injection).
@@ -285,50 +305,40 @@ impl UsbMassStorage {
     /// programming time for writes).
     pub fn bulk_out(&mut self, data: &[u8], lba_program_ns: u64) -> u64 {
         match std::mem::replace(&mut self.bot, BotState::Idle) {
-            BotState::Idle | BotState::CswReady { .. } => {
+            BotState::Idle | BotState::CswReady => {
                 let Some(cbw) = Cbw::parse(data) else {
                     self.stalls += 1;
-                    self.bot = BotState::Idle;
                     return 0;
                 };
                 self.cbws_processed += 1;
-                let Some(cdb) = Cdb::parse(&cbw.cdb) else {
-                    self.bot = BotState::CswReady { csw: make_csw(cbw.tag, cbw.data_len, 1) };
+                let Some(cdb) = Cdb::parse(cbw.cdb()) else {
+                    self.finish(cbw.tag, cbw.data_len, 1);
                     return 0;
                 };
-                match self.disk.execute(&cdb) {
-                    ScsiResponse::DataIn(mut d) => {
-                        d.truncate(cbw.data_len as usize);
-                        let residue = cbw.data_len - d.len() as u32;
-                        self.bot = BotState::DataIn { data: d, tag: cbw.tag, residue };
+                match self.disk.execute(&cdb, &mut self.data) {
+                    ScsiResponse::DataIn => {
+                        self.data.truncate(cbw.data_len as usize);
+                        let residue = cbw.data_len - self.data.len() as u32;
+                        self.bot = BotState::DataIn { sent: 0, tag: cbw.tag, residue };
                     }
                     ScsiResponse::NeedsDataOut(expect) => {
-                        self.bot = BotState::DataOut {
-                            lba: cdb.lba,
-                            expect,
-                            received: Vec::with_capacity(expect),
-                            tag: cbw.tag,
-                        };
+                        self.bot = BotState::DataOut { lba: cdb.lba, expect, tag: cbw.tag };
                     }
-                    ScsiResponse::Good => {
-                        self.bot = BotState::CswReady { csw: make_csw(cbw.tag, 0, 0) };
-                    }
-                    ScsiResponse::CheckCondition { .. } => {
-                        self.bot = BotState::CswReady { csw: make_csw(cbw.tag, cbw.data_len, 1) };
-                    }
+                    ScsiResponse::Good => self.finish(cbw.tag, 0, 0),
+                    ScsiResponse::CheckCondition { .. } => self.finish(cbw.tag, cbw.data_len, 1),
                 }
                 0
             }
-            BotState::DataOut { lba, expect, mut received, tag } => {
-                received.extend_from_slice(data);
-                if received.len() >= expect {
-                    received.truncate(expect);
-                    let ok = self.disk.write_data(lba, &received);
+            BotState::DataOut { lba, expect, tag } => {
+                self.data.extend_from_slice(data);
+                if self.data.len() >= expect {
+                    self.data.truncate(expect);
+                    let ok = self.disk.write_data(lba, &self.data);
                     let pages = (expect.div_ceil(USB_FTL_PAGE)) as u64;
-                    self.bot = BotState::CswReady { csw: make_csw(tag, 0, if ok { 0 } else { 1 }) };
+                    self.finish(tag, 0, if ok { 0 } else { 1 });
                     pages * lba_program_ns
                 } else {
-                    self.bot = BotState::DataOut { lba, expect, received, tag };
+                    self.bot = BotState::DataOut { lba, expect, tag };
                     0
                 }
             }
@@ -342,28 +352,25 @@ impl UsbMassStorage {
         }
     }
 
-    /// Serve a bulk IN transfer (data-in payload or CSW), up to `maxlen`.
-    pub fn bulk_in(&mut self, maxlen: usize) -> Vec<u8> {
+    /// Serve a bulk IN transfer (data-in payload or CSW), up to `maxlen`
+    /// bytes, lent from the device's own buffers.
+    pub fn bulk_in(&mut self, maxlen: usize) -> &[u8] {
         match std::mem::replace(&mut self.bot, BotState::Idle) {
-            BotState::DataIn { mut data, tag, residue } => {
-                if data.len() <= maxlen {
-                    self.bot = BotState::CswReady { csw: make_csw(tag, residue, 0) };
-                    data
+            BotState::DataIn { sent, tag, residue } => {
+                let end = self.data.len().min(sent.saturating_add(maxlen));
+                if end == self.data.len() {
+                    self.finish(tag, residue, 0);
                 } else {
-                    let rest = data.split_off(maxlen);
-                    self.bot = BotState::DataIn { data: rest, tag, residue };
-                    data
+                    self.bot = BotState::DataIn { sent: end, tag, residue };
                 }
+                &self.data[sent..end]
             }
-            BotState::CswReady { csw } => {
-                self.bot = BotState::Idle;
-                csw[..maxlen.min(CSW_LEN)].to_vec()
-            }
+            BotState::CswReady => &self.csw[..maxlen.min(CSW_LEN)],
             other => {
                 // Nothing to send: NAK equivalent (empty).
                 self.stalls += 1;
                 self.bot = other;
-                Vec::new()
+                &[]
             }
         }
     }
@@ -395,7 +402,7 @@ mod tests {
         let cdb = Cdb::encode_rw10(false, lba, blocks);
         let cbw = Cbw::encode(tag, u32::from(blocks) * 512, true, &cdb);
         d.bulk_out(&cbw, 0);
-        let data = d.bulk_in(blocks as usize * 512);
+        let data = d.bulk_in(blocks as usize * 512).to_vec();
         let csw = d.bulk_in(CSW_LEN);
         assert_eq!(csw.len(), CSW_LEN);
         assert_eq!(u32::from_le_bytes([csw[4], csw[5], csw[6], csw[7]]), tag);
@@ -428,7 +435,7 @@ mod tests {
         assert_eq!(cbw.tag, 0xdead);
         assert_eq!(cbw.data_len, 4096);
         assert!(cbw.dir_in);
-        assert_eq!(cbw.cdb, cdb.to_vec());
+        assert_eq!(cbw.cdb(), &cdb[..]);
     }
 
     #[test]
@@ -475,7 +482,7 @@ mod tests {
         let cdb = Cdb::encode_rw10(false, 1000, 1);
         let cbw = Cbw::encode(9, 512, true, &cdb);
         d.bulk_out(&cbw, 0);
-        let csw = d.bulk_in(CSW_LEN);
+        let csw = d.bulk_in(CSW_LEN).to_vec();
         assert_eq!(csw[12], 1, "CHECK CONDITION maps to CSW status 1");
         // REQUEST SENSE explains it.
         let cdb = [opcode::REQUEST_SENSE, 0, 0, 0, 18, 0];
@@ -492,8 +499,8 @@ mod tests {
         let cdb = Cdb::encode_rw10(false, 0, 1);
         let cbw = Cbw::encode(3, 512, true, &cdb);
         d.bulk_out(&cbw, 0);
-        let first = d.bulk_in(256);
-        let second = d.bulk_in(256);
+        let first = d.bulk_in(256).to_vec();
+        let second = d.bulk_in(256).to_vec();
         assert_eq!(first.len(), 256);
         assert_eq!(second.len(), 256);
         assert!(first.iter().chain(second.iter()).all(|b| *b == 0xaa));

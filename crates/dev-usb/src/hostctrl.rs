@@ -30,6 +30,9 @@ pub struct UsbHostController {
     cost: CostModel,
     /// Pending SETUP data-in stage bytes (from the last control SETUP).
     control_data: Vec<u8>,
+    /// The bulk OUT transfer's bytes, read from memory into one buffer
+    /// reused across transfers.
+    bulk_out: Vec<u8>,
     pending: Option<PendingXfer>,
     device_present: bool,
     /// A port change (unplug or replug) whose interrupt is raised the next
@@ -55,6 +58,7 @@ impl UsbHostController {
             device,
             cost,
             control_data: Vec::new(),
+            bulk_out: Vec::new(),
             pending: None,
             device_present: true,
             port_irq: false,
@@ -176,14 +180,16 @@ impl UsbHostController {
                 if data.is_empty() {
                     int_bits = hcint::NAK | hcint::CHHLTD;
                 } else {
-                    let _ = ctx.mem.write_bytes(dma_addr, &data);
+                    let _ = ctx.mem.write_bytes(dma_addr, data);
                 }
                 extra_ns += self.bulk_cost(xfersize);
             } else {
-                let mut buf = vec![0u8; xfersize];
-                let _ = ctx.mem.read_bytes(dma_addr, &mut buf);
+                // Zeroed first, so a failed read hands the device zeros.
+                self.bulk_out.clear();
+                self.bulk_out.resize(xfersize, 0);
+                let _ = ctx.mem.read_bytes(dma_addr, &mut self.bulk_out);
                 extra_ns += self.bulk_cost(xfersize);
-                extra_ns += self.device.bulk_out(&buf, self.cost.usb_lba_program_ns);
+                extra_ns += self.device.bulk_out(&self.bulk_out, self.cost.usb_lba_program_ns);
             }
         }
 

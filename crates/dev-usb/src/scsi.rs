@@ -43,8 +43,9 @@ pub mod opcode {
 /// Outcome of executing a SCSI command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScsiResponse {
-    /// Command succeeded and produced `data` for the host (data-in phase).
-    DataIn(Vec<u8>),
+    /// Command succeeded and left its data-in bytes for the host in the
+    /// buffer [`ScsiDisk::execute`] was given.
+    DataIn,
     /// Command succeeded and expects `len` bytes from the host (data-out).
     NeedsDataOut(usize),
     /// Command succeeded with no data phase.
@@ -211,10 +212,13 @@ impl ScsiDisk {
         self.sense_asc = asc;
     }
 
-    /// Execute the command phase of a SCSI command. For WRITEs the caller
-    /// must follow up with [`ScsiDisk::write_data`] once the data-out phase
-    /// delivered the payload.
-    pub fn execute(&mut self, cdb: &Cdb) -> ScsiResponse {
+    /// Execute the command phase of a SCSI command. A command with a
+    /// data-in phase replaces the contents of `data_in` with its bytes (the
+    /// caller reuses the buffer, so a warm READ allocates nothing). For
+    /// WRITEs the caller must follow up with [`ScsiDisk::write_data`] once
+    /// the data-out phase delivered the payload.
+    pub fn execute(&mut self, cdb: &Cdb, data_in: &mut Vec<u8>) -> ScsiResponse {
+        data_in.clear();
         if self.removed && cdb.opcode != opcode::REQUEST_SENSE && cdb.opcode != opcode::INQUIRY {
             self.set_sense(sense::NOT_READY, 0x3a);
             return ScsiResponse::CheckCondition { key: sense::NOT_READY, asc: 0x3a };
@@ -225,7 +229,8 @@ impl ScsiDisk {
                 ScsiResponse::Good
             }
             opcode::INQUIRY => {
-                let mut data = vec![0u8; 36];
+                let data = data_in;
+                data.resize(36, 0);
                 data[0] = 0x00; // direct-access block device
                 data[1] = 0x80; // removable
                 data[2] = 0x04; // SPC-2
@@ -234,39 +239,39 @@ impl ScsiDisk {
                 data[16..32].copy_from_slice(b"Micro Line 8GB  ");
                 data[32..36].copy_from_slice(b"1.00");
                 data.truncate((cdb.blocks as usize).clamp(5, 36));
-                ScsiResponse::DataIn(data)
+                ScsiResponse::DataIn
             }
             opcode::REQUEST_SENSE => {
-                let mut data = vec![0u8; 18];
+                let data = data_in;
+                data.resize(18, 0);
                 data[0] = 0x70;
                 data[2] = self.sense_key;
                 data[7] = 10;
                 data[12] = self.sense_asc;
-                ScsiResponse::DataIn(data)
+                ScsiResponse::DataIn
             }
             opcode::MODE_SENSE_6 => {
                 // Minimal mode parameter header: not write protected.
-                ScsiResponse::DataIn(vec![3, 0, 0, 0])
+                data_in.extend_from_slice(&[3, 0, 0, 0]);
+                ScsiResponse::DataIn
             }
             opcode::READ_CAPACITY_10 => {
                 let last = (self.total_blocks() - 1) as u32;
-                let mut data = Vec::with_capacity(8);
-                data.extend_from_slice(&last.to_be_bytes());
-                data.extend_from_slice(&(USB_BLOCK_SIZE as u32).to_be_bytes());
-                ScsiResponse::DataIn(data)
+                data_in.extend_from_slice(&last.to_be_bytes());
+                data_in.extend_from_slice(&(USB_BLOCK_SIZE as u32).to_be_bytes());
+                ScsiResponse::DataIn
             }
             opcode::READ_10 | opcode::READ_6 | opcode::READ_16 => {
                 if !self.blocks.contains(cdb.lba, u64::from(cdb.blocks)) {
                     self.set_sense(sense::ILLEGAL_REQUEST, 0x21);
                     return ScsiResponse::CheckCondition { key: sense::ILLEGAL_REQUEST, asc: 0x21 };
                 }
-                let mut out = Vec::with_capacity(cdb.blocks as usize * USB_BLOCK_SIZE);
                 for block in self.blocks.blocks(cdb.lba, u64::from(cdb.blocks)) {
-                    out.extend_from_slice(block);
+                    data_in.extend_from_slice(block);
                 }
                 self.reads += u64::from(cdb.blocks);
                 self.set_sense(sense::NO_SENSE, 0);
-                ScsiResponse::DataIn(out)
+                ScsiResponse::DataIn
             }
             opcode::WRITE_10 | opcode::WRITE_6 | opcode::WRITE_16 => {
                 if !self.blocks.contains(cdb.lba, u64::from(cdb.blocks)) {
@@ -339,15 +344,16 @@ mod tests {
     #[test]
     fn inquiry_and_capacity() {
         let mut d = ScsiDisk::new(1000);
-        match d.execute(&Cdb { opcode: opcode::INQUIRY, lba: 0, blocks: 36 }) {
-            ScsiResponse::DataIn(data) => {
+        let mut data = Vec::new();
+        match d.execute(&Cdb { opcode: opcode::INQUIRY, lba: 0, blocks: 36 }, &mut data) {
+            ScsiResponse::DataIn => {
                 assert_eq!(data.len(), 36);
                 assert_eq!(&data[8..16], b"Intenso ");
             }
             other => panic!("unexpected {other:?}"),
         }
-        match d.execute(&Cdb { opcode: opcode::READ_CAPACITY_10, lba: 0, blocks: 0 }) {
-            ScsiResponse::DataIn(data) => {
+        match d.execute(&Cdb { opcode: opcode::READ_CAPACITY_10, lba: 0, blocks: 0 }, &mut data) {
+            ScsiResponse::DataIn => {
                 let last = u32::from_be_bytes([data[0], data[1], data[2], data[3]]);
                 let bs = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
                 assert_eq!(last, 999);
@@ -361,13 +367,14 @@ mod tests {
     fn read_write_round_trip() {
         let mut d = ScsiDisk::new(1000);
         let payload: Vec<u8> = (0..1024).map(|i| (i % 7) as u8).collect();
-        match d.execute(&Cdb { opcode: opcode::WRITE_10, lba: 10, blocks: 2 }) {
+        let mut data = Vec::new();
+        match d.execute(&Cdb { opcode: opcode::WRITE_10, lba: 10, blocks: 2 }, &mut data) {
             ScsiResponse::NeedsDataOut(n) => assert_eq!(n, 1024),
             other => panic!("unexpected {other:?}"),
         }
         assert!(d.write_data(10, &payload));
-        match d.execute(&Cdb { opcode: opcode::READ_10, lba: 10, blocks: 2 }) {
-            ScsiResponse::DataIn(data) => assert_eq!(data, payload),
+        match d.execute(&Cdb { opcode: opcode::READ_10, lba: 10, blocks: 2 }, &mut data) {
+            ScsiResponse::DataIn => assert_eq!(data, payload),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(d.blocks_written(), 2);
@@ -377,13 +384,14 @@ mod tests {
     #[test]
     fn out_of_range_access_sets_sense() {
         let mut d = ScsiDisk::new(100);
-        match d.execute(&Cdb { opcode: opcode::READ_10, lba: 99, blocks: 2 }) {
+        let mut data = Vec::new();
+        match d.execute(&Cdb { opcode: opcode::READ_10, lba: 99, blocks: 2 }, &mut data) {
             ScsiResponse::CheckCondition { key, .. } => assert_eq!(key, sense::ILLEGAL_REQUEST),
             other => panic!("unexpected {other:?}"),
         }
         // REQUEST SENSE reports it.
-        match d.execute(&Cdb { opcode: opcode::REQUEST_SENSE, lba: 0, blocks: 18 }) {
-            ScsiResponse::DataIn(data) => assert_eq!(data[2], sense::ILLEGAL_REQUEST),
+        match d.execute(&Cdb { opcode: opcode::REQUEST_SENSE, lba: 0, blocks: 18 }, &mut data) {
+            ScsiResponse::DataIn => assert_eq!(data[2], sense::ILLEGAL_REQUEST),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -397,10 +405,17 @@ mod tests {
         raw16[10..14].copy_from_slice(&4u32.to_be_bytes());
         let read = Cdb::parse(&raw16).unwrap();
         let refused = ScsiResponse::CheckCondition { key: sense::ILLEGAL_REQUEST, asc: 0x21 };
-        assert!(d.execute(&read) == refused, "a READ(16) whose range wraps must be refused");
+        let mut data = Vec::new();
+        assert!(
+            d.execute(&read, &mut data) == refused,
+            "a READ(16) whose range wraps must be refused"
+        );
         raw16[0] = opcode::WRITE_16;
         let write = Cdb::parse(&raw16).unwrap();
-        assert!(d.execute(&write) == refused, "a WRITE(16) whose range wraps must be refused");
+        assert!(
+            d.execute(&write, &mut data) == refused,
+            "a WRITE(16) whose range wraps must be refused"
+        );
         assert!(!d.write_data(u64::MAX - 1, &[0xee; 4 * USB_BLOCK_SIZE]));
         assert_eq!(d.peek_block(0), vec![0u8; USB_BLOCK_SIZE], "block 0 is untouched");
         assert_eq!(d.blocks_written(), 0);
@@ -410,14 +425,15 @@ mod tests {
     fn removed_medium_reports_not_ready() {
         let mut d = ScsiDisk::new(100);
         d.remove();
-        match d.execute(&Cdb { opcode: opcode::TEST_UNIT_READY, lba: 0, blocks: 0 }) {
+        let mut data = Vec::new();
+        match d.execute(&Cdb { opcode: opcode::TEST_UNIT_READY, lba: 0, blocks: 0 }, &mut data) {
             ScsiResponse::CheckCondition { key, .. } => assert_eq!(key, sense::NOT_READY),
             other => panic!("unexpected {other:?}"),
         }
         assert!(!d.write_data(0, &vec![0u8; 512]));
         d.reinsert();
         assert!(matches!(
-            d.execute(&Cdb { opcode: opcode::TEST_UNIT_READY, lba: 0, blocks: 0 }),
+            d.execute(&Cdb { opcode: opcode::TEST_UNIT_READY, lba: 0, blocks: 0 }, &mut data),
             ScsiResponse::Good
         ));
     }
@@ -426,15 +442,15 @@ mod tests {
     fn ftl_page_accounting_shows_write_amplification() {
         let mut d = ScsiDisk::new(1000);
         // One 512-byte block still programs one whole 4 KiB page.
-        d.execute(&Cdb { opcode: opcode::WRITE_10, lba: 0, blocks: 1 });
+        d.execute(&Cdb { opcode: opcode::WRITE_10, lba: 0, blocks: 1 }, &mut Vec::new());
         assert!(d.write_data(0, &vec![1u8; 512]));
         assert_eq!(d.pages_programmed(), 1);
         // Eight contiguous blocks on one page boundary -> one page.
-        d.execute(&Cdb { opcode: opcode::WRITE_10, lba: 8, blocks: 8 });
+        d.execute(&Cdb { opcode: opcode::WRITE_10, lba: 8, blocks: 8 }, &mut Vec::new());
         assert!(d.write_data(8, &vec![1u8; 4096]));
         assert_eq!(d.pages_programmed(), 2);
         // A straddling write programs two pages.
-        d.execute(&Cdb { opcode: opcode::WRITE_10, lba: 6, blocks: 4 });
+        d.execute(&Cdb { opcode: opcode::WRITE_10, lba: 6, blocks: 4 }, &mut Vec::new());
         assert!(d.write_data(6, &vec![1u8; 2048]));
         assert_eq!(d.pages_programmed(), 4);
     }
@@ -442,7 +458,7 @@ mod tests {
     #[test]
     fn unknown_opcode_is_illegal_request() {
         let mut d = ScsiDisk::new(10);
-        match d.execute(&Cdb { opcode: 0xff, lba: 0, blocks: 0 }) {
+        match d.execute(&Cdb { opcode: 0xff, lba: 0, blocks: 0 }, &mut Vec::new()) {
             ScsiResponse::CheckCondition { key, asc } => {
                 assert_eq!(key, sense::ILLEGAL_REQUEST);
                 assert_eq!(asc, 0x20);

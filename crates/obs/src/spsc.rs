@@ -1,7 +1,7 @@
 //! A lock-free single-producer/single-consumer bounded ring.
 //!
-//! This is the concurrency primitive under the per-lane channels that
-//! connect the serve layer's front-end to its lane threads and under this
+//! This is the concurrency primitive under the per-lane admission channels
+//! from the serve layer's front-end to its lane threads and under this
 //! crate's per-thread trace rings ([`crate::trace`]) — it lives here, at
 //! the bottom of the dependency graph, so every layer above (tee, core,
 //! serve) can ride the same core. The protocol is the classic Lamport

@@ -11,40 +11,40 @@
 //!   bit-identically).
 //! * **Threaded** — the worker is moved onto its own OS thread (one host
 //!   thread per TEE core, the paper's one-core-per-lane model made
-//!   physical). The front-end talks to it only through lock-free SPSC
-//!   rings ([`crate::spsc`]) and a control mailbox. A worker that runs
-//!   dry polls for [`IDLE_POLL`] before it parks, and is unparked by
-//!   doorbells, per-call admissions, control messages and shutdown.
+//!   physical). The front-end talks to it only through three channels. A
+//!   worker that runs dry polls for [`IDLE_POLL`] before it parks, and is
+//!   unparked by doorbells, per-call admissions, control messages and
+//!   shutdown.
 //!
-//! # Channels and counters
+//! # One bound, one outbox
 //!
-//! Per lane there are three queues and a handful of atomics:
+//! Per lane there are three channels and one count:
 //!
-//! * `admit` (front-end → worker, SPSC): requests the TEE admitted
-//!   (per-call SMC or doorbell), already stamped with `arrived_ns`.
-//!   Capacity reservation happens **front-end side** on
-//!   [`LaneShared::reserve`] before the push, so the push itself can never
-//!   exceed the lane bound and `QueueFull` always carries one coherent
+//! * `admit` (front-end → worker, a lock-free SPSC ring, [`crate::spsc`]):
+//!   requests the TEE admitted (per-call SMC or doorbell), already stamped
+//!   with `arrived_ns`. The front-end's reservation
+//!   ([`LaneShared::reserve`]) is the lane's only capacity check, so the
+//!   push never exceeds the ring and `QueueFull` carries one coherent
 //!   depth snapshot.
-//! * `cq` (worker → front-end, SPSC): completions in execution order. The
-//!   worker never blocks on a full ring: it spills worker-side
-//!   ([`LaneWorker::cq_spill`]) and flushes opportunistically, with
-//!   [`LaneShared::cq_backlog`] telling the front-end there is more to
-//!   reap than the ring shows.
+//! * `cq` (worker → front-end, an unbounded `std::sync::mpsc` channel):
+//!   completions in post order. Posting never blocks and never fails, so
+//!   the worker keeps nothing back.
 //! * `ctrl` (front-end → worker, mpsc): fault injection, health checks,
-//!   stop. Handled strictly **between batches**, never mid-replay — that
-//!   is the mid-flight safety contract `dlt-explore` relies on.
+//!   quarantine eviction, stop. Handled strictly **between batches**,
+//!   never mid-replay — that is the mid-flight safety contract
+//!   `dlt-explore` relies on.
 //!
-//! The lane's metrics series counts admitted-but-not-yet-posted requests
-//! (`LaneMetrics::in_queue`); the quiescence protocol (`drain_all`) is
-//! "every lane's `in_queue` and `cq_backlog` are zero, then reap the
-//! rings". A worker wakes a parked drain through [`DrainSignal`] only on
-//! the edges that predicate waits for (see [`LaneWorker::run`]). The
-//! worker publishes its clock through the lock-free [`ClockCell`], so the
-//! front-end's pointwise-max `now_ns()` join never takes a lane lock.
+//! The count is the lane's metrics series of admitted requests whose
+//! completion is not yet posted (`LaneMetrics::in_queue`): the reservation
+//! raises it and the worker lowers it, with `Release`, after the
+//! completion is in the channel. Posting releases the reservation, so a
+//! client that never reaps still makes progress. A worker wakes a parked
+//! drain through [`DrainSignal`] on one edge only, its count reaching
+//! zero (see [`LaneWorker::run`]). The worker publishes its clock through
+//! the lock-free [`ClockCell`], so the front-end's pointwise-max
+//! `now_ns()` join never takes a lane lock.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::Thread;
@@ -57,9 +57,9 @@ use dlt_obs::trace::{EventKind, TraceHandle};
 use dlt_obs::{obs_event, obs_event_at};
 
 use crate::coalesce::{self, plan_dispatch, Dispatch, DispatchReason, ExecPlan, Plan};
-use crate::sched::{Lane, Pending, Policy};
-use crate::spsc::{SpscConsumer, SpscProducer};
-use crate::{Completion, Device, LaneHealth, Payload, Request, ServeError, SessionId, BLOCK};
+use crate::sched::{Lane, Pending};
+use crate::spsc::SpscConsumer;
+use crate::{Completion, Device, LaneHealth, Payload, Request, ServeError, BLOCK};
 
 /// First block of the scratch extent `lane_health_check` overwrites on
 /// block lanes (it stays clear of the low extents the tests and workloads
@@ -114,11 +114,11 @@ impl IdlePoll {
 
 /// The line lane workers wake a parked threaded drain on. The drain
 /// [`registers`](DrainSignal::register) its thread before it first checks
-/// quiescence; a worker [`notify`](DrainSignal::notify)s only on the edges
-/// that check waits for — its `in_queue` count reaching zero, its cq spill
-/// starting or emptying — never per batch. A notify that lands between the
-/// drain's check and its park pre-pays the thread's unpark token, so the
-/// park returns at once and no edge is lost.
+/// quiescence; a worker [`notify`](DrainSignal::notify)s only on the edge
+/// that check waits for — its `in_queue` count reaching zero — never per
+/// batch. A notify that lands between the drain's check and its park
+/// pre-pays the thread's unpark token, so the park returns at once and no
+/// edge is lost.
 #[derive(Debug, Default)]
 pub(crate) struct DrainSignal {
     /// The thread of the most recent drain. Each update is one store, so a
@@ -153,16 +153,14 @@ impl DrainSignal {
     }
 }
 
-/// Lane state both sides read: admission bound, quiescence counters, the
-/// lane clock's lock-free cell, and the worker thread's unpark handle.
+/// Lane state both sides read: the admission bound, the lane clock's
+/// lock-free cell, and the worker thread's unpark handle.
 #[derive(Debug)]
 pub(crate) struct LaneShared {
     pub device: Device,
-    /// The lane queue bound ([`crate::service::ServeConfig::queue_capacity`]).
+    /// The lane bound ([`crate::service::ServeConfig::queue_capacity`]):
+    /// the most admitted requests whose completion is not yet posted.
     pub capacity: usize,
-    /// Completions spilled worker-side because the cq ring was full; the
-    /// front-end treats `> 0` as "keep reaping".
-    pub cq_backlog: AtomicUsize,
     /// The lane virtual clock's lock-free published view.
     pub clock: Arc<ClockCell>,
     /// The worker thread's handle, set once after spawn (threaded mode
@@ -191,16 +189,7 @@ impl LaneShared {
         metrics: Arc<LaneMetrics>,
         obs_epoch: Instant,
     ) -> Self {
-        LaneShared {
-            device,
-            capacity,
-            cq_backlog: AtomicUsize::new(0),
-            clock,
-            thread: OnceLock::new(),
-            drain,
-            metrics,
-            obs_epoch,
-        }
+        LaneShared { device, capacity, clock, thread: OnceLock::new(), drain, metrics, obs_epoch }
     }
 
     /// Host-monotonic nanoseconds since the observability epoch.
@@ -245,18 +234,11 @@ impl LaneShared {
         self.metrics.on_admit(depth + 1, host_ns);
         Ok(())
     }
-
-    /// Whether every admitted request's completion has been posted and the
-    /// worker has nothing spilled outside the cq ring.
-    pub fn quiescent(&self) -> bool {
-        self.metrics.in_queue() == 0 && self.cq_backlog.load(Ordering::Acquire) == 0
-    }
 }
 
 /// The worker-relevant slice of the service configuration.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneConfig {
-    pub policy: Policy,
     pub coalesce: bool,
     pub coalesce_window: usize,
     pub hold_budget_ns: u64,
@@ -272,10 +254,6 @@ pub(crate) enum CtrlReq {
     SetMutator(Option<Box<dyn ResponseMutator>>),
     /// Run the lane health probe.
     HealthCheck,
-    /// Drop a closed session's scheduler bookkeeping (DRR rotation slot).
-    /// Queued requests still execute; their completions are dropped at
-    /// post time by the front-end.
-    ForgetSession(SessionId),
     /// Quarantine drain: hand every queued (not yet dispatched) request
     /// back to the front-end for re-routing. The evicted requests keep
     /// their front-end reservations — the supervisor settles the
@@ -310,9 +288,7 @@ pub(crate) struct LaneWorker {
     pub replayer: Replayer,
     pub entry: &'static str,
     pub admit_rx: SpscConsumer<Pending>,
-    pub cq_tx: SpscProducer<Completion>,
-    /// Worker-side never-drop spill for when the cq ring is full.
-    pub cq_spill: VecDeque<Completion>,
+    pub cq_tx: mpsc::Sender<Completion>,
     pub ctrl_rx: mpsc::Receiver<CtrlMsg>,
     pub shared: Arc<LaneShared>,
     pub config: LaneConfig,
@@ -353,28 +329,12 @@ impl LaneWorker {
     }
 
     /// Move every admitted request from the SPSC ring into the local
-    /// queue. Returns how many were moved. The front-end's reservation
-    /// bounds in-flight work at the lane capacity, so the local push
-    /// cannot overflow; a failure here would be an accounting bug, and the
-    /// request still completes — with the typed error — rather than
-    /// disappearing.
+    /// queue. Returns how many were moved.
     pub fn pump_admissions(&mut self) -> usize {
         let mut moved = 0;
         while let Some(p) = self.admit_rx.try_pop() {
+            self.lane.push(p);
             moved += 1;
-            if let Err((p, err)) = self.lane.push(p, self.device) {
-                debug_assert!(false, "reservation should bound the lane queue: {err}");
-                let completion = Completion {
-                    id: p.id,
-                    session: p.session,
-                    device: self.device,
-                    result: Err(err),
-                    submitted_ns: p.submitted_ns,
-                    completed_ns: self.now_ns(),
-                    coalesced: false,
-                };
-                self.post(completion, self.shared.host_now_ns());
-            }
         }
         moved
     }
@@ -387,7 +347,7 @@ impl LaneWorker {
         // The plug's fill cap is the smaller of the queue bound and the
         // dispatch window: once a batch's worth of requests has arrived,
         // holding longer cannot merge anything more into *this* dispatch.
-        let fill_cap = self.lane.capacity().min(self.config.coalesce_window);
+        let fill_cap = self.shared.capacity.min(self.config.coalesce_window);
         Some(plan_dispatch(self.lane.arrivals(), self.now_ns(), self.hold_budget(), fill_cap))
     }
 
@@ -401,8 +361,7 @@ impl LaneWorker {
         self.platform.bus.lock().clock.advance_idle_to(dispatch.at_ns);
         // ...then unplugs and batches everything that arrived by then.
         let mut bufs = std::mem::take(&mut self.bufs);
-        let (policy, window) = (self.config.policy, self.config.coalesce_window);
-        self.lane.next_batch(policy, window, dispatch.at_ns, &mut bufs.batch);
+        self.lane.next_batch(self.config.coalesce_window, dispatch.at_ns, &mut bufs.batch);
         let batch = &bufs.batch;
         if batch.is_empty() {
             self.bufs = bufs;
@@ -463,12 +422,11 @@ impl LaneWorker {
         n
     }
 
-    /// Post one completion towards the front-end: cq ring first, spill on
-    /// a full ring (never dropped, never blocking), then classify it in
-    /// the metrics plane, whose `Release` decrement of `in_queue` lets
+    /// Post one completion towards the front-end: into the cq channel
+    /// (unbounded, so never dropped and never blocking), then classify it
+    /// in the metrics plane, whose `Release` decrement of `in_queue` lets
     /// quiescence observers see the completion before the count. Signals
-    /// the drain when the spill starts or the lane's last in-flight
-    /// request completes.
+    /// the drain when the lane's last in-flight request completes.
     fn post(&mut self, completion: Completion, host_ns: u64) {
         let ok = completion.result.is_ok();
         let diverged =
@@ -490,13 +448,9 @@ impl LaneWorker {
             completion.id,
             arg
         );
-        if let Err(completion) = self.cq_tx.try_push(completion) {
-            self.cq_spill.push_back(completion);
-            self.shared.cq_backlog.store(self.cq_spill.len(), Ordering::Release);
-            if self.cq_spill.len() == 1 {
-                self.shared.signal_drain();
-            }
-        }
+        // The receiver goes only with the service, which stops the worker
+        // first; a completion nobody can reap is dropped.
+        let _ = self.cq_tx.send(completion);
         // Terminal metrics classification — deliberately at a different
         // site than admission (the front-end's reserve), so the snapshot
         // reconciliation invariant checks real instrumentation consistency.
@@ -509,29 +463,6 @@ impl LaneWorker {
         if in_queue == 1 {
             self.shared.signal_drain();
         }
-    }
-
-    /// Move spilled completions into the cq ring as space frees up.
-    /// Returns how many moved, and signals the drain when the spill
-    /// empties.
-    pub fn flush_cq_spill(&mut self) -> usize {
-        let mut moved = 0;
-        while let Some(c) = self.cq_spill.pop_front() {
-            match self.cq_tx.try_push(c) {
-                Ok(_) => moved += 1,
-                Err(c) => {
-                    self.cq_spill.push_front(c);
-                    break;
-                }
-            }
-        }
-        if moved > 0 {
-            self.shared.cq_backlog.store(self.cq_spill.len(), Ordering::Release);
-            if self.cq_spill.is_empty() {
-                self.shared.signal_drain();
-            }
-        }
-        moved
     }
 
     /// Handle one control request. Returns `false` on [`CtrlReq::Stop`].
@@ -550,10 +481,6 @@ impl LaneWorker {
                 (Ok(CtrlReply::Done), true)
             }
             CtrlReq::HealthCheck => (self.health_check().map(CtrlReply::Health), true),
-            CtrlReq::ForgetSession(session) => {
-                self.lane.forget_session(session);
-                (Ok(CtrlReply::Done), true)
-            }
             CtrlReq::Evict => {
                 // Pull everything the TEE already admitted into the local
                 // queue first, so the eviction is complete — nothing stays
@@ -572,20 +499,18 @@ impl LaneWorker {
     /// The lane thread's event loop (threaded mode).
     ///
     /// The worker never signals per batch. It notifies the front-end's
-    /// [`DrainSignal`] on three edges only, which are exactly what a
-    /// parked drain waits for: its `in_queue` count reaching zero (every
-    /// completion is visible), a completion spilling past a full cq ring
-    /// (the front-end must reap to make room) and the spill emptying
-    /// (`cq_backlog` is zero again).
+    /// [`DrainSignal`] on one edge only, which is what a parked drain
+    /// waits for: its `in_queue` count reaching zero (every completion is
+    /// in the cq channel).
     ///
-    /// A worker with no admitted work, no spill to flush and no control
-    /// traffic polls all three for [`IDLE_POLL`], yielding the CPU between
-    /// polls so that on one core the producer it waits for still runs,
-    /// then parks. In a closed loop the next round's first admission lands
-    /// inside the window, so the front-end's unpark is one atomic swap
-    /// rather than a futex wake. The park is race-free through the unpark
-    /// token: any producer that pushed after the checks above also unparks
-    /// the worker, which either wakes the park or pre-pays its token.
+    /// A worker with no admitted work and no control traffic polls both
+    /// for [`IDLE_POLL`], yielding the CPU between polls so that on one
+    /// core the producer it waits for still runs, then parks. In a closed
+    /// loop the next round's first admission lands inside the window, so
+    /// the front-end's unpark is one atomic swap rather than a futex wake.
+    /// The park is race-free through the unpark token: any producer that
+    /// pushed after the checks above also unparks the worker, which either
+    /// wakes the park or pre-pays its token.
     pub fn run(mut self) {
         // Park/unpark are traced per idle *episode*, not per timed-out
         // park, so an idle lane does not fill its trace ring.
@@ -601,7 +526,6 @@ impl LaneWorker {
                 }
                 progress += 1;
             }
-            progress += self.flush_cq_spill();
             progress += self.pump_admissions();
             let dispatch = self.next_dispatch();
             if progress > 0 || dispatch.is_some() {
@@ -629,11 +553,7 @@ impl LaneWorker {
                 let now = self.now_ns();
                 obs_event!(self.tracer, EventKind::Park, now, 0, 0, 0);
             }
-            if !self.cq_spill.is_empty() {
-                // The cq ring is full and the front-end has not reaped
-                // yet: retry shortly rather than spin.
-                std::thread::park_timeout(Duration::from_micros(50));
-            } else if self.admit_rx.is_empty() {
+            if self.admit_rx.is_empty() {
                 std::thread::park_timeout(PARK_FLOOR);
             }
         }

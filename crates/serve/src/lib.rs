@@ -39,9 +39,10 @@
 //!   [`DriverletService::now_ns`]); completions carry lane-local times.
 //! * **Event-driven scheduling** ([`sched`]): [`DriverletService::drain`]
 //!   executes **one batch per call** on the lane with the smallest
-//!   next-event time; each lane drains a bounded submission queue under a
-//!   configurable policy — FIFO or deficit round-robin across sessions. A
-//!   full queue rejects the submit with [`ServeError::QueueFull`] (which
+//!   next-event time; each lane drains its queue, bounded by the
+//!   front-end's reservation, under a configurable policy — FIFO or
+//!   deficit round-robin across sessions. A full lane rejects the submit
+//!   with [`ServeError::QueueFull`] (which
 //!   names the device and lane depth, so backpressure is per-device)
 //!   instead of growing without bound.
 //! * **Request coalescing** ([`coalesce`]): adjacent or overlapping block
@@ -77,8 +78,8 @@ pub mod route;
 pub mod sched;
 pub mod service;
 
-/// The lock-free SPSC ring under the per-lane channels between the
-/// front-end and its lane threads — owned by `dlt-obs` (the flight recorder
+/// The lock-free SPSC ring under each lane's admission channel from the
+/// front-end to its lane thread — owned by `dlt-obs` (the flight recorder
 /// shares the same core), re-exported here so `dlt_serve::spsc` paths keep
 /// working.
 pub use dlt_obs::spsc;

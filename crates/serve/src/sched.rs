@@ -1,9 +1,12 @@
 //! Per-device submission queues, scheduling policies and admission QoS.
 //!
-//! Each served device owns one [`Lane`]: a bounded queue of pending
-//! requests plus the per-session bookkeeping the deficit-round-robin
-//! policy needs. The lane never executes anything itself — the service
-//! drains batches out of it and hands them to the coalescer.
+//! Each served device owns one [`Lane`]: a queue of pending requests plus,
+//! under deficit round-robin, the per-session rotation state that policy
+//! needs. The queue has no bound of its own (the front-end's reservation
+//! bounds it), and the rotation drops a session when it finds the
+//! session's queue empty, so closing a session sends the lane nothing. The lane never executes
+//! anything itself — the service drains batches out of it and hands them
+//! to the coalescer.
 //!
 //! [`Admission`] sits *in front of* the lanes: per-tenant token buckets
 //! (sustained rate + burst, refilled on the virtual clock) and weighted
@@ -24,7 +27,7 @@
 use std::collections::VecDeque;
 
 use crate::coalesce::{direction, Arrival};
-use crate::{Device, IdMap, Request, RequestId, ServeError, SessionId};
+use crate::{Device, IdMap, Request, RequestId, SessionId};
 
 /// Virtual nanoseconds per second (token-bucket rate conversions).
 const NS_PER_SEC: u64 = 1_000_000_000;
@@ -163,7 +166,7 @@ impl Admission {
     /// flight — pair it with [`Admission::on_done`] when the request
     /// leaves the service, or [`Admission::rollback`] if the submit fails
     /// downstream (queue full, routing reject). `Err` carries the
-    /// `retry_after_ns` backoff hint for [`ServeError::Throttled`].
+    /// `retry_after_ns` backoff hint for [`crate::ServeError::Throttled`].
     pub fn admit(
         &mut self,
         session: SessionId,
@@ -266,29 +269,31 @@ pub struct Pending {
     pub arrived_ns: u64,
 }
 
-/// A device's bounded submission queue.
+/// A device's submission queue. It is unbounded: the front-end's
+/// reservation, which rejects a submit with [`crate::ServeError::QueueFull`],
+/// is the lane's only capacity check, so every request that reaches the
+/// lane fits.
 pub struct Lane {
     queue: VecDeque<Pending>,
-    capacity: usize,
-    /// DRR state: deficit per backlogged session.
+    policy: Policy,
+    /// DRR state: deficit per backlogged session (empty under FIFO).
     deficits: IdMap<SessionId, u64>,
-    /// Round-robin order: sessions in first-backlog order.
+    /// Round-robin order: sessions in first-backlog order (empty under
+    /// FIFO). A session leaves it, with its deficit, when the rotation
+    /// finds its queue empty, so a closed session needs no notice.
     rr_order: Vec<SessionId>,
     rr_cursor: usize,
-    /// High-water mark of the queue depth (for stats/tests).
-    high_water: usize,
 }
 
 impl Lane {
-    /// An empty lane holding at most `capacity` requests.
-    pub fn new(capacity: usize) -> Self {
+    /// An empty lane scheduled under `policy`.
+    pub fn new(policy: Policy) -> Self {
         Lane {
             queue: VecDeque::new(),
-            capacity,
+            policy,
             deficits: IdMap::default(),
             rr_order: Vec::new(),
             rr_cursor: 0,
-            high_water: 0,
         }
     }
 
@@ -300,22 +305,6 @@ impl Lane {
     /// Whether the lane has no queued work.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Deepest the queue has been.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// The queue bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Earliest (virtual) admission time among queued requests. The queue
-    /// is FIFO in admission time, so this is the front request.
-    pub fn earliest_arrival_ns(&self) -> Option<u64> {
-        self.queue.front().map(|p| p.arrived_ns)
     }
 
     /// The queue as the plug planner sees it: (session, arrival,
@@ -330,43 +319,14 @@ impl Lane {
         })
     }
 
-    /// Drop a closed session's scheduling state (its already-queued
-    /// requests still execute; only the DRR bookkeeping is purged, so a
-    /// long-lived service does not accumulate dead sessions).
-    pub fn forget_session(&mut self, session: SessionId) {
-        self.deficits.remove(&session);
-        if self.queue.iter().any(|p| p.session == session) {
-            // Still backlogged: keep the rotation slot until it drains.
-            return;
-        }
-        if let Some(pos) = self.rr_order.iter().position(|s| *s == session) {
-            self.rr_order.remove(pos);
-            if pos < self.rr_cursor {
-                self.rr_cursor -= 1;
-            }
-        }
-    }
-
-    /// Enqueue, or reject with [`ServeError::QueueFull`] (backpressure),
-    /// handing the rejected request back so the caller can still complete
-    /// it.
-    pub fn push(&mut self, p: Pending, device: crate::Device) -> Result<(), (Pending, ServeError)> {
-        if self.queue.len() >= self.capacity {
-            let err = ServeError::QueueFull {
-                device,
-                depth: self.queue.len(),
-                capacity: self.capacity,
-                high_water: self.high_water.max(self.queue.len()),
-                fleet: Vec::new(),
-            };
-            return Err((p, err));
-        }
-        if !self.rr_order.contains(&p.session) {
+    /// Enqueue.
+    pub fn push(&mut self, p: Pending) {
+        if matches!(self.policy, Policy::DeficitRoundRobin { .. })
+            && !self.rr_order.contains(&p.session)
+        {
             self.rr_order.push(p.session);
         }
         self.queue.push_back(p);
-        self.high_water = self.high_water.max(self.queue.len());
-        Ok(())
     }
 
     /// Take *every* queued request out of the lane and reset the DRR
@@ -380,18 +340,13 @@ impl Lane {
         self.queue.drain(..).collect()
     }
 
-    /// Drain the next batch (at most `window` requests) under `policy`
-    /// into `batch` (emptied first; the caller reuses it across batches),
-    /// taking only requests that have arrived by lane time `arrived_by`.
-    pub fn next_batch(
-        &mut self,
-        policy: Policy,
-        window: usize,
-        arrived_by: u64,
-        batch: &mut Vec<Pending>,
-    ) {
+    /// Drain the next batch (at most `window` requests) under the lane's
+    /// policy into `batch` (emptied first; the caller reuses it across
+    /// batches), taking only requests that have arrived by lane time
+    /// `arrived_by`.
+    pub fn next_batch(&mut self, window: usize, arrived_by: u64, batch: &mut Vec<Pending>) {
         batch.clear();
-        match policy {
+        match self.policy {
             Policy::Fifo => {
                 // FIFO in admission time: the arrived set is a prefix.
                 let n = self
@@ -490,9 +445,9 @@ mod tests {
     use super::*;
     use crate::Device;
 
-    fn batch_of(lane: &mut Lane, policy: Policy, window: usize, arrived_by: u64) -> Vec<Pending> {
+    fn batch_of(lane: &mut Lane, window: usize, arrived_by: u64) -> Vec<Pending> {
         let mut batch = Vec::new();
-        lane.next_batch(policy, window, arrived_by, &mut batch);
+        lane.next_batch(window, arrived_by, &mut batch);
         batch
     }
 
@@ -507,20 +462,14 @@ mod tests {
     }
 
     #[test]
-    fn fifo_preserves_arrival_order_and_bounds_the_queue() {
-        let mut lane = Lane::new(3);
+    fn fifo_preserves_arrival_order() {
+        let mut lane = Lane::new(Policy::Fifo);
         for i in 0..3u64 {
-            lane.push(rd(1, i, i as u32, 1), Device::Mmc).unwrap();
+            lane.push(rd(1, i, i as u32, 1));
         }
-        assert!(matches!(
-            lane.push(rd(1, 9, 9, 1), Device::Mmc),
-            Err((Pending { id: 9, .. }, ServeError::QueueFull { depth: 3, capacity: 3, .. }))
-        ));
-        let batch = batch_of(&mut lane, Policy::Fifo, 10, u64::MAX);
+        let batch = batch_of(&mut lane, 10, u64::MAX);
         assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(lane.is_empty());
-        assert_eq!(lane.high_water(), 3);
-        assert_eq!(lane.capacity(), 3);
     }
 
     #[test]
@@ -533,42 +482,45 @@ mod tests {
             arrived_ns: submitted_ns,
         };
         // FIFO: only the prefix that has arrived by lane time 150 drains.
-        let mut lane = Lane::new(8);
-        lane.push(mk(1, 0, 100), Device::Mmc).unwrap();
-        lane.push(mk(1, 1, 150), Device::Mmc).unwrap();
-        lane.push(mk(2, 2, 900), Device::Mmc).unwrap();
-        let batch = batch_of(&mut lane, Policy::Fifo, 8, 150);
+        let mut lane = Lane::new(Policy::Fifo);
+        lane.push(mk(1, 0, 100));
+        lane.push(mk(1, 1, 150));
+        lane.push(mk(2, 2, 900));
+        let batch = batch_of(&mut lane, 8, 150);
         assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(lane.earliest_arrival_ns(), Some(900), "the future request stays queued");
+        assert_eq!(
+            lane.arrivals().map(|a| a.arrival_ns).collect::<Vec<_>>(),
+            vec![900],
+            "the future request stays queued"
+        );
 
         // DRR: a session whose work has not arrived earns no quantum and
         // blocks nothing; the arrived session's requests drain in order.
-        let mut lane = Lane::new(8);
-        lane.push(mk(1, 0, 100), Device::Mmc).unwrap();
-        lane.push(mk(2, 1, 500), Device::Mmc).unwrap();
-        lane.push(mk(1, 2, 120), Device::Mmc).unwrap();
-        let batch = batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 8 }, 8, 200);
+        let mut lane = Lane::new(Policy::DeficitRoundRobin { quantum_blocks: 8 });
+        lane.push(mk(1, 0, 100));
+        lane.push(mk(2, 1, 500));
+        lane.push(mk(1, 2, 120));
+        let batch = batch_of(&mut lane, 8, 200);
         assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(lane.len(), 1);
     }
 
     #[test]
     fn drr_interleaves_sessions_fairly() {
-        let mut lane = Lane::new(64);
+        // A 256-block quantum lets each session take one large request (or
+        // many small ones) per rotation.
+        let mut lane = Lane::new(Policy::DeficitRoundRobin { quantum_blocks: 256 });
         // Session 1 floods with large reads; session 2 issues small ones.
         let mut id = 0u64;
         for i in 0..4 {
-            lane.push(rd(1, id, i * 256, 256), Device::Mmc).unwrap();
+            lane.push(rd(1, id, i * 256, 256));
             id += 1;
         }
         for i in 0..4 {
-            lane.push(rd(2, id, 10_000 + i, 1), Device::Mmc).unwrap();
+            lane.push(rd(2, id, 10_000 + i, 1));
             id += 1;
         }
-        // A 256-block quantum lets each session take one large request (or
-        // many small ones) per rotation.
-        let batch =
-            batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 256 }, 4, u64::MAX);
+        let batch = batch_of(&mut lane, 4, u64::MAX);
         let sessions: Vec<SessionId> = batch.iter().map(|p| p.session).collect();
         assert!(
             sessions.contains(&1) && sessions.contains(&2),
@@ -583,22 +535,57 @@ mod tests {
 
     #[test]
     fn evict_all_empties_the_queue_and_resets_drr_state() {
-        let mut lane = Lane::new(8);
+        let mut lane = Lane::new(Policy::DeficitRoundRobin { quantum_blocks: 1 });
         for i in 0..3u64 {
-            lane.push(rd(1, i, i as u32, 1), Device::Mmc).unwrap();
+            lane.push(rd(1, i, i as u32, 1));
         }
-        lane.push(rd(2, 9, 100, 1), Device::Mmc).unwrap();
+        lane.push(rd(2, 9, 100, 1));
         // Prime some DRR state before the drain.
-        let _ = batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 1 }, 1, u64::MAX);
+        let _ = batch_of(&mut lane, 1, u64::MAX);
         let evicted = lane.evict_all();
         assert_eq!(evicted.len(), 3, "everything still queued comes out");
         assert!(lane.is_empty());
-        assert_eq!(lane.high_water(), 4, "high water survives the drain");
         // The lane is immediately usable again.
-        lane.push(rd(3, 20, 0, 1), Device::Mmc).unwrap();
-        let batch =
-            batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 8 }, 4, u64::MAX);
+        lane.push(rd(3, 20, 0, 1));
+        let batch = batch_of(&mut lane, 4, u64::MAX);
         assert_eq!(batch.len(), 1);
+    }
+
+    #[test]
+    fn lanes_keep_no_rotation_state_for_sessions_without_queued_work() {
+        // DRR: session 1's only request drains in the first batch. The
+        // next rotation finds its queue empty and drops its slot and
+        // deficit, with no notice from the front-end.
+        let mut lane = Lane::new(Policy::DeficitRoundRobin { quantum_blocks: 1 });
+        lane.push(rd(1, 0, 0, 1));
+        for i in 1..4u64 {
+            lane.push(rd(2, i, i as u32, 1));
+        }
+        let first = batch_of(&mut lane, 2, u64::MAX);
+        assert_eq!(first.iter().map(|p| p.session).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(lane.rr_order.contains(&1), "the rotation has not come round to session 1");
+        let _ = batch_of(&mut lane, 1, u64::MAX);
+        assert!(!lane.rr_order.contains(&1) && !lane.deficits.contains_key(&1));
+        // Session 2 drains too. Once new work arrives, the rotation comes
+        // round to it and drops it the same way.
+        while !lane.is_empty() {
+            let _ = batch_of(&mut lane, 4, u64::MAX);
+        }
+        lane.push(rd(3, 8, 8, 1));
+        lane.push(rd(3, 9, 9, 1));
+        for _ in 0..2 {
+            assert_eq!(batch_of(&mut lane, 1, u64::MAX).len(), 1);
+        }
+        assert_eq!(lane.rr_order, vec![3]);
+        assert!(!lane.deficits.contains_key(&2));
+
+        // FIFO never reads rotation state, so pushes keep none.
+        let mut lane = Lane::new(Policy::Fifo);
+        for session in 0..64u32 {
+            lane.push(rd(session, u64::from(session), session, 1));
+        }
+        assert_eq!(batch_of(&mut lane, 64, u64::MAX).len(), 64);
+        assert!(lane.rr_order.is_empty() && lane.deficits.is_empty());
     }
 
     #[test]
@@ -844,14 +831,13 @@ mod tests {
 
     #[test]
     fn drr_small_quantum_still_serves_large_requests_eventually() {
-        let mut lane = Lane::new(8);
-        lane.push(rd(7, 1, 0, 256), Device::Mmc).unwrap();
+        let mut lane = Lane::new(Policy::DeficitRoundRobin { quantum_blocks: 8 });
+        lane.push(rd(7, 1, 0, 256));
         // Quantum far below the request cost: deficits must accumulate
         // across rounds rather than deadlock.
         let mut batches = Vec::new();
         for _ in 0..40 {
-            let b =
-                batch_of(&mut lane, Policy::DeficitRoundRobin { quantum_blocks: 8 }, 4, u64::MAX);
+            let b = batch_of(&mut lane, 4, u64::MAX);
             if !b.is_empty() {
                 batches.push(b);
                 break;

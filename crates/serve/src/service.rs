@@ -59,10 +59,12 @@
 //!   the differential and property tests pin this mode's behaviour.
 //! * [`ExecMode::Threaded`] moves each worker onto its own OS thread (the
 //!   paper's one-TEE-core-per-device model made physical), connected to
-//!   the front-end only by lock-free SPSC rings ([`crate::spsc`]) and a
-//!   control mailbox. Admission is bounded by a per-lane atomic
-//!   reservation taken front-end side, so `QueueFull` keeps one coherent
-//!   depth snapshot even against a concurrently draining lane thread.
+//!   the front-end only by a lock-free SPSC admission ring
+//!   ([`crate::spsc`]), an unbounded completion channel and a control
+//!   mailbox. Admission is bounded by a per-lane atomic reservation taken
+//!   front-end side — the lane's only capacity check — so `QueueFull`
+//!   keeps one coherent depth snapshot even against a concurrently
+//!   draining lane thread.
 //!   Virtual-time semantics are unchanged (each lane still executes its
 //!   own timeline and the causal merge rule still joins them); what
 //!   threading adds is **wall-clock** overlap of the real replay work —
@@ -71,9 +73,9 @@
 //!   sequential loop would have seen first, so batching (not payloads,
 //!   not per-session order) can differ. `drain`, `drain_all` and
 //!   `drain_device` all run to quiescence in this mode: unpark the lane
-//!   threads, then reap until every selected lane's in-flight count and
-//!   completion backlog are zero, polling briefly before parking until a
-//!   lane signals that it went quiet.
+//!   threads, then reap until a reap that followed a read of zero on
+//!   every selected lane's in-flight count admitted no new work, polling
+//!   briefly before parking until a lane signals that it went quiet.
 
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Mutex};
@@ -107,7 +109,7 @@ use crate::route::{
     least_loaded_sibling, LaneId, LaneLoad, RouteConfig, RoutePart, RouteReject, Router, Target,
 };
 use crate::sched::{Admission, Lane, Pending, Policy, QosConfig, SessionQos};
-use crate::spsc::{self, SpscConsumer, SpscProducer};
+use crate::spsc::{self, SpscProducer};
 use crate::{
     Completion, Device, FailoverAttempt, IdMap, IdSet, LaneHealth, LaneState, Payload, Request,
     RequestId, ServeError, SessionId, BLOCK, MAX_REQUEST_BLOCKS,
@@ -448,7 +450,7 @@ struct LaneFrontEnd {
     /// Admission channel: TEE-admitted requests travel to the worker here.
     admit_tx: SpscProducer<Pending>,
     /// Completion channel: the worker posts executed completions here.
-    cq_rx: SpscConsumer<Completion>,
+    cq_rx: mpsc::Receiver<Completion>,
     /// Control mailbox (fault injection, health checks, shutdown).
     ctrl_tx: mpsc::Sender<CtrlMsg>,
     shared: Arc<LaneShared>,
@@ -665,9 +667,13 @@ pub struct DriverletService {
     /// The next request id to hand out (ids are dense and increase in
     /// submit order).
     next_request: RequestId,
+    /// Requests [`DriverletService::admit`] has put on lanes so far. A
+    /// threaded drain compares it across a reap to see whether the reap
+    /// re-admitted work.
+    admissions: u64,
     /// Ids in the order their replays executed (the serial-order witness
     /// for the differential property test). Appended as completions are
-    /// reaped from each lane's cq ring — which is per-lane execution
+    /// reaped from each lane's cq channel — which is per-lane execution
     /// order; cross-lane interleaving in threaded mode follows reap order.
     exec_log: Vec<RequestId>,
     /// What a threaded drain parks on; lane workers signal it.
@@ -761,7 +767,6 @@ impl DriverletService {
         let mut block_granularities = config.block_granularities.clone();
         block_granularities.sort_unstable_by(|a, b| b.cmp(a));
         let lane_config = LaneConfig {
-            policy: config.policy,
             coalesce: config.coalesce,
             coalesce_window: config.coalesce_window,
             hold_budget_ns: config.hold_budget_ns,
@@ -808,25 +813,22 @@ impl DriverletService {
                 metrics.register_lane(device.to_string()),
                 metrics.epoch(),
             ));
-            // Channel bounds: the front-end reservation caps admitted,
-            // unposted work at the queue capacity, so the admit ring never
-            // rejects. The cq ring can fill: a posted completion frees its
-            // reservation before the front-end reaps it, so the lane may
-            // run more work while the ring is still full, and the worker
-            // then spills (`LaneWorker::cq_spill`) — the serve tests take
-            // that path routinely.
+            // The front-end reservation caps admitted, unposted work at the
+            // queue capacity, so the admit ring never rejects. Completions
+            // need an unbounded channel: a posted completion frees its
+            // reservation before the front-end reaps it, so a lane may post
+            // any number of completions nobody has reaped yet.
             let (admit_tx, admit_rx) = spsc::channel(config.queue_capacity);
-            let (cq_tx, cq_rx) = spsc::channel(config.queue_capacity);
+            let (cq_tx, cq_rx) = mpsc::channel();
             let (ctrl_tx, ctrl_rx) = mpsc::channel();
             let worker = Box::new(LaneWorker {
                 device: *device,
-                lane: Lane::new(config.queue_capacity),
+                lane: Lane::new(config.policy),
                 platform,
                 replayer,
                 entry,
                 admit_rx,
                 cq_tx,
-                cq_spill: VecDeque::new(),
                 ctrl_rx,
                 shared: Arc::clone(&shared),
                 config: lane_config.clone(),
@@ -885,6 +887,7 @@ impl DriverletService {
             retryable: IdMap::default(),
             supervision,
             next_request: 1,
+            admissions: 0,
             exec_log: Vec::new(),
             drain_signal,
             recorder,
@@ -1024,22 +1027,19 @@ impl DriverletService {
     /// completions are dropped.
     ///
     /// Every per-session series is released here: the TEE session, the
-    /// completion ring, the scheduler's DRR slot, the QoS bucket, and
-    /// the metrics registry's session series — so churning sessions
-    /// (open → close, thousands of times) leaves the registry at its
-    /// live-session size instead of growing one series per session ever
-    /// opened. Outcomes of requests still in flight at close time count
-    /// into the aggregate `orphan_outcomes` robustness counter.
+    /// completion ring, the QoS bucket, and the metrics registry's session
+    /// series — so churning sessions (open → close, thousands of times)
+    /// leaves the registry at its live-session size instead of growing one
+    /// series per session ever opened. Outcomes of requests still in
+    /// flight at close time count into the aggregate `orphan_outcomes`
+    /// robustness counter. The lanes are not told: a DRR lane drops a
+    /// session's rotation slot once its queue is empty, and a FIFO lane
+    /// keeps none.
     pub fn close_session(&mut self, session: SessionId) {
         self.tee.close_session(session);
         self.sessions.remove(&session);
         self.admission.forget_session(session);
         self.metrics.forget_session(session);
-        for idx in 0..self.lanes.len() {
-            // Scheduler bookkeeping only (DRR rotation slot); safe to
-            // apply between batches on a live lane thread.
-            let _ = self.lane_ctrl(idx, CtrlReq::ForgetSession(session));
-        }
     }
 
     /// Install a per-session QoS override (rate, burst, weight) on the
@@ -1429,6 +1429,7 @@ impl DriverletService {
             });
         }
         lane.shared.unpark();
+        self.admissions += 1;
         Ok(())
     }
 
@@ -1528,17 +1529,11 @@ impl DriverletService {
         }
     }
 
-    /// Reap lane `idx`'s completion ring into the session rings and the
-    /// exec log; collects clones when `collect` is set (drain return
-    /// value). When the worker is inline, its spill is flushed as the ring
-    /// empties so nothing is stranded worker-side.
+    /// Reap lane `idx`'s completion channel into the session rings and
+    /// the exec log; collects clones when `collect` is set (drain return
+    /// value).
     fn reap_lane(&mut self, idx: usize, collect: bool, out: &mut Vec<Completion>) {
-        loop {
-            let lane = &mut self.lanes[idx];
-            if let Some(w) = lane.worker.as_mut() {
-                w.flush_cq_spill();
-            }
-            let Some(c) = lane.cq_rx.try_pop() else { break };
+        while let Ok(c) = self.lanes[idx].cq_rx.try_recv() {
             let diverged = matches!(c.result, Err(ServeError::Replay(ReplayError::Diverged(_))));
             // The watchdog sees every outcome on its origin lane, even
             // ones failover will swallow — a lane that keeps diverging
@@ -1765,23 +1760,29 @@ impl DriverletService {
     }
 
     /// Whether every selected lane has posted every admitted request's
-    /// completion and nothing is left in its cq ring or spill.
+    /// completion. The `Acquire` load pairs with the worker's `Release`
+    /// decrement, so a reap after a `true` finds every completion.
     fn lanes_quiescent(&self, filter: Option<Device>) -> bool {
-        self.lanes.iter().all(|l| {
-            filter.is_some_and(|d| l.device != d) || (l.shared.quiescent() && l.cq_rx.is_empty())
-        })
+        self.lanes
+            .iter()
+            .all(|l| filter.is_some_and(|d| l.device != d) || l.shared.metrics.in_queue() == 0)
     }
 
     /// Threaded-mode drain: unpark the selected lane threads, then reap
-    /// until they are quiescent.
+    /// until they are quiescent. The rule is one check: a reap that
+    /// followed a read of zero on every selected lane admitted nothing.
+    /// The reap itself can re-admit work, through failover or a
+    /// quarantine's re-placement, on a lane it already reaped; that lane
+    /// can finish the work and read zero again before the reap ends, so
+    /// re-reading the counts would miss the completion.
     ///
-    /// Like a lane that ran dry, the drain first polls: it reaps, checks
-    /// quiescence and yields the CPU, for [`crate::lane::IDLE_POLL`]. In a
-    /// closed loop the lanes finish inside that window, so the front-end
-    /// never sleeps. Past it, the drain parks until a lane signals one of
-    /// the edges quiescence waits for (see [`LaneWorker::run`]), leaving
-    /// the CPU to the lanes through a long drain; the completions wait in
-    /// the cq rings. No signal can be lost: the drain registers its thread
+    /// Like a lane that ran dry, the drain first polls: it checks, reaps
+    /// and yields the CPU, for [`crate::lane::IDLE_POLL`]. In
+    /// a closed loop the lanes finish inside that window, so the front-end
+    /// never sleeps. Past it, the drain parks until a lane signals the edge
+    /// quiescence waits for (see [`LaneWorker::run`]), leaving the CPU to
+    /// the lanes through a long drain; the completions wait in the cq
+    /// channels. No signal can be lost: the drain registers its thread
     /// before its first check, and a signal that lands between a check and
     /// the park pre-pays the unpark token, so the park returns at once.
     fn drain_threaded(&mut self, filter: Option<Device>) -> Vec<Completion> {
@@ -1795,19 +1796,16 @@ impl DriverletService {
         }
         let idle = IdlePoll::new();
         loop {
+            let quiet = self.lanes_quiescent(filter);
+            let admissions = self.admissions;
             self.reap_lanes(filter, true, &mut all);
-            if self.lanes_quiescent(filter) {
-                break;
+            if quiet && self.admissions == admissions {
+                return all;
             }
             if !idle.yield_once() {
                 std::thread::park_timeout(PARK_FLOOR);
             }
         }
-        // Completions may have landed between the last reap and the
-        // quiescence check; the counters' release/acquire ordering
-        // guarantees this final pass sees all of them.
-        self.reap_lanes(filter, true, &mut all);
-        all
     }
 
     /// Run the event loop's step function.

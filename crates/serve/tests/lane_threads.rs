@@ -8,15 +8,17 @@
 //! * threaded execution is byte-identical to sequential execution of the
 //!   same program (batching may differ; payloads and device state may not);
 //! * replica lanes: the same device standing up twice, each replica with
-//!   its own TEE core and thread.
+//!   its own TEE core and thread;
+//! * a threaded drain returns the completions of work its own reap
+//!   re-admitted (failover retries), not only of work admitted before it.
 
 use std::collections::HashMap;
 
 use dlt_core::{FaultPlan, ReplayError};
 use dlt_recorder::campaign::record_mmc_driverlet_subset;
 use dlt_serve::{
-    Completion, Device, DriverletService, ExecMode, LaneId, Payload, Request, RouteConfig,
-    ServeConfig, ServeError, SubmitMode,
+    Completion, Device, DriverletService, ExecMode, FailoverConfig, LaneId, Payload, Request,
+    RouteConfig, ServeConfig, ServeError, SubmitMode, SuperviseConfig,
 };
 use dlt_template::Driverlet;
 
@@ -268,4 +270,70 @@ fn replica_lanes_serve_the_same_device_independently() {
     assert!(after[home] > before[home], "the home replica executes the routed read");
     assert_eq!(after[1 - home], before[1 - home], "an unsaturated sibling is never involved");
     assert_eq!(service.stats().routed, 1, "the default submit path rides the router");
+}
+
+/// A threaded drain must not return while a failover retry its own reap
+/// admitted is still unreaped. Replica 1 diverges on every read; once both
+/// of its completions are posted (every lane reads zero in flight), the
+/// drain's reap fails the routed read over to replica 0, which it already
+/// reaped in that pass, and then the pinned read trips the watchdog. The
+/// quarantine's three blocking control round trips give replica 0 time to
+/// run the retry and drop back to zero in flight, so a drain that only
+/// re-read the in-flight counts would return without the retry's
+/// completion.
+#[test]
+fn a_threaded_drain_returns_the_failover_retries_its_reap_admits() {
+    let bundle = mmc_bundle();
+    let cfg = ServeConfig {
+        coalesce: false,
+        hold_budget_ns: 0,
+        failover: FailoverConfig { enabled: true, retry_budget: 2, backoff_base_ns: 50_000 },
+        supervise: SuperviseConfig {
+            enabled: true,
+            divergence_threshold: 2,
+            window: 16,
+            probation_ok: 2,
+        },
+        ..config(ExecMode::Threaded)
+    };
+    let sick = LaneId { device: Device::Mmc, replica: 1 };
+    let blkid = (0..64u32)
+        .find(|&b| cfg.route.policy.replica_for(b, 2) == sick.replica)
+        .expect("a block homed on replica 1");
+    let read = Request::Read { device: Device::Mmc, blkid, blkcnt: 1 };
+    for round in 0..24 {
+        let mut service = DriverletService::with_driverlets(
+            &[(Device::Mmc, bundle.clone()), (Device::Mmc, bundle.clone())],
+            cfg.clone(),
+        )
+        .expect("build replica service");
+        let session = service.open_session().unwrap();
+        service
+            .inject_fault(
+                sick,
+                FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
+            )
+            .expect("inject fault");
+        let retried = service.submit(session, read.clone()).expect("routed read");
+        let pinned = service.submit_to(sick, session, read.clone()).expect("pinned read");
+        while service.lane_status().iter().any(|l| l.queued > 0) {
+            std::thread::yield_now();
+        }
+        let completions =
+            if round % 2 == 0 { service.drain_all() } else { service.drain_device(Device::Mmc) };
+        let result = |id| completions.iter().find(|c| c.id == id).map(|c| &c.result);
+        assert!(
+            matches!(result(retried), Some(Ok(Payload::Read(_)))),
+            "round {round}: the routed read completes via failover: {:?}",
+            result(retried)
+        );
+        assert!(
+            matches!(result(pinned), Some(Err(ServeError::Replay(ReplayError::Diverged(_))))),
+            "round {round}: the pinned read surfaces its divergence: {:?}",
+            result(pinned)
+        );
+        assert_eq!(completions.len(), 2, "round {round}: accepted == delivered");
+        let stats = service.stats();
+        assert_eq!((stats.failovers, stats.quarantines), (1, 1), "round {round}");
+    }
 }

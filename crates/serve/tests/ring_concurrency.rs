@@ -1,8 +1,10 @@
-//! Cross-thread stress tests for the lock-free SPSC core ([`dlt_serve::spsc`])
-//! and the concurrent behaviours built on it, which link the service
-//! front-end to its lane threads: consistent `QueueFull` depth snapshots
-//! against a live draining lane thread, completion-ring overflow while lane
-//! threads post, and the `drain_all` quiescence contract under park/unpark
+//! Cross-thread stress tests for the lock-free SPSC core ([`dlt_serve::spsc`],
+//! each lane's admission ring) and the concurrent behaviours of the channels
+//! that link the service front-end to its lane threads: consistent
+//! `QueueFull` depth snapshots against a live draining lane thread (the
+//! front-end's reservation is each lane's only bound), session
+//! completion-ring overflow while lane threads post through their unbounded
+//! completion channels, and the `drain_all` quiescence rule under park/unpark
 //! cycles. The submission and completion rings themselves belong to the
 //! front-end thread alone; their unit tests live in `ring.rs`.
 //!

@@ -45,4 +45,4 @@ pub use expr::{EvalEnv, SymExpr};
 pub use introspect::{ConstraintSite, SiteKind, Violation};
 pub use package::{CoverageReport, Driverlet, SignError, Signature};
 pub use program::{compile, CompileError, EvalScratch, Op, OpMeta, ReplayProgram};
-pub use template::{DmaSpec, EventBreakdown, ParamSpec, Template, TemplateMeta};
+pub use template::{DmaSpec, EventBreakdown, ParamSpec, Template, TemplateMeta, MAX_POLL_ITERS};

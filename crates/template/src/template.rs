@@ -8,6 +8,13 @@ use crate::constraint::Constraint;
 use crate::event::{DataDirection, DmaRole, Event, EventKind, Iface, ReadSink, RecordedEvent};
 use crate::expr::{EvalEnv, SymExpr};
 
+/// The largest iteration bound a template's `Poll` may carry. A poll whose
+/// condition the device never meets runs to its bound, so without a cap a
+/// validly signed template could hang the replayer; the recorder bounds
+/// each poll at eight times its observed iterations plus 64, far below
+/// this.
+pub const MAX_POLL_ITERS: u64 = 1 << 20;
+
 /// A replay-entry parameter and the constraint the recorder derived for it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParamSpec {
@@ -160,7 +167,8 @@ impl Template {
     /// Static vetting of the template (the paper's §8.2.1 "statically vetting
     /// of templates" validation): every referenced parameter is declared,
     /// every shared-memory access refers to a DMA allocation the template
-    /// actually makes, every captured value is produced before it is used.
+    /// actually makes, every captured value is produced before it is used,
+    /// and no poll is bounded above [`MAX_POLL_ITERS`].
     pub fn validate(&self) -> Result<(), String> {
         let declared: Vec<&str> = self.params.iter().map(|p| p.name.as_str()).collect();
         let num_allocs = self.dma_plan().len();
@@ -227,7 +235,13 @@ impl Template {
                             captures.push(name.clone());
                         }
                     }
-                    Event::Poll { body, cond, .. } => {
+                    Event::Poll { body, cond, max_iters, .. } => {
+                        if *max_iters > MAX_POLL_ITERS {
+                            return Err(format!(
+                                "poll bound of {max_iters} iterations exceeds the \
+                                 {MAX_POLL_ITERS}-iteration limit"
+                            ));
+                        }
                         if let Constraint::Eq(expr) | Constraint::Ne(expr) = cond {
                             check_expr(expr, captures)?;
                         }
