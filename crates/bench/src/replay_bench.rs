@@ -77,10 +77,8 @@ fn build_rig(mode: ReplayMode, granularity: u32) -> (Platform, Replayer) {
     let platform = Platform::new();
     MmcSubsystem::attach(&platform).expect("attach mmc");
     TeeKernel::install(&platform, &["sdhost", "dma"]).expect("install tee");
-    let mut replayer = Replayer::with_config(
-        SecureIo::new(platform.bus.clone()),
-        ReplayConfig { mode, ..ReplayConfig::default() },
-    );
+    let mut replayer =
+        Replayer::with_config(SecureIo::new(platform.bus.clone()), ReplayConfig { mode });
     replayer.load_driverlet(driverlet, DEV_KEY).expect("load driverlet");
     (platform, replayer)
 }

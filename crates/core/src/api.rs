@@ -131,6 +131,11 @@ impl SecureBlockIo for Replayer {
     }
 
     fn write_blocks(&mut self, blkid: u32, data: &[u8]) -> Result<(), ReplayError> {
+        if data.is_empty() || !data.len().is_multiple_of(MMC_BLOCK_SIZE) {
+            return Err(ReplayError::Invalid(
+                "write payload must be a whole number of blocks".into(),
+            ));
+        }
         let entry = self
             .entries()
             .into_iter()
@@ -215,5 +220,28 @@ mod tests {
             replay_usb(&mut r, 0x1, 8, 0, 0, &mut tiny),
             Err(ReplayError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn ragged_and_empty_block_writes_are_rejected_and_leave_the_medium_alone() {
+        use dlt_recorder::campaign::{record_mmc_driverlet_subset, DEV_KEY};
+        let platform = dlt_hw::Platform::new();
+        dlt_dev_mmc::MmcSubsystem::attach(&platform).unwrap();
+        dlt_tee::TeeKernel::install(&platform, &["sdhost", "dma"]).unwrap();
+        let mut r = Replayer::new(SecureIo::new(platform.bus.clone()));
+        r.load_driverlet(record_mmc_driverlet_subset(&[1]).unwrap(), DEV_KEY).unwrap();
+        let old = [0xaau8; MMC_BLOCK_SIZE];
+        r.write_blocks(42, &old).unwrap();
+        let ragged = r.write_blocks(42, &[0x55u8; 700]);
+        let empty = r.write_blocks(42, &[]);
+        let mut back = [0u8; MMC_BLOCK_SIZE];
+        r.read_blocks(42, 1, &mut back).unwrap();
+        assert!(
+            back == old,
+            "a rejected write reached the medium: block 42 is {:02x?}..",
+            &back[..4]
+        );
+        assert!(matches!(ragged, Err(ReplayError::Invalid(_))), "700 bytes: {ragged:?}");
+        assert!(matches!(empty, Err(ReplayError::Invalid(_))), "0 bytes: {empty:?}");
     }
 }

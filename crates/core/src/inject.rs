@@ -9,7 +9,7 @@
 //! replace the observed value before the constraint check runs. The
 //! replayer's behaviour under mutation is exactly its behaviour under a
 //! misbehaving device: soft reset, re-execution, and a typed
-//! [`crate::ReplayError::Diverged`] once `max_attempts` is exhausted.
+//! [`crate::ReplayError::Diverged`] once its three attempts are exhausted.
 //!
 //! [`ConstraintFlipper`] is the standard mutator: pointed at a constraint
 //! site (or left free-roaming) it solves for a violating observation with

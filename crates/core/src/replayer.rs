@@ -135,29 +135,21 @@ pub enum ReplayMode {
     Interpreted,
 }
 
+/// Template executions per invocation: the first try plus two
+/// re-executions after a soft reset (§5).
+const MAX_ATTEMPTS: u32 = 3;
+
 /// Replayer configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayConfig {
-    /// Maximum template executions per invocation (first try + re-executions
-    /// after soft reset).
-    pub max_attempts: u32,
-    /// Whether to verify driverlet signatures at load time (always on in
-    /// production).
-    pub verify_signature: bool,
     /// Execution engine.
     pub mode: ReplayMode,
 }
 
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        ReplayConfig { max_attempts: 3, verify_signature: true, mode: ReplayMode::Compiled }
-    }
-}
-
 impl ReplayConfig {
-    /// The default configuration running the interpreted baseline.
+    /// The configuration running the interpreted baseline.
     pub fn interpreted() -> Self {
-        ReplayConfig { mode: ReplayMode::Interpreted, ..ReplayConfig::default() }
+        ReplayConfig { mode: ReplayMode::Interpreted }
     }
 }
 
@@ -321,23 +313,12 @@ impl Replayer {
         self.driverlets.keys().cloned().collect()
     }
 
-    /// The compiled programs serving `entry` (loaded-template names), mostly
-    /// for diagnostics and tests.
-    pub fn program_names(&self, entry: &str) -> Vec<String> {
-        self.driverlets
-            .get(entry)
-            .map(|ld| ld.programs.iter().map(|p| p.name.clone()).collect())
-            .unwrap_or_default()
-    }
-
     /// Load a driverlet bundle: verify the developer signature, statically
     /// vet every template, harden against templates that reference registers
     /// outside secure device windows, and lower each template into its flat
     /// replay program.
     pub fn load_driverlet(&mut self, bundle: Driverlet, key: &[u8]) -> Result<(), ReplayError> {
-        if self.config.verify_signature {
-            bundle.verify(key).map_err(ReplayError::Signature)?;
-        }
+        bundle.verify(key).map_err(ReplayError::Signature)?;
         bundle.validate().map_err(ReplayError::InvalidTemplate)?;
         let mut programs = Vec::with_capacity(bundle.templates.len());
         for t in &bundle.templates {
@@ -435,7 +416,7 @@ impl Replayer {
 
         let mut last_failure: Option<(DivergenceEvent, usize)> = None;
         let mut attempts = 0u32;
-        while attempts < this.config.max_attempts {
+        while attempts < MAX_ATTEMPTS {
             attempts += 1;
             this.stats.executions += 1;
             // Soft reset before every execution and between retries (§5).
@@ -508,7 +489,7 @@ impl Replayer {
 
         let mut last_failure: Option<(DivergenceEvent, usize)> = None;
         let mut attempts = 0u32;
-        while attempts < self.config.max_attempts {
+        while attempts < MAX_ATTEMPTS {
             attempts += 1;
             self.stats.executions += 1;
             io.soft_reset_device(&template.device)?;
@@ -798,22 +779,6 @@ fn exec_program(
     Ok(payload_bytes)
 }
 
-/// Render a constraint violation in the human-readable style the paper's
-/// failure reports use.
-pub fn describe_divergence(report: &DivergenceReport) -> String {
-    format!(
-        "template {} aborted after {} attempts; {} events replayed; failing event #{} {} recorded at {}:{} ({})",
-        report.template,
-        report.attempts,
-        report.executed_before_failure,
-        report.failure.event_index,
-        report.failure.event,
-        report.failure.site.file,
-        report.failure.site.line,
-        report.failure.reason,
-    )
-}
-
 // The serve layer moves whole lane replayers onto per-lane OS threads
 // (`dlt-serve`'s `ExecMode::Threaded`); losing `Send` here — e.g. by
 // adding an `Rc` or a raw pointer to the replayer state — would silently
@@ -1038,7 +1003,7 @@ mod tests {
     fn run_mode(mode: ReplayMode, val: u64, rand_len: u32) -> (ReplayOutcome, [u8; 8], u64, u64) {
         let platform = rig_platform();
         let io = SecureIo::new(platform.bus.clone());
-        let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
+        let mut r = Replayer::with_config(io, ReplayConfig { mode });
         r.load_driverlet(rig_driverlet(rand_len), b"rigkey").unwrap();
         let t0 = platform.now_ns();
         let mut buf = [0u8; 8];
@@ -1079,7 +1044,6 @@ mod tests {
         // val outside the recorded range: no template matches.
         let err = r.invoke_args("replay_rig", &rig_args(0x10_0000), &mut buf).unwrap_err();
         assert!(matches!(err, ReplayError::OutOfCoverage { .. }));
-        assert_eq!(r.program_names("replay_rig"), vec!["rig_io".to_string()]);
     }
 
     #[test]
@@ -1122,7 +1086,7 @@ mod tests {
         for mode in [ReplayMode::Compiled, ReplayMode::Interpreted] {
             let platform = rig_platform();
             let io = SecureIo::new(platform.bus.clone());
-            let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
+            let mut r = Replayer::with_config(io, ReplayConfig { mode });
             r.load_driverlet(rig_driverlet(u32::MAX), b"rigkey").unwrap();
             assert!(r.scratch.rand.len() <= dlt_tee::RNG_MAX_REQUEST, "{mode:?}");
             let mut buf = [0u8; 8];
@@ -1158,7 +1122,7 @@ mod tests {
         for mode in [ReplayMode::Compiled, ReplayMode::Interpreted] {
             let platform = rig_platform();
             let io = SecureIo::new(platform.bus.clone());
-            let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
+            let mut r = Replayer::with_config(io, ReplayConfig { mode });
             match r.load_driverlet(hostile(u64::MAX), b"rigkey") {
                 Err(ReplayError::InvalidTemplate(e)) => {
                     assert!(e.contains("exceeds the 1048576-iteration limit"), "{mode:?}: {e}")
@@ -1287,13 +1251,13 @@ mod tests {
         r.load_driverlet(d, b"rigkey").unwrap();
         let mut buf = [0u8; 8];
         let err = r.invoke_args("replay_rig", &rig_args(3), &mut buf).unwrap_err();
+        assert!(err.to_string().contains("rig_io"), "the report names the source site: {err}");
         match err {
             ReplayError::Diverged(report) => {
                 assert_eq!(report.failure.event_index, 5);
                 assert_eq!(report.failure.observed, Some(0x2a));
                 assert_eq!(report.attempts, 3);
                 assert!(report.failure.event.contains("read"));
-                assert!(describe_divergence(&report).contains("rig_io"));
             }
             other => panic!("expected divergence, got {other:?}"),
         }
@@ -1344,7 +1308,7 @@ mod tests {
         for (what, d, index) in wrapping_user_range_driverlets() {
             let platform = rig_platform();
             let io = SecureIo::new(platform.bus.clone());
-            let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
+            let mut r = Replayer::with_config(io, ReplayConfig { mode });
             r.load_driverlet(d, b"rigkey").unwrap();
             let mut buf = [0u8; 8];
             match r.invoke_args("replay_rig", &rig_args(3), &mut buf) {

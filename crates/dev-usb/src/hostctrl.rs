@@ -35,8 +35,8 @@ pub struct UsbHostController {
     bulk_out: Vec<u8>,
     pending: Option<PendingXfer>,
     device_present: bool,
-    /// A port change (unplug or replug) whose interrupt is raised the next
-    /// time the bus clocks the controller.
+    /// A port change (an unplug) whose interrupt is raised the next time
+    /// the bus clocks the controller.
     port_irq: bool,
     /// Statistics.
     transactions: u64,
@@ -105,16 +105,6 @@ impl UsbHostController {
         if let Some(p) = &mut self.pending {
             p.int_bits = hcint::XACTERR | hcint::CHHLTD;
         }
-        self.port_irq = true;
-    }
-
-    /// Plug the stick back in (re-enumeration required on the real bus; the
-    /// model keeps the device in its fast-init state).
-    pub fn replug(&mut self) {
-        self.device_present = true;
-        self.device.disk_mut().reinsert();
-        self.update_port_status(true);
-        self.regs.set_bits(regs::GINTSTS, gintsts::PRTINT);
         self.port_irq = true;
     }
 
@@ -508,16 +498,6 @@ mod tests {
         let int = rig.read32(regs::hcint(ch), 10_000_000_000);
         assert!(int & hcint::XACTERR != 0);
         assert!(int & hcint::XFERCOMPL == 0);
-    }
-
-    #[test]
-    fn replug_restores_the_port() {
-        let mut rig = Rig::new();
-        rig.hc.unplug();
-        rig.hc.replug();
-        assert!(rig.read32(regs::HPRT, 1_000) & hprt::CONN_STS != 0);
-        let data = rig.scsi_read(0, 1, 77);
-        assert_eq!(data.len(), 512);
     }
 
     #[test]

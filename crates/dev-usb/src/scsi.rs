@@ -5,8 +5,8 @@
 //! READ/WRITE command variants and picks READ(10)/WRITE(10) as "just long
 //! enough to encode the requested LBA addresses" (§7.2.3). The disk model
 //! implements the command subset a Linux-class stack needs plus the FTL-ish
-//! behaviour (4 KiB program granularity) that motivates the driver's
-//! read-modify-write of sub-page writes.
+//! behaviour (4 KiB program granularity: a sub-page write still programs a
+//! whole page).
 
 use dlt_hw::BlockStore;
 

@@ -243,14 +243,6 @@ pub fn is_valid_jpeg(data: &[u8]) -> bool {
         && data[data.len() - 1] == 0xd9
 }
 
-/// Extract the frame number embedded in a synthetic frame.
-pub fn frame_number(data: &[u8]) -> Option<u32> {
-    if data.len() < 12 || !is_valid_jpeg(data) {
-        return None;
-    }
-    Some(u32::from_le_bytes([data[4], data[5], data[6], data[7]]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,8 +297,6 @@ mod tests {
         assert!(is_valid_jpeg(&a));
         assert!(is_valid_jpeg(&b));
         assert_ne!(a, b, "frames with different numbers must differ");
-        assert_eq!(frame_number(&a), Some(0));
-        assert_eq!(frame_number(&b), Some(1));
         // Deterministic: the same frame number reproduces bit-for-bit.
         assert_eq!(a, synth_jpeg(CameraResolution::R720p, 0));
     }
@@ -318,7 +308,6 @@ mod tests {
         let n = good.len();
         good[n - 1] = 0;
         assert!(!is_valid_jpeg(&good));
-        assert_eq!(frame_number(&good), None);
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl Vc4Vchiq {
         self.sensor_present = false;
     }
 
-    /// Reconnect the image sensor.
-    pub fn reconnect_sensor(&mut self) {
-        self.sensor_present = true;
-    }
-
     fn queue_reply(&mut self, due_ns: u64, msg: MmalMessage, capture: Option<CaptureJob>) {
         if matches!(msg.mtype, MsgType::Error) {
             self.errors_signalled += 1;
@@ -347,8 +342,7 @@ impl Vc4Vchiq {
         }
         let frame_no = self.frame_counter;
         self.frame_counter += 1;
-        let latency = self.cost.cam_exposure_ns
-            + self.cost.cam_isp_per_mp_ns * resolution.megapixels_x100() / 100;
+        let latency = self.cost.cam_frame(resolution.megapixels_x100());
         self.queue_reply(
             now_ns + latency,
             MmalMessage::new(MsgType::BufferToHost, SERVICE_HANDLE, vec![expected, frame_no]),

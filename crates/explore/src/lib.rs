@@ -64,9 +64,9 @@ use dlt_template::program::EvalScratch;
 use dlt_template::{compile, Driverlet, SiteKind, Violation};
 use serde::{Deserialize, Serialize};
 
-/// Wall-clock deadline for a single divergence case (one solve plus at most
-/// `max_attempts` replays). Generous: a healthy case is milliseconds; only
-/// a genuine hang ever reaches this.
+/// Wall-clock deadline for a single divergence case (one solve plus the
+/// replayer's three attempts). Generous: a healthy case is milliseconds;
+/// only a genuine hang ever reaches this.
 const CASE_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Wall-clock deadline for one serve-layer gauntlet case (service build,

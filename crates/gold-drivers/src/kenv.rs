@@ -40,29 +40,26 @@ impl Rw {
     }
 }
 
-/// Request flags understood by the block drivers.
+/// Request flags understood by the block drivers' `do_io`. Only the MMC
+/// host driver reads them; every gold-driver request is synchronous (it
+/// returns once the medium has the data), and the kernel block layer's
+/// write-back caching is modelled above the drivers by
+/// `dlt_workloads::block::NativeDev`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoFlags {
     /// Bypass the DMA engine and move data by PIO (`O_DIRECT` in §7.1.3).
     pub direct: bool,
-    /// Wait for the medium to commit the data before returning (`O_SYNC`).
-    pub sync: bool,
 }
 
 impl IoFlags {
-    /// Plain asynchronous, DMA-capable request.
+    /// Plain DMA-capable request.
     pub fn none() -> Self {
         IoFlags::default()
     }
 
-    /// `O_SYNC` request.
-    pub fn sync() -> Self {
-        IoFlags { direct: false, sync: true }
-    }
-
     /// `O_DIRECT` request.
     pub fn direct() -> Self {
-        IoFlags { direct: true, sync: true }
+        IoFlags { direct: true }
     }
 }
 
@@ -349,10 +346,8 @@ mod tests {
 
     #[test]
     fn io_flags_constructors() {
-        assert!(IoFlags::sync().sync);
-        assert!(!IoFlags::sync().direct);
         assert!(IoFlags::direct().direct);
-        assert!(!IoFlags::none().sync);
+        assert!(!IoFlags::none().direct);
     }
 
     #[test]

@@ -15,16 +15,19 @@
 //!   Program↔Driver, Environment↔Driver, Device↔Driver).
 //! * [`mmc`] — the MMC stack: a SDHOST host-controller driver (card
 //!   initialisation, command issue, PIO and DMA data paths, the last-3-words
-//!   PIO quirk, periodic bus re-tuning) and a block layer with request
-//!   merging and a write-back cache (the "native" behaviour of §8.3.1) plus
-//!   an O_SYNC mode ("native-sync").
+//!   PIO quirk, periodic bus re-tuning).
 //! * [`usb`] — the USB stack: a DWC2 host-controller driver (core init, port
 //!   reset, enumeration via control transfers, bulk channel scheduling) and a
 //!   mass-storage class driver (bulk-only transport, CBW/CSW, SCSI command
-//!   selection, sub-page read-modify-write).
+//!   selection).
 //! * [`vchiq`] — the VCHIQ/MMAL stack: queue setup, message send/receive,
 //!   camera component lifecycle and frame capture.
 //! * [`stats`] — static effort metadata backing the Table 7/8 reproduction.
+//!
+//! The kernel block layer above the storage drivers (page cache, write-back
+//! and request merging: the "native" and O_SYNC "native-sync" behaviour of
+//! §8.3.1) is not a gold driver; `dlt_workloads::block::NativeDev` models it
+//! on top of [`mmc::MmcHost`] and [`usb::UsbStorageDriver`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,12 @@
 //! The MMC gold-driver stack.
 //!
-//! Mirrors the shape of the Linux MMC framework the paper describes (§7.1.1):
-//! a host-controller driver ([`host::MmcHost`]) that knows the SDHOST
-//! register programming model, and a block layer ([`block::MmcBlockDriver`])
-//! that adds request merging and a write-back cache — the features that make
-//! the *native* driver fast and asynchronous, and that the driverlet
-//! deliberately forgoes (§8.3.2).
+//! Mirrors the host-controller half of the Linux MMC framework the paper
+//! describes (§7.1.1): [`host::MmcHost`] knows the SDHOST register
+//! programming model. The block layer above it, with the request merging and
+//! write-back cache that make the *native* driver fast and asynchronous and
+//! that the driverlet deliberately forgoes (§8.3.2), is
+//! `dlt_workloads::block::NativeDev`.
 
-pub mod block;
 pub mod host;
 
-pub use block::{CacheMode, MmcBlockDriver};
 pub use host::{HostStats, MmcHost};

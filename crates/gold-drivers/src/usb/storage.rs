@@ -3,9 +3,8 @@
 //! Reproduces the behaviours the paper observed in the full Linux stack
 //! (§7.2.3): the CBW/CSW descriptors are the primary driver/device
 //! conversation, the driver picks READ(10)/WRITE(10) among the five SCSI
-//! read/write variants, the CBW tag is a monotonically increasing serial
-//! number, and sub-FTL-page writes are turned into read-modify-write of the
-//! containing 4 KiB.
+//! read/write variants, and the CBW tag is a monotonically increasing serial
+//! number.
 
 use dlt_dev_usb::device::{
     BULK_IN_EP, BULK_OUT_EP, CBW_LEN, CBW_SIGNATURE, CSW_LEN, CSW_SIGNATURE,
@@ -17,16 +16,11 @@ use dlt_hw::DmaRegion;
 use crate::kenv::{DriverError, HwIo, IoFlags, Rw};
 use crate::usb::hcd::{EpType, UsbHcd};
 
-/// Blocks per FTL page (4 KiB / 512 B).
-pub const BLOCKS_PER_FTL_PAGE: u32 = 8;
-
 /// Mass-storage statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// SCSI commands issued.
     pub scsi_commands: u64,
-    /// Read-modify-write expansions performed for sub-page writes.
-    pub rmw_expansions: u64,
     /// CSW status failures observed.
     pub csw_failures: u64,
 }
@@ -215,25 +209,6 @@ impl<I: HwIo> UsbStorageDriver<I> {
         }
         Ok(())
     }
-
-    /// Write fewer blocks than one FTL page by reading back the whole 4 KiB
-    /// page, patching it, and writing the page back (the paper's observed
-    /// sub-LBA write behaviour). Used by the native block path; the record
-    /// campaign records the plain [`Self::do_io`] paths.
-    pub fn write_subpage(&mut self, blkid: u32, data: &[u8]) -> Result<(), DriverError> {
-        let blkcnt = (data.len() / USB_BLOCK_SIZE) as u32;
-        if blkcnt >= BLOCKS_PER_FTL_PAGE {
-            let mut copy = data.to_vec();
-            return self.do_io(Rw::Write, blkcnt, blkid, IoFlags::none(), &mut copy);
-        }
-        self.stats.rmw_expansions += 1;
-        let page_start = blkid & !(BLOCKS_PER_FTL_PAGE - 1);
-        let mut page = vec![0u8; BLOCKS_PER_FTL_PAGE as usize * USB_BLOCK_SIZE];
-        self.do_io(Rw::Read, BLOCKS_PER_FTL_PAGE, page_start, IoFlags::none(), &mut page)?;
-        let off = ((blkid - page_start) as usize) * USB_BLOCK_SIZE;
-        page[off..off + data.len()].copy_from_slice(data);
-        self.do_io(Rw::Write, BLOCKS_PER_FTL_PAGE, page_start, IoFlags::none(), &mut page)
-    }
 }
 
 #[cfg(test)]
@@ -281,25 +256,6 @@ mod tests {
             assert_eq!(back, payload, "blkcnt={blkcnt}");
         }
         assert_eq!(hostctrl(&p, |hc| hc.device().disk().peek_block(64))[0], pattern(1, 128)[0]);
-    }
-
-    #[test]
-    fn subpage_write_performs_rmw() {
-        let (p, mut drv) = rig();
-        // Pre-existing page contents.
-        let base = pattern(8 * USB_BLOCK_SIZE, 0x40);
-        let mut buf = base.clone();
-        drv.do_io(Rw::Write, 8, 16, IoFlags::none(), &mut buf).unwrap();
-        // Patch one block in the middle via the sub-page path.
-        let patch = pattern(USB_BLOCK_SIZE, 0x90);
-        drv.write_subpage(19, &patch).unwrap();
-        assert_eq!(drv.stats().rmw_expansions, 1);
-        // The rest of the page is preserved, the patched block changed.
-        assert_eq!(
-            hostctrl(&p, |hc| hc.device().disk().peek_block(16)),
-            base[..USB_BLOCK_SIZE].to_vec()
-        );
-        assert_eq!(hostctrl(&p, |hc| hc.device().disk().peek_block(19)), patch);
     }
 
     #[test]

@@ -61,9 +61,6 @@ impl ClockCell {
 pub struct VirtualClock {
     now_ns: u64,
     cost: CostModel,
-    /// Number of `advance` calls, useful to sanity-check that a workload
-    /// actually exercised the clock.
-    advances: u64,
     /// Nanoseconds skipped via [`VirtualClock::advance_idle_to`] — time the
     /// owning core spent waiting for work rather than doing it.
     idle_ns: u64,
@@ -78,13 +75,7 @@ impl Clone for VirtualClock {
         let cell = Arc::new(ClockCell::default());
         cell.now_ns.store(self.now_ns, Ordering::Release);
         cell.idle_ns.store(self.idle_ns, Ordering::Release);
-        VirtualClock {
-            now_ns: self.now_ns,
-            cost: self.cost.clone(),
-            advances: self.advances,
-            idle_ns: self.idle_ns,
-            cell,
-        }
+        VirtualClock { now_ns: self.now_ns, cost: self.cost.clone(), idle_ns: self.idle_ns, cell }
     }
 }
 
@@ -97,13 +88,7 @@ impl Default for VirtualClock {
 impl VirtualClock {
     /// Create a clock starting at time zero with the given cost model.
     pub fn new(cost: CostModel) -> Self {
-        VirtualClock {
-            now_ns: 0,
-            cost,
-            advances: 0,
-            idle_ns: 0,
-            cell: Arc::new(ClockCell::default()),
-        }
+        VirtualClock { now_ns: 0, cost, idle_ns: 0, cell: Arc::new(ClockCell::default()) }
     }
 
     /// Current virtual time in nanoseconds.
@@ -124,11 +109,6 @@ impl VirtualClock {
         self.cell.idle_ns.store(self.idle_ns, Ordering::Release);
     }
 
-    /// Current virtual time in microseconds (truncated).
-    pub fn now_us(&self) -> u64 {
-        self.now_ns / 1_000
-    }
-
     /// The cost model.
     pub fn cost(&self) -> &CostModel {
         &self.cost
@@ -137,7 +117,6 @@ impl VirtualClock {
     /// Advance time by `ns` nanoseconds.
     pub fn advance_ns(&mut self, ns: u64) {
         self.now_ns = self.now_ns.saturating_add(ns);
-        self.advances += 1;
         self.publish();
     }
 
@@ -151,7 +130,6 @@ impl VirtualClock {
     pub fn advance_to(&mut self, deadline_ns: u64) {
         if deadline_ns > self.now_ns {
             self.now_ns = deadline_ns;
-            self.advances += 1;
             self.publish();
         }
     }
@@ -164,7 +142,6 @@ impl VirtualClock {
         if deadline_ns > self.now_ns {
             self.idle_ns += deadline_ns - self.now_ns;
             self.now_ns = deadline_ns;
-            self.advances += 1;
             self.publish();
         }
     }
@@ -185,16 +162,6 @@ impl VirtualClock {
         self.now_ns.saturating_add(us.saturating_mul(1_000))
     }
 
-    /// A deadline `ns` nanoseconds from now.
-    pub fn deadline_after_ns(&self, ns: u64) -> u64 {
-        self.now_ns.saturating_add(ns)
-    }
-
-    /// Number of times the clock was advanced.
-    pub fn advance_count(&self) -> u64 {
-        self.advances
-    }
-
     /// Charge the cost of one MMIO access (cached or uncached mapping).
     pub fn charge_mmio(&mut self, uncached: bool) {
         self.advance_ns(self.cost.mmio(uncached));
@@ -211,34 +178,6 @@ impl VirtualClock {
     }
 }
 
-/// A simple elapsed-time scope: records the start time and reports the delta.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start_ns: u64,
-}
-
-impl Stopwatch {
-    /// Start a stopwatch at the clock's current time.
-    pub fn start(clock: &VirtualClock) -> Self {
-        Stopwatch { start_ns: clock.now_ns() }
-    }
-
-    /// Elapsed virtual nanoseconds since the stopwatch started.
-    pub fn elapsed_ns(&self, clock: &VirtualClock) -> u64 {
-        clock.now_ns().saturating_sub(self.start_ns)
-    }
-
-    /// Elapsed virtual microseconds since the stopwatch started.
-    pub fn elapsed_us(&self, clock: &VirtualClock) -> u64 {
-        self.elapsed_ns(clock) / 1_000
-    }
-
-    /// Elapsed virtual milliseconds since the stopwatch started.
-    pub fn elapsed_ms(&self, clock: &VirtualClock) -> u64 {
-        self.elapsed_ns(clock) / 1_000_000
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,10 +188,8 @@ mod tests {
         assert_eq!(c.now_ns(), 0);
         c.advance_ns(1_500);
         assert_eq!(c.now_ns(), 1_500);
-        assert_eq!(c.now_us(), 1);
         c.advance_us(10);
         assert_eq!(c.now_ns(), 11_500);
-        assert_eq!(c.advance_count(), 2);
     }
 
     #[test]
@@ -270,7 +207,6 @@ mod tests {
         let mut c = VirtualClock::default();
         c.advance_us(5);
         assert_eq!(c.deadline_after_us(10), 15_000);
-        assert_eq!(c.deadline_after_ns(1), 5_001);
     }
 
     #[test]
@@ -282,16 +218,6 @@ mod tests {
         assert_eq!(c.now_ns(), cached);
         c.charge_mmio(true);
         assert_eq!(c.now_ns(), cached + uncached);
-    }
-
-    #[test]
-    fn stopwatch_measures_deltas() {
-        let mut c = VirtualClock::default();
-        c.advance_us(3);
-        let sw = Stopwatch::start(&c);
-        c.advance_us(7);
-        assert_eq!(sw.elapsed_us(&c), 7);
-        assert_eq!(sw.elapsed_ns(&c), 7_000);
     }
 
     #[test]

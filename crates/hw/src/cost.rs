@@ -159,43 +159,6 @@ impl CostModel {
     pub fn cam_frame(&self, megapixels_x100: u64) -> u64 {
         self.cam_exposure_ns + self.cam_isp_per_mp_ns * megapixels_x100 / 100
     }
-
-    /// Scale every cost by `num/den`.
-    pub fn scaled(&self, num: u64, den: u64) -> Self {
-        let s = |v: u64| v.saturating_mul(num) / den.max(1);
-        CostModel {
-            mmio_access_ns: s(self.mmio_access_ns),
-            mmio_uncached_ns: s(self.mmio_uncached_ns),
-            world_switch_ns: s(self.world_switch_ns),
-            smc_invoke_ns: s(self.smc_invoke_ns),
-            ring_doorbell_ns: s(self.ring_doorbell_ns),
-            ring_entry_validate_ns: s(self.ring_entry_validate_ns),
-            dram_word_copy_ns: s(self.dram_word_copy_ns),
-            dma_setup_ns: s(self.dma_setup_ns),
-            dma_per_page_ns: s(self.dma_per_page_ns),
-            sd_cmd_ns: s(self.sd_cmd_ns),
-            sd_read_block_ns: s(self.sd_read_block_ns),
-            sd_write_block_ns: s(self.sd_write_block_ns),
-            sd_transaction_overhead_ns: s(self.sd_transaction_overhead_ns),
-            usb_control_ns: s(self.usb_control_ns),
-            usb_bulk_block_ns: s(self.usb_bulk_block_ns),
-            usb_bot_overhead_ns: s(self.usb_bot_overhead_ns),
-            usb_lba_program_ns: s(self.usb_lba_program_ns),
-            cam_init_ns: s(self.cam_init_ns),
-            cam_port_setup_ns: s(self.cam_port_setup_ns),
-            cam_exposure_ns: s(self.cam_exposure_ns),
-            cam_isp_per_mp_ns: s(self.cam_isp_per_mp_ns),
-            vchiq_msg_ns: s(self.vchiq_msg_ns),
-            irq_delivery_ns: s(self.irq_delivery_ns),
-            irq_wait_overhead_ns: s(self.irq_wait_overhead_ns),
-            kernel_block_layer_ns: s(self.kernel_block_layer_ns),
-            native_sched_per_page_ns: s(self.native_sched_per_page_ns),
-            usb_sched_per_page_ns: s(self.usb_sched_per_page_ns),
-            soft_reset_ns: s(self.soft_reset_ns),
-            poll_delay_ns: s(self.poll_delay_ns),
-            replay_event_dispatch_ns: s(self.replay_event_dispatch_ns),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -231,16 +194,6 @@ mod tests {
         let one = c.dma_transfer(1);
         let four = c.dma_transfer(4);
         assert_eq!(four - one, 3 * c.dma_per_page_ns);
-    }
-
-    #[test]
-    fn scaling_preserves_ratios() {
-        let c = CostModel::default();
-        let half = c.scaled(1, 2);
-        assert_eq!(half.sd_cmd_ns, c.sd_cmd_ns / 2);
-        assert_eq!(half.mmio_access_ns, c.mmio_access_ns / 2);
-        let same = c.scaled(7, 7);
-        assert_eq!(same, c);
     }
 
     #[test]

@@ -96,14 +96,6 @@ impl IrqController {
         }
     }
 
-    /// The earliest future deadline on `line`, if one is scheduled.
-    pub fn next_deadline(&self, line: u32) -> Option<u64> {
-        match self.lines.get(&line) {
-            Some(LineState::Scheduled { deadline_ns }) => Some(*deadline_ns),
-            _ => None,
-        }
-    }
-
     /// The earliest scheduled deadline across all lines.
     pub fn earliest_deadline(&self) -> Option<u64> {
         self.lines
@@ -163,9 +155,9 @@ mod tests {
         let mut irq = IrqController::new();
         irq.assert_at(lines::VCHIQ, 5_000);
         irq.assert_at(lines::VCHIQ, 2_000);
-        assert_eq!(irq.next_deadline(lines::VCHIQ), Some(2_000));
+        assert_eq!(irq.earliest_deadline(), Some(2_000));
         irq.assert_at(lines::VCHIQ, 9_000);
-        assert_eq!(irq.next_deadline(lines::VCHIQ), Some(2_000));
+        assert_eq!(irq.earliest_deadline(), Some(2_000));
     }
 
     #[test]
@@ -191,6 +183,6 @@ mod tests {
         irq.assert_at(lines::DMA, 100);
         irq.reset_line(lines::DMA);
         assert!(!irq.is_pending(lines::DMA, 1_000));
-        assert_eq!(irq.next_deadline(lines::DMA), None);
+        assert_eq!(irq.earliest_deadline(), None);
     }
 }

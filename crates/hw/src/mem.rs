@@ -76,26 +76,6 @@ impl PhysMem {
         Ok(self.data[off])
     }
 
-    /// Write a single byte.
-    pub fn write8(&mut self, addr: u64, val: u8) -> HwResult<()> {
-        let off = self.offset(addr, 1)?;
-        self.data[off] = val;
-        Ok(())
-    }
-
-    /// Read a little-endian 16-bit value.
-    pub fn read16(&self, addr: u64) -> HwResult<u16> {
-        let off = self.offset(addr, 2)?;
-        Ok(u16::from_le_bytes([self.data[off], self.data[off + 1]]))
-    }
-
-    /// Write a little-endian 16-bit value.
-    pub fn write16(&mut self, addr: u64, val: u16) -> HwResult<()> {
-        let off = self.offset(addr, 2)?;
-        self.data[off..off + 2].copy_from_slice(&val.to_le_bytes());
-        Ok(())
-    }
-
     /// Read a little-endian 32-bit value.
     pub fn read32(&self, addr: u64) -> HwResult<u32> {
         let off = self.offset(addr, 4)?;
@@ -108,21 +88,6 @@ impl PhysMem {
     pub fn write32(&mut self, addr: u64, val: u32) -> HwResult<()> {
         let off = self.offset(addr, 4)?;
         self.data[off..off + 4].copy_from_slice(&val.to_le_bytes());
-        Ok(())
-    }
-
-    /// Read a little-endian 64-bit value.
-    pub fn read64(&self, addr: u64) -> HwResult<u64> {
-        let off = self.offset(addr, 8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.data[off..off + 8]);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Write a little-endian 64-bit value.
-    pub fn write64(&mut self, addr: u64, val: u64) -> HwResult<()> {
-        let off = self.offset(addr, 8)?;
-        self.data[off..off + 8].copy_from_slice(&val.to_le_bytes());
         Ok(())
     }
 
@@ -237,14 +202,8 @@ mod tests {
     #[test]
     fn scalar_read_write_round_trip() {
         let mut m = PhysMem::new(0x1000, 4096);
-        m.write8(0x1000, 0xab).unwrap();
-        assert_eq!(m.read8(0x1000).unwrap(), 0xab);
-        m.write16(0x1002, 0xbeef).unwrap();
-        assert_eq!(m.read16(0x1002).unwrap(), 0xbeef);
         m.write32(0x1004, 0xdead_beef).unwrap();
         assert_eq!(m.read32(0x1004).unwrap(), 0xdead_beef);
-        m.write64(0x1008, 0x0123_4567_89ab_cdef).unwrap();
-        assert_eq!(m.read64(0x1008).unwrap(), 0x0123_4567_89ab_cdef);
     }
 
     #[test]

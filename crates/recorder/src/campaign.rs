@@ -37,15 +37,6 @@ pub const DEV_KEY: &[u8] = b"driverlet-developer-signing-key-v1";
 const RECORD_DMA_BASE: u64 = 0x0200_0000;
 const RECORD_DMA_LEN: usize = 0x0100_0000;
 
-/// Serialise a recorded driverlet in the compact binary bundle form the TEE
-/// deploys (§8.3.4). The JSON document remains the review/interchange
-/// format; this is what a campaign ships to the device. The signature is
-/// computed over exactly these bytes (minus the trailing signature record),
-/// so `Driverlet::from_binary(..)` followed by `verify` round-trips.
-pub fn emit_binary_bundle(driverlet: &Driverlet) -> Vec<u8> {
-    driverlet.to_binary()
-}
-
 /// Fill a payload buffer with a pattern whose 8-byte windows are unique, so
 /// payload copies can be located in the buffer unambiguously.
 pub fn pattern_buf(len: usize, seed: u64) -> Vec<u8> {
@@ -554,7 +545,7 @@ mod tests {
     #[test]
     fn campaigns_emit_binary_bundles_that_round_trip() {
         let d = record_mmc_driverlet_subset(&[1]).unwrap();
-        let bytes = emit_binary_bundle(&d);
+        let bytes = d.to_binary();
         let back = dlt_template::Driverlet::from_binary(&bytes).unwrap();
         assert_eq!(back, d);
         assert!(back.verify(DEV_KEY).is_ok(), "signature must survive the binary round trip");

@@ -35,10 +35,7 @@ pub mod campaign;
 pub mod trace;
 
 pub use analyze::{synthesize_template, RecordRun, TemplateSpec};
-pub use campaign::{
-    emit_binary_bundle, record_camera_driverlet, record_mmc_driverlet, record_usb_driverlet,
-    DEV_KEY,
-};
+pub use campaign::{record_camera_driverlet, record_mmc_driverlet, record_usb_driverlet, DEV_KEY};
 pub use trace::{Trace, TraceOp, TracingIo};
 
 /// Errors produced by the recording toolkit.

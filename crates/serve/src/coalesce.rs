@@ -49,13 +49,6 @@ pub enum ExecPlan {
     },
 }
 
-impl ExecPlan {
-    /// Whether this plan actually merged more than one request.
-    pub fn is_coalesced(&self) -> bool {
-        !matches!(self, ExecPlan::Single(_))
-    }
-}
-
 /// A planned batch: its executable units in order plus the batch indices
 /// their member ranges select. Its owner rebuilds it for every batch, so
 /// once warm, planning allocates nothing.
@@ -336,7 +329,6 @@ mod tests {
                 (0..8).collect::<Vec<_>>()
             )]
         );
-        assert!(plans[0].0.is_coalesced());
     }
 
     #[test]
@@ -349,7 +341,6 @@ mod tests {
             (ExecPlan::MergedRead { blkid: 10, blkcnt: 6, members: 0..2 }, vec![0, 1])
         );
         assert_eq!(plans[1], (ExecPlan::Single(2), vec![2]));
-        assert!(!plans[1].0.is_coalesced());
     }
 
     #[test]
@@ -374,7 +365,7 @@ mod tests {
         let batch = vec![rd(8, 1), wr(8, 1), rd(8, 1)];
         let plans = plan(&batch, true);
         assert_eq!(plans.len(), 3);
-        assert!(plans.iter().all(|p| !p.0.is_coalesced()));
+        assert!(plans.iter().all(|p| matches!(p.0, ExecPlan::Single(_))));
     }
 
     #[test]

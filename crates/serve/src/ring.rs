@@ -122,16 +122,6 @@ impl CompletionRing {
         CompletionRing { entries: VecDeque::new(), depth: depth.max(1) }
     }
 
-    /// Completions waiting to be reaped (ring plus overflow list).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Post one completion. Returns `true` when the ring was full and the
     /// completion went to the overflow list instead (the reader's next
     /// reap must enter the kernel to flush it) — the service aggregates
@@ -234,11 +224,10 @@ mod tests {
         assert!(!cq.post(completion(1)));
         assert!(!cq.post(completion(2)));
         assert!(cq.post(completion(3)), "the third post overflows a depth-2 ring");
-        assert_eq!(cq.len(), 3);
         let (taken, flushed) = cq.take_all();
         assert!(flushed, "reaping past an overflow costs the reader a kernel entry");
         assert_eq!(taken.iter().map(|c| c.id).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert!(cq.is_empty());
+        assert!(cq.take_all().0.is_empty(), "a reap takes everything");
         // In-ring reaps after the flush are free again.
         assert!(!cq.post(completion(4)));
         let (taken, flushed) = cq.take_all();

@@ -792,10 +792,7 @@ impl DriverletService {
                 }
             };
             let io = secure_core(&platform, secure)?;
-            let mut replayer = Replayer::with_config(
-                io,
-                ReplayConfig { mode: config.mode, ..ReplayConfig::default() },
-            );
+            let mut replayer = Replayer::with_config(io, ReplayConfig { mode: config.mode });
             replayer.load_driverlet(bundle.clone(), DEV_KEY)?;
             // Register the worker's ring first: the first name on a track
             // labels its Perfetto track, and `lane-N-dev` is the thread
@@ -2652,8 +2649,9 @@ mod tests {
 
     #[test]
     fn a_threaded_drain_is_signalled_per_edge_not_per_request() {
-        // One request per batch, and a cq ring as deep as the queue, so
-        // the only edge a drain can see is the lane's in-flight count
+        // One request per batch. Completions leave the lane through its
+        // unbounded completion channel, which raises no edge of its own,
+        // so the only edge a drain can see is the lane's in-flight count
         // reaching zero.
         let mut s = mmc_service(ServeConfig {
             exec_mode: ExecMode::Threaded,

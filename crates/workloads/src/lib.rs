@@ -11,7 +11,8 @@
 //!   SQLite: keyed records in 4 KiB bucket pages over any [`block::BlockDev`].
 //! * [`suite`] — the six SQLite-derived benchmarks of Table 9 (select3,
 //!   delete, idxby, io, selectG, insert3) with the paper's read/write ratios,
-//!   the Figure 5 IOPS harness and the Table 9 template-invocation breakdown.
+//!   the per-benchmark IOPS harness behind Figure 5 and the Table 9
+//!   template-invocation breakdown.
 //! * [`camera`] — the Figure 6 capture-latency workloads (OneShot /
 //!   ShortBurst / LongBurst at 720p/1080p/1440p).
 //! * [`micro`] — the Figure 7 single-request latency microbenchmarks.
@@ -27,4 +28,4 @@ pub mod suite;
 
 pub use block::{BlockDev, DriverletDev, NativeDev, StorageKind, StoragePath};
 pub use microdb::MicroDb;
-pub use suite::{run_sqlite_suite, BenchmarkResult, SqliteBenchmark};
+pub use suite::{BenchmarkResult, SqliteBenchmark};

@@ -89,11 +89,6 @@ impl<D: BlockDev> MicroDb<D> {
         &self.dev
     }
 
-    /// Mutable access to the underlying device.
-    pub fn dev_mut(&mut self) -> &mut D {
-        &mut self.dev
-    }
-
     /// (page reads, page writes) issued so far.
     pub fn io_counts(&self) -> (u64, u64) {
         (self.page_reads, self.page_writes)

@@ -1,4 +1,5 @@
-//! The SQLite-derived benchmark suite (Table 9) and the Figure 5 harness.
+//! The SQLite-derived benchmark suite (Table 9) and the per-benchmark
+//! harness behind Figure 5 (`dlt_bench::figure5_panel` runs the panels).
 
 use std::collections::HashMap;
 
@@ -164,22 +165,6 @@ pub fn run_benchmark_on<D: BlockDev>(
         qps: queries as f64 / secs,
         breakdown: db.dev().invocation_breakdown(),
     })
-}
-
-/// Run the whole suite (six benchmarks × the given paths) for one device.
-/// This regenerates one panel of Figure 5.
-pub fn run_sqlite_suite(
-    kind: StorageKind,
-    paths: &[StoragePath],
-    queries: u64,
-) -> Result<Vec<BenchmarkResult>, String> {
-    let mut out = Vec::new();
-    for bench in SqliteBenchmark::all() {
-        for &path in paths {
-            out.push(run_benchmark(bench, kind, path, queries)?);
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

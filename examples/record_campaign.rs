@@ -36,7 +36,7 @@ fn main() {
 
     println!("\ncumulative input-space coverage:\n{}", driverlet.coverage.describe());
     println!("\nsignature verifies: {}", driverlet.verify(DEV_KEY).is_ok());
-    let binary = dlt_recorder::campaign::emit_binary_bundle(&driverlet);
+    let binary = driverlet.to_binary();
     println!(
         "bundle size: {} bytes pretty JSON / {} bytes compact / {} bytes binary ({} events total)",
         driverlet.serialized_size(),
